@@ -24,7 +24,7 @@ use crate::trace::{self, span};
 use crate::{timed, Episode};
 
 /// Blocks generated and ingested per episode.
-pub const BLOCKS: usize = 100;
+pub const BLOCKS: usize = 60;
 
 /// One UTXO-set effect of a generated transaction, in application order.
 #[derive(Debug, Clone, Copy)]

@@ -15,6 +15,7 @@
 
 #![forbid(unsafe_code)]
 
+pub mod calib;
 pub mod canister;
 pub mod ingest;
 pub mod query;
@@ -42,6 +43,9 @@ pub const PROFILER_FRAMES: [&str; 7] = [
 /// What one episode of a workload measured.
 #[derive(Debug, Default)]
 pub struct Episode {
+    /// Fastest pass of the reference workload ([`calib`]) run just before
+    /// the episode.
+    pub reference_ns: u64,
     /// Host time spent generating the inputs.
     pub gen_ns: u64,
     /// Host time spent loading them into the stack (bulk load, shadow boot).

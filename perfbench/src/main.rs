@@ -6,9 +6,10 @@
 //! ```
 //!
 //! Repeats episodes of the workload (set-up, measured rounds, output
-//! checks) until at least five have run and the measured rounds add up
-//! to `--seconds`. Prints a metadata line, then, as the last line of
-//! stdout, `{"correct", "attempted", "failed", "metrics"}`: the end-to-end
+//! checks) for `--seconds` of wall time, and at least five of them, each
+//! after a few passes of the reference workload in [`calib`]. Prints
+//! a metadata line, then, as the last line of stdout,
+//! `{"correct", "attempted", "failed", "metrics"}`: the end-to-end
 //! metrics with `--trace 0`, the per-layer metrics with `--trace 1`. A
 //! traced run also writes every span to `.bench_traces/` as JSONL.
 
@@ -16,11 +17,13 @@ use std::io::Write;
 use std::time::{Duration, Instant};
 
 use icbtc_perfbench::report::{self, json_string, metrics_json};
-use icbtc_perfbench::{ingest, query, recovery, sync, trace, Episode};
+use icbtc_perfbench::{calib, ingest, query, recovery, sync, trace, Episode};
 
 /// Episodes per run at least: `setup_s` is a median over them, and every
 /// round time a minimum over their repetitions of that round.
 const MIN_EPISODES: usize = 5;
+/// Passes of the reference workload before each episode.
+const REFERENCE_PASSES: usize = 3;
 /// No new episode starts after this much wall time.
 const WALL_LIMIT: Duration = Duration::from_secs(120);
 /// Where traced runs write their spans, relative to the working directory.
@@ -94,21 +97,33 @@ fn main() {
         trace::install();
     }
     let start = Instant::now();
+    let budget = Duration::from_secs_f64(args.seconds);
     let mut episodes: Vec<Episode> = Vec::new();
     loop {
-        let done = trace::span("bench.episode", || episode(args.seed));
+        let reference = trace::span("bench.reference", || {
+            (0..REFERENCE_PASSES)
+                .map(|_| calib::reference_ns())
+                .min()
+                .unwrap_or(0)
+        });
+        let mut done = trace::span("bench.episode", || episode(args.seed));
+        done.reference_ns = reference;
         eprintln!(
-            "# {} episode {}: setup {:.3} s, {} rounds in {:.3} s",
+            "# {} episode {}: reference {:.2} ms, setup {:.3} s, {} rounds in {:.3} s",
             args.workload,
             episodes.len() + 1,
+            reference as f64 / 1e6,
             done.setup_ns() as f64 / 1e9,
             done.round_ns.len(),
             done.measured_ns() as f64 / 1e9
         );
         episodes.push(done);
-        let measured: u64 = episodes.iter().map(Episode::measured_ns).sum();
-        let enough = episodes.len() >= MIN_EPISODES && measured as f64 / 1e9 >= args.seconds;
-        if enough || start.elapsed() >= WALL_LIMIT {
+        // Stop before an episode that would end past `--seconds`, so the
+        // run's wall time stays within it once the minimum has run.
+        let elapsed = start.elapsed();
+        let per_episode = elapsed / episodes.len() as u32;
+        let enough = episodes.len() >= MIN_EPISODES && elapsed + per_episode > budget;
+        if enough || elapsed >= WALL_LIMIT {
             break;
         }
     }

@@ -28,11 +28,11 @@ use crate::trace::{self, span};
 use crate::{timed, Episode};
 
 /// Synthetic addresses in the population.
-pub const ADDRESSES: usize = 100_000;
+pub const ADDRESSES: usize = 50_000;
 /// Divisor on the paper's per-address UTXO counts.
 pub const UTXO_SCALE: usize = 250;
 /// Queries per episode.
-pub const QUERIES: u64 = 256 * 150;
+pub const QUERIES: u64 = 256 * 60;
 /// Queries submitted per round.
 pub const RATE: usize = 256;
 /// A pre-mined block is ingested every this many rounds.

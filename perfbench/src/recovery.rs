@@ -29,8 +29,9 @@ use crate::{timed, Episode};
 pub const ADDRESSES: usize = 3_000;
 /// Divisor on the paper's per-address UTXO counts.
 pub const UTXO_SCALE: usize = 250;
-/// Rounds per episode: enough that the round p90 has ten rounds above it.
-pub const ROUNDS: u64 = 104;
+/// Rounds per episode: few, so that one run repeats every round about ten
+/// times (see `report::round_profile_ms`).
+pub const ROUNDS: u64 = 48;
 /// Replicated `GetBalance` calls submitted per round.
 pub const CALLS_PER_ROUND: usize = 4;
 /// Checkpoint cadence, in rounds.
@@ -39,8 +40,10 @@ pub const CHECKPOINT_EVERY: u64 = 8;
 /// The benchmark's lifecycle schedule: fixed checkpoint, crash and
 /// upgrade rounds, and one corruption at a round drawn from `seed`.
 pub fn plan(seed: u64) -> LifecyclePlan {
-    let upgrades = vec![43];
-    let crashes = vec![13, 37, 61, 85];
+    let upgrades = vec![35];
+    // Five rounds after every checkpoint: the crash rounds outnumber the
+    // round p90's tail, so it lands among rounds of one kind.
+    let crashes = vec![5, 13, 21, 29, 37, 45];
     let mut rng = SimRng::seed_from(seed.wrapping_add(0x7ec0));
     let corruption = loop {
         let round = CHECKPOINT_EVERY + 1 + rng.below(ROUNDS - CHECKPOINT_EVERY);

@@ -2,7 +2,7 @@
 //! named metrics the benchmark prints, plus the result metadata.
 
 use crate::trace::{SpanStats, Tracer};
-use crate::{Episode, PROFILER_FRAMES};
+use crate::{calib, Episode, PROFILER_FRAMES};
 
 /// A metric: name, unit, value.
 pub type Metric = (&'static str, &'static str, f64);
@@ -77,11 +77,44 @@ pub fn round_profile_ms(episodes: &[Episode]) -> Vec<f64> {
         .collect()
 }
 
+/// The factor that brings host times of this run to the reference speed:
+/// [`calib::NOMINAL_NS`] over the run's fastest reference pass. Like the
+/// per-round minimum, the fastest pass is the host at its least contended.
+/// 1 when no reference pass ran.
+pub fn speed_scale(episodes: &[Episode]) -> f64 {
+    let fastest = episodes
+        .iter()
+        .map(|e| e.reference_ns)
+        .filter(|&ns| ns > 0)
+        .min();
+    fastest.map_or(1.0, |ns| calib::NOMINAL_NS as f64 / ns as f64)
+}
+
+/// [`round_profile_ms`] at the reference speed ([`speed_scale`]).
+pub fn scaled_profile_ms(episodes: &[Episode]) -> Vec<f64> {
+    let scale = speed_scale(episodes);
+    round_profile_ms(episodes)
+        .into_iter()
+        .map(|ms| ms * scale)
+        .collect()
+}
+
+/// Set-up time of one episode in seconds, at the reference speed measured
+/// just before it.
+fn scaled_setup_s(episode: &Episode) -> f64 {
+    let seconds = episode.setup_ns() as f64 / 1e9;
+    if episode.reference_ns == 0 {
+        return seconds;
+    }
+    seconds * calib::NOMINAL_NS as f64 / episode.reference_ns as f64
+}
+
 /// The end-to-end metrics of an untraced run, in `BENCHMARK.json` order.
-/// Rates and round percentiles come from [`round_profile_ms`] and the
-/// work of one episode; `setup_s` is the median over the episodes.
+/// Rates and round percentiles come from [`scaled_profile_ms`] and the
+/// work of one episode; `setup_s` is the median over the episodes, each
+/// brought to the reference speed by the pass just before it.
 pub fn end_to_end(episodes: &[Episode], peak_rss_mib: f64) -> Vec<Metric> {
-    let rounds = round_profile_ms(episodes);
+    let rounds = scaled_profile_ms(episodes);
     let seconds = rounds.iter().sum::<f64>() / 1e3;
     let n = episodes.len().max(1) as f64;
     let blocks = episodes
@@ -94,7 +127,7 @@ pub fn end_to_end(episodes: &[Episode], peak_rss_mib: f64) -> Vec<Metric> {
         .map(|e| e.ingest_instructions as f64)
         .sum::<f64>()
         / n;
-    let setup: Vec<f64> = episodes.iter().map(|e| e.setup_ns() as f64 / 1e9).collect();
+    let setup: Vec<f64> = episodes.iter().map(scaled_setup_s).collect();
     vec![
         ("setup_s", "s", median(&setup)),
         ("blocks_per_s", "blocks/s", ratio(blocks, seconds)),
@@ -115,9 +148,13 @@ pub fn end_to_end(episodes: &[Episode], peak_rss_mib: f64) -> Vec<Metric> {
 }
 
 /// Workload-specific end-to-end figures that do not apply to every
-/// workload, printed with the metadata rather than as metrics.
+/// workload, printed with the metadata rather than as metrics. Host times
+/// are at the reference speed, as in [`end_to_end`]; `reference_ms` is the
+/// run's fastest reference pass, so dividing by [`speed_scale`] gives the
+/// times as measured.
 pub fn detail(episodes: &[Episode]) -> Vec<Metric> {
-    let seconds = round_profile_ms(episodes).iter().sum::<f64>() / 1e3;
+    let scale = speed_scale(episodes);
+    let seconds = scaled_profile_ms(episodes).iter().sum::<f64>() / 1e3;
     let mut out = Vec::new();
     let queries = counter(episodes, "query.completed") / episodes.len().max(1) as f64;
     if queries > 0.0 {
@@ -138,12 +175,17 @@ pub fn detail(episodes: &[Episode]) -> Vec<Metric> {
     }
     let catchups = pooled(episodes, "recovery.catchup_s");
     if !catchups.is_empty() {
-        out.push(("catchup_s", "s", median(&catchups)));
+        out.push(("catchup_s", "s", median(&catchups) * scale));
     }
     let syncs = pooled(episodes, "sync.catchup_s");
     if !syncs.is_empty() {
-        out.push(("sync_catchup_s", "s", median(&syncs)));
+        out.push(("sync_catchup_s", "s", median(&syncs) * scale));
     }
+    out.push((
+        "reference_ms",
+        "ms",
+        calib::NOMINAL_NS as f64 / scale / 1e6,
+    ));
     out.push((
         "round_samples",
         "count",

@@ -25,7 +25,7 @@ use crate::trace::{self, span};
 use crate::{timed, Episode};
 
 /// Height of the pre-mined chain the canister catches up to.
-pub const CHAIN_BLOCKS: u64 = 900;
+pub const CHAIN_BLOCKS: u64 = 400;
 /// Rounds run after the catch-up.
 pub const TAIL_ROUNDS: u64 = 60;
 /// A block is mined every this many tail rounds...
