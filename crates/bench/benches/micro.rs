@@ -16,7 +16,7 @@ use icbtc::bitcoin::hash::{sha256, sha256d};
 use icbtc::bitcoin::{merkle_root, Network, Txid};
 use icbtc::canister::{CanisterCall, UtxoSet};
 use icbtc::core::stability::HeaderTree;
-use icbtc::ic::{Meter, MeterBreakdown};
+use icbtc::ic::Meter;
 use icbtc::sim::SimRng;
 use icbtc::tecdsa::ecdsa::PrivateKey;
 use icbtc::tecdsa::protocol::{DerivationPath, ThresholdKey};
@@ -139,14 +139,14 @@ fn bench_utxoset_ingestion() {
             // Warm the set so removals hit real entries.
             for _ in 0..5 {
                 let (txs, _) = generator.next_block();
-                set.ingest_block(&txs, height, &mut Meter::new(), &mut MeterBreakdown::new());
+                set.ingest_block(&txs, height, &mut Meter::new());
                 height += 1;
             }
             let (txs, _) = generator.next_block();
             (set, txs, height)
         },
         |(mut set, txs, height)| {
-            set.ingest_block(&txs, height, &mut Meter::new(), &mut MeterBreakdown::new());
+            set.ingest_block(&txs, height, &mut Meter::new());
             set.len()
         },
     );

@@ -11,7 +11,7 @@ use icbtc::bitcoin::{merkle_root, Amount, Block, BlockHeader, Network};
 use icbtc::btcnet::adversary::mining_race;
 use icbtc::canister::{BitcoinCanisterState, UtxoSet};
 use icbtc::core::{GetSuccessorsResponse, IntegrationParams};
-use icbtc::ic::{Meter, MeterBreakdown};
+use icbtc::ic::Meter;
 use icbtc::sim::metrics::Table;
 use icbtc::sim::SimRng;
 use icbtc_bench::report::banner;
@@ -28,7 +28,7 @@ fn state_with_unstable_depth(depth: u64) -> (BitcoinCanisterState, icbtc::bitcoi
     );
 
     let mut utxos = UtxoSet::new(Network::Regtest);
-    utxos.ingest_block(&[], 0, &mut Meter::new(), &mut MeterBreakdown::new());
+    utxos.ingest_block(&[], 0, &mut Meter::new());
     let mut state = BitcoinCanisterState::new(params);
     state.install_snapshot(utxos, vec![genesis]);
 

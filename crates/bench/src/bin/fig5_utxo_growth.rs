@@ -26,7 +26,7 @@
 
 use icbtc::bitcoin::Network;
 use icbtc::canister::{StorageConfig, UtxoSet};
-use icbtc::ic::{Meter, MeterBreakdown};
+use icbtc::ic::Meter;
 use icbtc::sim::metrics::{humanize, Series};
 use icbtc_bench::chaingen::{ChainGen, ChainGenConfig};
 use icbtc_bench::report::{banner, Comparison};
@@ -135,7 +135,6 @@ fn main() {
         StorageConfig { page_size: args.page_size, byte_budget: args.budget_mib << 20 },
     );
     let mut meter = Meter::new();
-    let mut breakdown = MeterBreakdown::new();
 
     eprintln!(
         "# fig5_utxo_growth: ingesting {} blocks (volume-scale {}, budget {} MiB, seed {})...",
@@ -146,7 +145,7 @@ fn main() {
     let mut bytes_series = Series::new("state_bytes_vs_block(sim_scale)");
     for height in 0..args.blocks {
         let (txs, _) = generator.next_block();
-        if let Err(error) = set.try_ingest_block(&txs, height, &mut meter, &mut breakdown) {
+        if let Err(error) = set.try_ingest_block(&txs, height, &mut meter) {
             eprintln!("error: storage budget exhausted at height {height}: {error}");
             std::process::exit(3);
         }

@@ -12,11 +12,13 @@
 //! records every block into the deterministic metrics registry
 //! (`icbtc_sim::obs`) — the same instrument the canister itself uses —
 //! and reads the reported numbers back from the registry, cross-checked
-//! against the meter's ground truth.
+//! against the meter's ground truth. The per-block split is read from the
+//! meter's profile: every insertion and removal is one `output_insertion`
+//! / `input_removal` frame.
 
 use icbtc::bitcoin::Network;
 use icbtc::canister::UtxoSet;
-use icbtc::ic::{Meter, MeterBreakdown};
+use icbtc::ic::Meter;
 use icbtc::sim::metrics::{humanize, Series};
 use icbtc::sim::obs::{MetricsRegistry, INSTRUCTION_BOUNDS};
 use icbtc_bench::chaingen::{ChainGen, ChainGenConfig};
@@ -45,27 +47,28 @@ fn main() {
     for height in 0..BLOCKS {
         let (txs, _) = generator.next_block();
         let mut meter = Meter::new();
-        let mut breakdown = MeterBreakdown::new();
-        set.ingest_block(&txs, height, &mut meter, &mut breakdown);
+        set.ingest_block(&txs, height, &mut meter);
         let total = meter.instructions();
         ground_truth += total;
+        let insertion = meter.profile().total_named("output_insertion");
+        let removal = meter.profile().total_named("input_removal");
 
         registry.observe("fig6_block_instructions", total);
         registry.add("fig6_instructions_total", total);
         registry.add_with(
             "fig6_split_instructions_total",
             &[("kind", "output_insertion")],
-            breakdown.get("output_insertion"),
+            insertion,
         );
         registry.add_with(
             "fig6_split_instructions_total",
             &[("kind", "input_removal")],
-            breakdown.get("input_removal"),
+            removal,
         );
 
         per_block.push(height as f64, total as f64);
-        insert_series.push(height as f64, breakdown.get("output_insertion") as f64);
-        remove_series.push(height as f64, breakdown.get("input_removal") as f64);
+        insert_series.push(height as f64, insertion as f64);
+        remove_series.push(height as f64, removal as f64);
     }
 
     // The registry is the reporting source of truth; the meter sum is the

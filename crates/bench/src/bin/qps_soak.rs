@@ -21,8 +21,11 @@
 //! The report (written to `--out`, schema_version 1, integers only) is a
 //! pure function of the flags: `scripts/verify.sh` runs this binary
 //! twice at a small scale and `diff`s the outputs as the query-plane
-//! determinism gate. The committed `BENCH_qps.json` is the full-scale
-//! baseline that seeds the perf trajectory.
+//! determinism gate, and requires the report to equal the committed
+//! `BENCH_qps_gate.json`. The committed `BENCH_qps.json` is the
+//! full-scale baseline. The binary exits with status 3 if the cache-hit
+//! path's realized per-hit cost is not below the flat per-hit cost it
+//! replaced (the report's `hot_path` section).
 
 use icbtc::canister::{BitcoinCanister, CanisterCall, QueryCache};
 use icbtc::ic::consensus::ConsensusConfig;
@@ -230,6 +233,8 @@ fn main() {
     // the measured hit-path cost.
     let hit_instructions_after = metrics.counter("canister_qcache_hit_instructions_total");
     let hit_instructions_before = hits.saturating_mul(icbtc::canister::metering::QUERY_CACHE_HIT);
+    let per_hit_before = icbtc::canister::metering::QUERY_CACHE_HIT;
+    let per_hit_after = hit_instructions_after / hits.max(1);
 
     let elapsed_nanos = subnet.now().saturating_since(SimTime::ZERO).as_nanos().max(1);
     let requests_per_sec = completed.saturating_mul(1_000_000_000) / elapsed_nanos;
@@ -293,11 +298,20 @@ fn main() {
         per_request = instructions_total / completed.max(1),
         hit_before = hit_instructions_before,
         hit_after = hit_instructions_after,
-        per_hit_before = icbtc::canister::metering::QUERY_CACHE_HIT,
-        per_hit_after = hit_instructions_after / hits.max(1),
+        per_hit_before = per_hit_before,
+        per_hit_after = per_hit_after,
         ingests = ingests,
         errors = errors,
     );
+
+    if per_hit_after >= per_hit_before {
+        eprintln!(
+            "error: cache-hit path costs {per_hit_after} instructions per hit, not below its \
+             pre-optimization {per_hit_before}"
+        );
+        println!("{report}");
+        std::process::exit(3);
+    }
 
     println!("{report}");
     if let Some(path) = &args.out {

@@ -16,8 +16,8 @@
 //! always produces the same schedule. The report (integers plus the
 //! final state hash, schema_version 1) is a pure function of the flags:
 //! `scripts/verify.sh` runs the binary twice at a small scale and
-//! `diff`s the outputs as the recovery determinism gate, then holds the
-//! result against `BENCH_recovery_gate.json` via `scripts/perfdiff.sh`.
+//! `diff`s the outputs as the recovery determinism gate, then requires the
+//! report to equal the committed `BENCH_recovery_gate.json`.
 //! Headline figures: MTTR (modeled restore + replay time) and replay
 //! length per catch-up.
 

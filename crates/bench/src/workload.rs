@@ -9,7 +9,7 @@ use icbtc::bitcoin::{
 };
 use icbtc::canister::{BitcoinCanisterState, UtxoSet};
 use icbtc::core::{GetSuccessorsResponse, IntegrationParams};
-use icbtc::ic::{Meter, MeterBreakdown};
+use icbtc::ic::Meter;
 use icbtc::sim::SimRng;
 
 /// The paper's address-population buckets: (count, min UTXOs, max UTXOs).
@@ -81,8 +81,7 @@ pub fn build_query_workload(seed: u64, scale: usize) -> QueryWorkload {
     let stable_counts = &counts[..900];
     let mut utxos = UtxoSet::new(Network::Regtest);
     let mut meter = Meter::new();
-    let mut breakdown = MeterBreakdown::new();
-    utxos.ingest_block(&[], 0, &mut meter, &mut breakdown); // empty genesis
+    utxos.ingest_block(&[], 0, &mut meter); // empty genesis
 
     const STABLE_HEIGHTS: u64 = 120;
     let mut stable_addresses = Vec::with_capacity(stable_counts.len());
@@ -109,7 +108,7 @@ pub fn build_query_workload(seed: u64, scale: usize) -> QueryWorkload {
                 lock_time: 0,
             })
             .collect();
-        utxos.ingest_block(&txs, height, &mut meter, &mut breakdown);
+        utxos.ingest_block(&txs, height, &mut meter);
     }
 
     // Matching stable header chain (linkage + timestamps only; proof of
@@ -260,8 +259,7 @@ pub fn build_soak_workload(
     // --- Stable population, spread round-robin over SOAK_HEIGHTS. -------
     let mut utxos = UtxoSet::new(Network::Regtest);
     let mut meter = Meter::new();
-    let mut breakdown = MeterBreakdown::new();
-    utxos.ingest_block(&[], 0, &mut meter, &mut breakdown);
+    utxos.ingest_block(&[], 0, &mut meter);
 
     let mut addresses = Vec::with_capacity(num_addresses);
     let mut per_height: Vec<Vec<TxOut>> = vec![Vec::new(); SOAK_HEIGHTS as usize];
@@ -286,7 +284,7 @@ pub fn build_soak_workload(
                 lock_time: 0,
             })
             .collect();
-        utxos.ingest_block(&txs, height, &mut meter, &mut breakdown);
+        utxos.ingest_block(&txs, height, &mut meter);
     }
 
     let mut stable_headers = vec![genesis];

@@ -16,7 +16,7 @@
 
 use icbtc_bitcoin::hash::{sha256, Sha256};
 use icbtc_bitcoin::{Address, Amount, Network, OutPoint, Script, Transaction, TxOut};
-use icbtc_ic::{Meter, MeterBreakdown};
+use icbtc_ic::Meter;
 
 use crate::metering;
 use crate::storage::{btree, codec, PagePool, PagedMap, StorageConfig, StorageError, StorageStats};
@@ -45,7 +45,6 @@ const SNAPSHOT_VERSION: u16 = 1;
 /// ```
 /// use icbtc_canister::utxoset::UtxoSet;
 /// use icbtc_bitcoin::Network;
-/// use icbtc_ic::MeterBreakdown;
 ///
 /// let set = UtxoSet::new(Network::Regtest);
 /// assert_eq!(set.len(), 0);
@@ -143,8 +142,9 @@ impl UtxoSet {
 
     /// Ingests all transactions of a block at `height` into the set:
     /// inputs are removed, outputs inserted, with instruction charges per
-    /// operation recorded in `meter` and the insert/remove split in
-    /// `breakdown`.
+    /// operation recorded in `meter`. Each removal and insertion is one
+    /// `input_removal` / `output_insertion` profiler frame on `meter`, so
+    /// Figure 6's split is read from [`Meter::profile`].
     ///
     /// Transaction *spend validity* is intentionally not checked (§III-C:
     /// the canister relies on Bitcoin's proof of work and block vetting).
@@ -160,9 +160,8 @@ impl UtxoSet {
         transactions: &[Transaction],
         height: u64,
         meter: &mut Meter,
-        breakdown: &mut MeterBreakdown,
     ) {
-        if let Err(error) = self.try_ingest_block(transactions, height, meter, breakdown) {
+        if let Err(error) = self.try_ingest_block(transactions, height, meter) {
             panic!("stable UTXO storage failed ingesting height {height}: {error}"); // icbtc-lint: allow(no-panic) -- the budget must fail loudly: continuing past it would silently diverge replicated state
         }
     }
@@ -184,7 +183,6 @@ impl UtxoSet {
         transactions: &[Transaction],
         height: u64,
         meter: &mut Meter,
-        breakdown: &mut MeterBreakdown,
     ) -> Result<(), StorageError> {
         if height != self.next_height {
             return Err(StorageError::OutOfOrderIngestion {
@@ -204,14 +202,14 @@ impl UtxoSet {
                 for input in &tx.inputs {
                     // Unknown outpoints (spends of non-standard or foreign
                     // outputs) are charged like a lookup miss.
-                    self.remove(&input.previous_output, meter, breakdown);
+                    self.remove(&input.previous_output, meter);
                 }
             }
             for (vout, output) in tx.outputs.iter().enumerate() {
                 if output.script_pubkey.is_op_return() {
                     continue; // provably unspendable, never stored
                 }
-                self.insert(OutPoint::new(txid, vout as u32), output, height, meter, breakdown)?;
+                self.insert(OutPoint::new(txid, vout as u32), output, height, meter)?;
             }
         }
         self.next_height = height + 1;
@@ -224,14 +222,16 @@ impl UtxoSet {
         output: &TxOut,
         height: u64,
         meter: &mut Meter,
-        breakdown: &mut MeterBreakdown,
     ) -> Result<(), StorageError> {
         // All three cost parts are charged up front — before the fallible
         // storage operations — exactly where the single flat charge used
         // to be, so metered totals are unchanged on every path (including
-        // budget-exhaustion errors). The frames only re-attribute.
+        // budget-exhaustion errors). The frames only re-attribute, and
+        // the `output_insertion` frame closes before any storage call can
+        // return early.
         let script_cost = metering::INSERT_SCRIPT_PARSE
             + output.script_pubkey.len() as u64 * metering::INSERT_OUTPUT_PER_BYTE;
+        let insertion = meter.frame("output_insertion");
         let script_parse = meter.frame("script_parse");
         meter.charge(script_cost);
         meter.frame_end(script_parse);
@@ -241,10 +241,7 @@ impl UtxoSet {
         let index = meter.frame("by_address_index");
         meter.charge(metering::INSERT_BY_ADDRESS);
         meter.frame_end(index);
-        breakdown.add(
-            "output_insertion",
-            script_cost + metering::INSERT_OUTPOINT + metering::INSERT_BY_ADDRESS,
-        );
+        meter.frame_end(insertion);
         let key = codec::outpoint_key(&outpoint);
         let value = codec::utxo_value(height, output.value, output.script_pubkey.as_bytes());
         let previous = self.by_outpoint.insert(&mut self.pool, &key, &value)?;
@@ -271,10 +268,11 @@ impl UtxoSet {
         Ok(())
     }
 
-    fn remove(&mut self, outpoint: &OutPoint, meter: &mut Meter, breakdown: &mut MeterBreakdown) {
+    fn remove(&mut self, outpoint: &OutPoint, meter: &mut Meter) {
         // As in `insert`: the three parts are charged unconditionally up
         // front (the old flat charge applied on all paths, misses
         // included), so the split is charge-neutral everywhere.
+        let removal = meter.frame("input_removal");
         let script_parse = meter.frame("script_parse");
         meter.charge(metering::REMOVE_SCRIPT_PARSE);
         meter.frame_end(script_parse);
@@ -284,7 +282,7 @@ impl UtxoSet {
         let index = meter.frame("by_address_index");
         meter.charge(metering::REMOVE_BY_ADDRESS);
         meter.frame_end(index);
-        breakdown.add("input_removal", metering::REMOVE_INPUT_BASE);
+        meter.frame_end(removal);
         let key = codec::outpoint_key(outpoint);
         let Some(value) = self.by_outpoint.remove(&mut self.pool, &key) else {
             return;
@@ -409,13 +407,17 @@ impl UtxoSet {
         sha256(&hasher.finalize())
     }
 
-    /// Rebuilds a set from [`UtxoSet::serialize`] bytes.
+    /// Rebuilds a set from [`UtxoSet::serialize`] bytes. Only the
+    /// canonical encoding is accepted — both maps' entries well-formed
+    /// and in strictly ascending key order — so a restored set always
+    /// re-serializes to the bytes it came from.
     ///
     /// # Errors
     ///
-    /// [`StorageError::Corrupt`] on malformed bytes or an unknown
-    /// version; [`StorageError::BudgetExhausted`] if the snapshot does
-    /// not fit its own declared budget.
+    /// [`StorageError::Corrupt`] on malformed bytes, an unknown version,
+    /// an out-of-range page size, or a malformed, out-of-order or
+    /// duplicate entry; [`StorageError::BudgetExhausted`] if the snapshot
+    /// does not fit its own declared budget.
     pub fn deserialize(bytes: &[u8]) -> Result<UtxoSet, StorageError> {
         let mut cursor = SnapshotReader { bytes, pos: 0 };
         if cursor.take(8)? != SNAPSHOT_MAGIC {
@@ -429,19 +431,30 @@ impl UtxoSet {
         let byte_budget = cursor.u64()?;
         let next_height = cursor.u64()?;
         let mut set = UtxoSet::with_config(network, StorageConfig { page_size, byte_budget });
+        if set.pool.page_size() != page_size {
+            return Err(StorageError::Corrupt("page size out of range"));
+        }
         set.next_height = next_height;
-        for map in [0, 1] {
-            let entries = cursor.u64()?;
-            for _ in 0..entries {
+        for is_index in [false, true] {
+            let mut last: &[u8] = &[];
+            for _ in 0..cursor.u64()? {
                 let klen = cursor.u16()? as usize;
-                let key = cursor.take(klen)?.to_vec();
+                let key = cursor.take(klen)?;
                 let vlen = cursor.u16()? as usize;
-                let value = cursor.take(vlen)?.to_vec();
-                if map == 0 {
-                    set.by_outpoint.insert(&mut set.pool, &key, &value)?;
+                let value = cursor.take(vlen)?;
+                // Key order rules out duplicates; the lengths are what the
+                // codec's decoders index into without further checks.
+                let well_formed = if is_index {
+                    key.len() > codec::INDEX_KEY_SUFFIX_LEN && value.len() == 8
                 } else {
-                    set.by_address.insert(&mut set.pool, &key, &value)?;
+                    key.len() == codec::OUTPOINT_KEY_LEN && value.len() >= 16
+                };
+                if !well_formed || key <= last {
+                    return Err(StorageError::Corrupt("malformed or out-of-order entry"));
                 }
+                let map = if is_index { &mut set.by_address } else { &mut set.by_outpoint };
+                map.insert(&mut set.pool, key, value)?;
+                last = key;
             }
         }
         if cursor.pos != bytes.len() {
@@ -523,45 +536,50 @@ mod tests {
         }
     }
 
-    fn fresh() -> (UtxoSet, Meter, MeterBreakdown) {
-        (UtxoSet::new(Network::Regtest), Meter::new(), MeterBreakdown::new())
+    fn fresh() -> (UtxoSet, Meter) {
+        (UtxoSet::new(Network::Regtest), Meter::new())
+    }
+
+    /// Figure 6's split as the profiler attributed it on `meter`.
+    fn split(meter: &Meter, frame: &str) -> u64 {
+        meter.profile().total_named(frame)
     }
 
     #[test]
     fn ingest_coinbase_creates_utxos() {
-        let (mut set, mut meter, mut breakdown) = fresh();
+        let (mut set, mut meter) = fresh();
         let coinbase = pay_tx(None, &[(1, 5000)]);
-        set.ingest_block(std::slice::from_ref(&coinbase), 0, &mut meter, &mut breakdown);
+        set.ingest_block(std::slice::from_ref(&coinbase), 0, &mut meter);
         assert_eq!(set.len(), 1);
         assert_eq!(set.next_height(), 1);
         assert_eq!(set.balance(&addr(1), &mut Meter::new()), Amount::from_sat(5000));
         let utxo = set.get(&OutPoint::new(coinbase.txid(), 0)).unwrap();
         assert_eq!(utxo.height, 0);
         assert!(meter.instructions() > 0);
-        assert!(breakdown.get("output_insertion") > 0);
+        assert!(split(&meter, "output_insertion") > 0);
         // Coinbase inputs are not treated as removals.
-        assert_eq!(breakdown.get("input_removal"), 0);
+        assert_eq!(split(&meter, "input_removal"), 0);
     }
 
     #[test]
     fn spend_moves_value_between_addresses() {
-        let (mut set, mut meter, mut breakdown) = fresh();
+        let (mut set, mut meter) = fresh();
         let coinbase = pay_tx(None, &[(1, 5000)]);
-        set.ingest_block(std::slice::from_ref(&coinbase), 0, &mut meter, &mut breakdown);
+        set.ingest_block(std::slice::from_ref(&coinbase), 0, &mut meter);
         let spend = pay_tx(Some(OutPoint::new(coinbase.txid(), 0)), &[(2, 3000), (1, 1900)]);
-        set.ingest_block(&[spend], 1, &mut meter, &mut breakdown);
+        set.ingest_block(&[spend], 1, &mut meter);
         assert_eq!(set.len(), 2);
         assert_eq!(set.balance(&addr(2), &mut Meter::new()), Amount::from_sat(3000));
         assert_eq!(set.balance(&addr(1), &mut Meter::new()), Amount::from_sat(1900));
-        assert!(breakdown.get("input_removal") > 0);
+        assert!(split(&meter, "input_removal") > 0);
     }
 
     #[test]
     fn utxos_sorted_by_height_descending() {
-        let (mut set, mut meter, mut breakdown) = fresh();
+        let (mut set, mut meter) = fresh();
         for height in 0..5 {
             let tx = pay_tx(None, &[(7, 100 + height)]);
-            set.ingest_block(&[tx], height, &mut meter, &mut breakdown);
+            set.ingest_block(&[tx], height, &mut meter);
         }
         let utxos = set.utxos_of(&addr(7), &mut Meter::new());
         assert_eq!(utxos.len(), 5);
@@ -571,10 +589,10 @@ mod tests {
 
     #[test]
     fn utxos_after_resumes_strictly_past_the_cursor() {
-        let (mut set, mut meter, mut breakdown) = fresh();
+        let (mut set, mut meter) = fresh();
         for height in 0..6 {
             let tx = pay_tx(None, &[(7, 100 + height)]);
-            set.ingest_block(&[tx], height, &mut meter, &mut breakdown);
+            set.ingest_block(&[tx], height, &mut meter);
         }
         let all: Vec<Utxo> = set.utxos_after(&addr(7), None).collect();
         assert_eq!(all.len(), 6);
@@ -591,9 +609,9 @@ mod tests {
 
     #[test]
     fn balance_charges_per_index_entry_not_per_fetch() {
-        let (mut set, mut meter, mut breakdown) = fresh();
+        let (mut set, mut meter) = fresh();
         let tx = pay_tx(None, &[(7, 10), (7, 20), (7, 30)]);
-        set.ingest_block(&[tx], 0, &mut meter, &mut breakdown);
+        set.ingest_block(&[tx], 0, &mut meter);
         let mut balance_meter = Meter::new();
         assert_eq!(set.balance(&addr(7), &mut balance_meter), Amount::from_sat(60));
         assert_eq!(balance_meter.instructions(), 3 * metering::STABLE_BALANCE_ENTRY);
@@ -607,10 +625,10 @@ mod tests {
         // A hostile chain can mint outputs summing past MAX_MONEY — the
         // set does not validate issuance (§III-C). The old `.sum()`
         // accumulator panicked here; saturating accumulation clamps.
-        let (mut set, mut meter, mut breakdown) = fresh();
+        let (mut set, mut meter) = fresh();
         let near_max = Amount::MAX_MONEY.to_sat() - 10;
         let tx = pay_tx(None, &[(7, near_max), (7, near_max), (7, 25)]);
-        set.ingest_block(&[tx], 0, &mut meter, &mut breakdown);
+        set.ingest_block(&[tx], 0, &mut meter);
         let balance = set.balance(&addr(7), &mut Meter::new());
         assert_eq!(balance, Amount::MAX_MONEY);
     }
@@ -622,11 +640,11 @@ mod tests {
         // outpoint at a new height. The old implementation stranded the
         // height-0 key in `by_address`, double-counting the output in
         // balance and pagination.
-        let (mut set, mut meter, mut breakdown) = fresh();
+        let (mut set, mut meter) = fresh();
         let coinbase = pay_tx(None, &[(1, 5000)]);
-        set.ingest_block(std::slice::from_ref(&coinbase), 0, &mut meter, &mut breakdown);
+        set.ingest_block(std::slice::from_ref(&coinbase), 0, &mut meter);
         // Identical transaction ⇒ identical txid ⇒ same outpoint.
-        set.ingest_block(std::slice::from_ref(&coinbase), 1, &mut meter, &mut breakdown);
+        set.ingest_block(std::slice::from_ref(&coinbase), 1, &mut meter);
 
         assert_eq!(set.len(), 1, "one outpoint, not two");
         assert_eq!(
@@ -639,22 +657,22 @@ mod tests {
         assert_eq!(utxos[0].height, 1, "the re-insert wins");
         // Spending it once empties the whole index.
         let spend = pay_tx(Some(OutPoint::new(coinbase.txid(), 0)), &[(2, 4000)]);
-        set.ingest_block(&[spend], 2, &mut meter, &mut breakdown);
+        set.ingest_block(&[spend], 2, &mut meter);
         assert_eq!(set.balance(&addr(1), &mut Meter::new()), Amount::ZERO);
         assert_eq!(set.address_count(), 1);
     }
 
     #[test]
     fn duplicate_outpoint_with_new_script_moves_the_index_entry() {
-        let (mut set, mut meter, mut breakdown) = fresh();
+        let (mut set, mut meter) = fresh();
         let first = pay_tx(None, &[(1, 5000)]);
         let outpoint = OutPoint::new(first.txid(), 0);
-        set.ingest_block(&[first], 0, &mut meter, &mut breakdown);
+        set.ingest_block(&[first], 0, &mut meter);
         // Re-insert the same outpoint paying a different address (txid
         // collisions don't imply identical outputs for the storage
         // layer): the old address must lose its entry.
         let replacement = TxOut::new(Amount::from_sat(7000), addr(2).script_pubkey());
-        set.insert(outpoint, &replacement, 1, &mut meter, &mut breakdown).unwrap();
+        set.insert(outpoint, &replacement, 1, &mut meter).unwrap();
         assert_eq!(set.balance(&addr(1), &mut Meter::new()), Amount::ZERO);
         assert_eq!(set.balance(&addr(2), &mut Meter::new()), Amount::from_sat(7000));
         assert_eq!(set.len(), 1);
@@ -662,19 +680,19 @@ mod tests {
 
     #[test]
     fn op_return_outputs_never_stored() {
-        let (mut set, mut meter, mut breakdown) = fresh();
+        let (mut set, mut meter) = fresh();
         let mut tx = pay_tx(None, &[(1, 100)]);
         tx.outputs.push(TxOut::new(Amount::ZERO, Script::new_op_return(b"data")));
-        set.ingest_block(&[tx], 0, &mut meter, &mut breakdown);
+        set.ingest_block(&[tx], 0, &mut meter);
         assert_eq!(set.len(), 1);
     }
 
     #[test]
     fn nonstandard_scripts_counted_but_not_indexed() {
-        let (mut set, mut meter, mut breakdown) = fresh();
+        let (mut set, mut meter) = fresh();
         let mut tx = pay_tx(None, &[(1, 100)]);
         tx.outputs.push(TxOut::new(Amount::from_sat(50), Script::from_bytes(vec![0xde, 0xad])));
-        set.ingest_block(&[tx.clone()], 0, &mut meter, &mut breakdown);
+        set.ingest_block(&[tx.clone()], 0, &mut meter);
         assert_eq!(set.len(), 2, "held in the outpoint map");
         assert_eq!(set.address_count(), 1, "but not address-indexed");
         assert!(set.get(&OutPoint::new(tx.txid(), 1)).is_some());
@@ -682,37 +700,37 @@ mod tests {
 
     #[test]
     fn unknown_input_removal_is_charged_but_harmless() {
-        let (mut set, mut meter, mut breakdown) = fresh();
+        let (mut set, mut meter) = fresh();
         let spend = pay_tx(Some(OutPoint::new(Txid([9; 32]), 3)), &[(2, 10)]);
-        set.ingest_block(&[spend], 0, &mut meter, &mut breakdown);
+        set.ingest_block(&[spend], 0, &mut meter);
         assert_eq!(set.len(), 1);
-        assert_eq!(breakdown.get("input_removal"), metering::REMOVE_INPUT_BASE);
+        assert_eq!(split(&meter, "input_removal"), metering::REMOVE_INPUT_BASE);
     }
 
     #[test]
     #[should_panic(expected = "stable blocks must be ingested in order")]
     fn out_of_order_ingestion_panics() {
-        let (mut set, mut meter, mut breakdown) = fresh();
-        set.ingest_block(&[pay_tx(None, &[(1, 1)])], 5, &mut meter, &mut breakdown);
+        let (mut set, mut meter) = fresh();
+        set.ingest_block(&[pay_tx(None, &[(1, 1)])], 5, &mut meter);
     }
 
     #[test]
     fn out_of_order_ingestion_is_a_typed_error() {
-        let (mut set, mut meter, mut breakdown) = fresh();
+        let (mut set, mut meter) = fresh();
         let err = set
-            .try_ingest_block(&[pay_tx(None, &[(1, 1)])], 5, &mut meter, &mut breakdown)
+            .try_ingest_block(&[pay_tx(None, &[(1, 1)])], 5, &mut meter)
             .unwrap_err();
         assert_eq!(err, StorageError::OutOfOrderIngestion { expected: 0, got: 5 });
         // Rejected before touching any state: the set stays usable.
-        set.ingest_block(&[pay_tx(None, &[(1, 1)])], 0, &mut meter, &mut breakdown);
+        set.ingest_block(&[pay_tx(None, &[(1, 1)])], 0, &mut meter);
         assert_eq!(set.next_height(), 1);
     }
 
     #[test]
     fn byte_size_is_pages_actually_allocated() {
-        let (mut set, mut meter, mut breakdown) = fresh();
+        let (mut set, mut meter) = fresh();
         assert_eq!(set.byte_size(), 0, "no pages before the first insert");
-        set.ingest_block(&[pay_tx(None, &[(1, 1), (2, 2), (3, 3)])], 0, &mut meter, &mut breakdown);
+        set.ingest_block(&[pay_tx(None, &[(1, 1), (2, 2), (3, 3)])], 0, &mut meter);
         let page_size = set.storage_config().page_size as u64;
         assert_eq!(set.byte_size() % page_size, 0, "whole pages only");
         assert_eq!(set.byte_size(), set.storage_stats().bytes_reserved);
@@ -730,7 +748,7 @@ mod tests {
         // scripts fill pages faster.
         let fill = |script_len: usize| -> u64 {
             let mut set = UtxoSet::new(Network::Regtest);
-            let (mut meter, mut breakdown) = (Meter::new(), MeterBreakdown::new());
+            let mut meter = Meter::new();
             for height in 0..40u64 {
                 let tx = Transaction {
                     version: 2,
@@ -745,7 +763,7 @@ mod tests {
                         .collect(),
                     lock_time: 0,
                 };
-                set.ingest_block(&[tx], height, &mut meter, &mut breakdown);
+                set.ingest_block(&[tx], height, &mut meter);
             }
             set.byte_size()
         };
@@ -763,16 +781,11 @@ mod tests {
             Network::Regtest,
             StorageConfig { page_size: 512, byte_budget: 4 * 512 },
         );
-        let (mut meter, mut breakdown) = (Meter::new(), MeterBreakdown::new());
+        let mut meter = Meter::new();
         let mut height = 0u64;
         let error = loop {
             let outputs: Vec<(u8, u64)> = (0..30).map(|i| (i as u8, 100)).collect();
-            match set.try_ingest_block(
-                &[pay_tx(None, &outputs)],
-                height,
-                &mut meter,
-                &mut breakdown,
-            ) {
+            match set.try_ingest_block(&[pay_tx(None, &outputs)], height, &mut meter) {
                 Ok(()) => height += 1,
                 Err(error) => break error,
             }
@@ -789,19 +802,19 @@ mod tests {
             Network::Regtest,
             StorageConfig { page_size: 512, byte_budget: 2 * 512 },
         );
-        let (mut meter, mut breakdown) = (Meter::new(), MeterBreakdown::new());
+        let mut meter = Meter::new();
         for height in 0..1000u64 {
             let outputs: Vec<(u8, u64)> = (0..30).map(|i| (i as u8, 100)).collect();
-            set.ingest_block(&[pay_tx(None, &outputs)], height, &mut meter, &mut breakdown);
+            set.ingest_block(&[pay_tx(None, &outputs)], height, &mut meter);
         }
     }
 
     #[test]
     fn serialize_roundtrips_and_is_layout_independent() {
-        let (mut set, mut meter, mut breakdown) = fresh();
+        let (mut set, mut meter) = fresh();
         for height in 0..30u64 {
             let tx = pay_tx(None, &[((height % 5) as u8, 100 + height), (9, 7)]);
-            set.ingest_block(&[tx], height, &mut meter, &mut breakdown);
+            set.ingest_block(&[tx], height, &mut meter);
         }
         let bytes = set.serialize();
         assert_eq!(bytes, set.serialize(), "serialization is deterministic");
@@ -825,8 +838,8 @@ mod tests {
 
     #[test]
     fn deserialize_rejects_corrupt_snapshots() {
-        let (mut set, mut meter, mut breakdown) = fresh();
-        set.ingest_block(&[pay_tx(None, &[(1, 5)])], 0, &mut meter, &mut breakdown);
+        let (mut set, mut meter) = fresh();
+        set.ingest_block(&[pay_tx(None, &[(1, 5)])], 0, &mut meter);
         let good = set.serialize();
 
         let mut bad_magic = good.clone();
@@ -847,24 +860,75 @@ mod tests {
     }
 
     #[test]
-    fn fig6_breakdown_split_is_roughly_even_on_balanced_blocks() {
-        let (mut set, mut meter, mut breakdown) = fresh();
+    fn deserialize_accepts_only_the_canonical_encoding() {
+        let (mut set, mut meter) = fresh();
+        set.ingest_block(&[pay_tx(None, &[(1, 5), (2, 6)])], 0, &mut meter);
+        let good = set.serialize();
+        let corrupt = |bytes: &[u8]| UtxoSet::deserialize(bytes).err();
+
+        // Header: magic, version, network, then the page size.
+        let mut bad_page = good.clone();
+        bad_page[11..15].copy_from_slice(&1u32.to_be_bytes());
+        assert_eq!(corrupt(&bad_page), Some(StorageError::Corrupt("page size out of range")));
+
+        // Each map's two entries, swapped out of key order.
+        let outpoints = 31 + 8;
+        let outpoint_entry = 2 + 36 + 2 + 16 + addr(1).script_pubkey().len();
+        let index = outpoints + 2 * outpoint_entry + 8;
+        let index_entry = (good.len() - index) / 2;
+        for (start, entry) in [(outpoints, outpoint_entry), (index, index_entry)] {
+            let mut swapped = good.clone();
+            swapped[start..start + 2 * entry].rotate_left(entry);
+            assert_eq!(
+                corrupt(&swapped),
+                Some(StorageError::Corrupt("malformed or out-of-order entry")),
+                "entries at {start}"
+            );
+        }
+        assert!(UtxoSet::deserialize(&good).is_ok());
+    }
+
+    #[test]
+    fn fig6_split_is_roughly_even_on_balanced_blocks() {
+        let (mut set, mut meter) = fresh();
         // Block 0: create 50 outputs.
         let creators: Vec<Transaction> =
             (0..50).map(|i| pay_tx(None, &[(i as u8, 100)])).collect();
-        set.ingest_block(&creators, 0, &mut meter, &mut breakdown);
+        set.ingest_block(&creators, 0, &mut meter);
         // Block 1: spend all 50, creating 50 new ones.
         let spends: Vec<Transaction> = creators
             .iter()
             .enumerate()
             .map(|(i, c)| pay_tx(Some(OutPoint::new(c.txid(), 0)), &[(200 - i as u8, 90)]))
             .collect();
-        let mut block1 = MeterBreakdown::new();
-        set.ingest_block(&spends, 1, &mut meter, &mut block1);
-        let insert = block1.get("output_insertion") as f64;
-        let remove = block1.get("input_removal") as f64;
+        let mut block1 = Meter::new();
+        set.ingest_block(&spends, 1, &mut block1);
+        let insert = split(&block1, "output_insertion") as f64;
+        let remove = split(&block1, "input_removal") as f64;
         let share = insert / (insert + remove);
         assert!((0.35..0.65).contains(&share), "insert share {share}");
+    }
+
+    #[test]
+    fn split_frames_wrap_the_leaf_frames_at_zero_self_cost() {
+        let (mut set, mut meter) = fresh();
+        let coinbase = pay_tx(None, &[(1, 5000)]);
+        set.ingest_block(std::slice::from_ref(&coinbase), 0, &mut meter);
+        let spend = pay_tx(Some(OutPoint::new(coinbase.txid(), 0)), &[(2, 3000), (1, 1900)]);
+        let mut block1 = Meter::new();
+        set.ingest_block(&[spend], 1, &mut block1);
+        // The same three leaf frames nest under each split frame, which
+        // keeps no cost of its own.
+        let frames = block1.profile().frames();
+        for wrapper in ["input_removal", "output_insertion"] {
+            let frame = frames.iter().find(|f| f.path == wrapper).unwrap();
+            assert_eq!(frame.self_units, 0, "{wrapper} only groups its leaves");
+            for leaf in ["script_parse", "utxo_apply", "by_address_index"] {
+                let path = format!("{wrapper};{leaf}");
+                assert!(frames.iter().any(|f| f.path == path), "missing {path}");
+            }
+        }
+        assert_eq!(frames.iter().find(|f| f.path == "output_insertion").unwrap().calls, 2);
     }
 
     mod properties {
@@ -877,13 +941,13 @@ mod tests {
         fn create_then_spend_all() {
             testkit::check(0xC4_0001, testkit::DEFAULT_CASES, |rng| {
                 let values = testkit::vec_with(rng, 1..20, |r| testkit::u64_in(r, 1..10_000));
-                let (mut set, mut meter, mut breakdown) = fresh();
+                let (mut set, mut meter) = fresh();
                 let creators: Vec<Transaction> = values
                     .iter()
                     .enumerate()
                     .map(|(i, v)| pay_tx(None, &[((i % 250) as u8, *v)]))
                     .collect();
-                set.ingest_block(&creators, 0, &mut meter, &mut breakdown);
+                set.ingest_block(&creators, 0, &mut meter);
                 assert_eq!(set.len(), values.len());
 
                 let spends: Vec<Transaction> = creators
@@ -894,9 +958,57 @@ mod tests {
                         tx
                     })
                     .collect();
-                set.ingest_block(&spends, 1, &mut meter, &mut breakdown);
+                set.ingest_block(&spends, 1, &mut meter);
                 assert_eq!(set.len(), 0);
                 assert_eq!(set.address_count(), 0);
+            });
+        }
+
+        /// Every metered instruction of a block lands in exactly one of
+        /// the per-transaction frames or Figure 6's two split frames, so
+        /// the split plus hashing and decoding is the block's whole cost.
+        #[test]
+        fn split_plus_tx_overhead_is_the_block_total() {
+            testkit::check(0xC4_0002, testkit::DEFAULT_CASES, |rng| {
+                let (mut set, mut meter) = fresh();
+                let creators: Vec<Transaction> = (0..testkit::u64_in(rng, 1..12))
+                    .map(|i| {
+                        let outputs = testkit::vec_with(rng, 1..4, |r| {
+                            ((testkit::u64_in(r, 0..250) as u8), testkit::u64_in(r, 1..10_000))
+                        });
+                        let mut tx = pay_tx(None, &outputs);
+                        tx.lock_time = i as u32;
+                        if testkit::u64_in(rng, 0..4) == 0 {
+                            tx.outputs.push(TxOut::new(Amount::ZERO, Script::new_op_return(b"x")));
+                        }
+                        tx
+                    })
+                    .collect();
+                set.ingest_block(&creators, 0, &mut meter);
+
+                // Block 1 spends a random subset of known outputs plus
+                // some unknown outpoints, and creates new outputs.
+                let mut block = Vec::new();
+                for creator in &creators {
+                    let prev = if testkit::u64_in(rng, 0..3) == 0 {
+                        OutPoint::new(Txid([0xEE; 32]), testkit::u64_in(rng, 0..9) as u32)
+                    } else {
+                        OutPoint::new(creator.txid(), 0)
+                    };
+                    let to = testkit::u64_in(rng, 0..250) as u8;
+                    block.push(pay_tx(Some(prev), &[(to, testkit::u64_in(rng, 1..10_000))]));
+                }
+                let mut meter = Meter::new();
+                set.ingest_block(&block, 1, &mut meter);
+                let attributed = ["output_insertion", "input_removal", "hashing", "tx_decode"]
+                    .iter()
+                    .map(|frame| split(&meter, frame))
+                    .sum::<u64>();
+                assert_eq!(attributed, meter.instructions());
+                assert_eq!(
+                    split(&meter, "input_removal"),
+                    block.len() as u64 * metering::REMOVE_INPUT_BASE
+                );
             });
         }
     }

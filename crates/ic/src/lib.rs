@@ -39,7 +39,7 @@ pub use consensus::{ConsensusConfig, ConsensusEngine, ReplicaId, RoundInfo};
 pub use cycles::{Cycles, CyclesLedger, FeeSchedule};
 pub use ingress::{IngressId, IngressPool, LatencyModel};
 pub use lifecycle::LifecyclePlan;
-pub use meter::{Meter, MeterBreakdown};
+pub use meter::Meter;
 pub use subnet::{
     CallResult, ExecutionContext, JournalRound, QueryPlaneConfig, RoundReport, StateMachine, Subnet,
     SubnetCheckpoint,

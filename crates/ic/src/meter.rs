@@ -98,47 +98,6 @@ impl Meter {
     }
 }
 
-/// Accumulates instruction counts across many executions, split by label —
-/// used to regenerate Figure 6's output-insertion / input-removal
-/// breakdown.
-#[derive(Debug, Clone, Default)]
-pub struct MeterBreakdown {
-    entries: Vec<(&'static str, u64)>,
-}
-
-impl MeterBreakdown {
-    /// Creates an empty breakdown.
-    pub fn new() -> MeterBreakdown {
-        MeterBreakdown::default()
-    }
-
-    /// Adds `instructions` under `label`.
-    pub fn add(&mut self, label: &'static str, instructions: u64) {
-        for entry in &mut self.entries {
-            if entry.0 == label {
-                entry.1 = entry.1.saturating_add(instructions);
-                return;
-            }
-        }
-        self.entries.push((label, instructions));
-    }
-
-    /// Total for one label.
-    pub fn get(&self, label: &str) -> u64 {
-        self.entries.iter().find(|(l, _)| *l == label).map(|(_, v)| *v).unwrap_or(0)
-    }
-
-    /// Sum across labels.
-    pub fn total(&self) -> u64 {
-        self.entries.iter().map(|(_, v)| v).sum()
-    }
-
-    /// All labels and totals, in first-use order.
-    pub fn entries(&self) -> &[(&'static str, u64)] {
-        &self.entries
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -188,18 +147,5 @@ mod tests {
         m.charge(u64::MAX);
         m.charge(10);
         assert_eq!(m.instructions(), u64::MAX);
-    }
-
-    #[test]
-    fn breakdown_by_label() {
-        let mut b = MeterBreakdown::new();
-        b.add("insert", 10);
-        b.add("remove", 5);
-        b.add("insert", 7);
-        assert_eq!(b.get("insert"), 17);
-        assert_eq!(b.get("remove"), 5);
-        assert_eq!(b.get("other"), 0);
-        assert_eq!(b.total(), 22);
-        assert_eq!(b.entries().len(), 2);
     }
 }

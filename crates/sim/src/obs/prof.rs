@@ -219,6 +219,15 @@ impl Profiler {
         self.nodes.len() == 1 && self.stack.is_empty()
     }
 
+    /// Total units of every frame named `name`, wherever it sits in the
+    /// tree (e.g. Figure 6's `output_insertion` under any caller). Frames
+    /// of that name must not nest inside each other, or their cost is
+    /// counted twice.
+    // icbtc-lint: node-local -- profile reads are per-replica diagnostics
+    pub fn total_named(&self, name: &str) -> u64 {
+        self.nodes[ROOT + 1..].iter().filter(|n| n.name == name).map(|n| n.total_units).sum()
+    }
+
     /// All frames in deterministic depth-first order (children visited
     /// in name order), paths `;`-joined from the root.
     // icbtc-lint: node-local -- profile reads are per-replica diagnostics
@@ -385,6 +394,21 @@ mod tests {
         assert_eq!(b.self_units, 30);
         assert_eq!(p.root_total(), 100);
         assert_eq!(p.max_depth(), 2);
+    }
+
+    #[test]
+    fn total_named_sums_a_name_across_callers() {
+        let mut p = Profiler::new();
+        let a = p.enter_at("a", 0);
+        let leaf = p.enter_at("leaf", 0);
+        p.exit_at(leaf, 30);
+        p.exit_at(a, 50);
+        let leaf = p.enter_at("leaf", 50);
+        p.exit_at(leaf, 57);
+        assert_eq!(p.total_named("leaf"), 37);
+        assert_eq!(p.total_named("a"), 50);
+        assert_eq!(p.total_named("root"), 0, "the synthetic root is not a frame");
+        assert_eq!(p.total_named("missing"), 0);
     }
 
     #[test]

@@ -9,8 +9,10 @@
 #
 # Thin wrapper over the recovery_soak bench binary; all flags pass
 # through. Same flags => byte-identical report (scripts/verify.sh
-# enforces this as the recovery determinism gate, and holds the small
-# gate configuration against BENCH_recovery_gate.json via perfdiff).
+# enforces this as the recovery determinism gate, and requires the small
+# gate configuration to equal BENCH_recovery_gate.json exactly; the
+# binary exits 3 if a catch-up fails to reconverge or a corruption goes
+# undetected).
 # The committed BENCH_recovery.json is the full-scale baseline:
 #
 #   scripts/recovery.sh --seed 42 --rounds 240 --cadence 15 \

@@ -24,7 +24,7 @@ use icbtc::canister::{
 };
 use icbtc::core::{GetSuccessorsResponse, IntegrationParams};
 use icbtc::ic::consensus::ConsensusConfig;
-use icbtc::ic::{Meter, MeterBreakdown, QueryPlaneConfig, Subnet};
+use icbtc::ic::{Meter, QueryPlaneConfig, Subnet};
 use icbtc::sim::SimRng;
 
 fn addr(tag: u64) -> Address {
@@ -93,8 +93,7 @@ fn build_state(seed: u64, num_addresses: usize, max_count: u64) -> (BitcoinCanis
     const HEIGHTS: u64 = 30;
     let mut utxos = UtxoSet::new(Network::Regtest);
     let mut meter = Meter::new();
-    let mut breakdown = MeterBreakdown::new();
-    utxos.ingest_block(&[], 0, &mut meter, &mut breakdown);
+    utxos.ingest_block(&[], 0, &mut meter);
 
     let mut addresses = Vec::with_capacity(num_addresses);
     let mut per_height: Vec<Vec<TxOut>> = vec![Vec::new(); HEIGHTS as usize];
@@ -119,7 +118,7 @@ fn build_state(seed: u64, num_addresses: usize, max_count: u64) -> (BitcoinCanis
                 lock_time: 0,
             })
             .collect();
-        utxos.ingest_block(&txs, height, &mut meter, &mut breakdown);
+        utxos.ingest_block(&txs, height, &mut meter);
     }
 
     let mut headers = vec![genesis];
