@@ -26,56 +26,44 @@ use icbtc::bitcoin::Network;
 use icbtc::btcnet::network::{BtcNetwork, NetworkConfig};
 use icbtc::btcnet::{FaultPlan, CHAOS_NODES};
 use icbtc::core::{GetSuccessorsRequest, IntegrationParams};
+use icbtc::sim::obs::MetricsRegistry;
 use icbtc::sim::{SimDuration, SimTime};
+use icbtc_bench::cli::{write_or_exit, Flags};
 
 struct Args {
     seed: u64,
-    plan: String,
+    plan: FaultPlan,
+    plan_name: String,
     recovery_secs: u64,
     json: bool,
     trace_out: Option<String>,
 }
 
-fn parse_args() -> Args {
-    let mut args = Args {
-        seed: 42,
-        plan: "mixed".to_string(),
-        recovery_secs: 1800,
-        json: false,
-        trace_out: None,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--seed" => {
-                let v = it.next().unwrap_or_else(|| usage("--seed needs a value"));
-                args.seed = v.parse().unwrap_or_else(|_| usage("--seed must be a u64"));
+impl Args {
+    fn parse(flags: &mut Flags) -> Args {
+        let (mut seed, mut plan_name, mut recovery_secs) = (42, "mixed".to_string(), 1800);
+        let (mut json, mut trace_out) = (false, None);
+        while let Some(flag) = flags.next_flag() {
+            match flag.as_str() {
+                "--seed" => seed = flags.value("a u64"),
+                "--plan" => plan_name = flags.value("a name"),
+                "--recovery" => recovery_secs = flags.value("seconds (u64)"),
+                "--json" => json = true,
+                "--trace-out" => trace_out = Some(flags.value("a path")),
+                other => flags.unknown(other),
             }
-            "--plan" => {
-                args.plan = it.next().unwrap_or_else(|| usage("--plan needs a name"));
-            }
-            "--recovery" => {
-                let v = it.next().unwrap_or_else(|| usage("--recovery needs a value"));
-                args.recovery_secs =
-                    v.parse().unwrap_or_else(|_| usage("--recovery must be seconds (u64)"));
-            }
-            "--json" => args.json = true,
-            "--trace-out" => {
-                args.trace_out =
-                    Some(it.next().unwrap_or_else(|| usage("--trace-out needs a path")));
-            }
-            "--help" | "-h" => usage(""),
-            other => usage(&format!("unknown flag `{other}`")),
         }
+        let plan = match plan_name.as_str() {
+            "none" => FaultPlan::none(),
+            name => FaultPlan::builtin(name)
+                .unwrap_or_else(|| flags.fail(&format!("unknown plan `{name}`"))),
+        };
+        Args { seed, plan, plan_name, recovery_secs, json, trace_out }
     }
-    args
 }
 
-fn usage(err: &str) -> ! {
-    if !err.is_empty() {
-        eprintln!("error: {err}\n");
-    }
-    eprintln!(
+fn usage() -> String {
+    format!(
         "usage: chaos_soak [--seed N] [--plan NAME] [--recovery SECS] [--json] [--trace-out PATH]\n\
          \n\
          --seed N        simulation seed (default 42)\n\
@@ -84,24 +72,15 @@ fn usage(err: &str) -> ! {
          --json          print the merged metrics snapshot as JSON (default: text tables)\n\
          --trace-out P   write the JSONL traces of both layers to P",
         FaultPlan::builtin_names().join(", ")
-    );
-    std::process::exit(if err.is_empty() { 0 } else { 2 });
-}
-
-fn resolve_plan(name: &str) -> FaultPlan {
-    if name == "none" {
-        return FaultPlan::none();
-    }
-    FaultPlan::builtin(name).unwrap_or_else(|| usage(&format!("unknown plan `{name}`")))
+    )
 }
 
 fn main() {
-    let args = parse_args();
-    let plan = resolve_plan(&args.plan);
+    let args = Args::parse(&mut Flags::from_env(usage()));
 
     let mut net = BtcNetwork::new(NetworkConfig::regtest(CHAOS_NODES), args.seed);
-    let deadline = plan.ends_at() + SimDuration::from_secs(args.recovery_secs);
-    net.set_fault_plan(plan);
+    let deadline = args.plan.ends_at() + SimDuration::from_secs(args.recovery_secs);
+    net.set_fault_plan(args.plan);
 
     // ℓ = 5 of 8 nodes: enough overlap that every plan's misbehaving
     // peers are actually talked to.
@@ -134,7 +113,7 @@ fn main() {
         net.run_until(net.now() + SimDuration::from_secs(5));
     }
 
-    let mut metrics = icbtc::sim::obs::MetricsRegistry::new();
+    let mut metrics = MetricsRegistry::new();
     metrics.merge_from(&net.obs().metrics);
     metrics.merge_from(&adapter.obs().metrics);
     if args.json {
@@ -143,7 +122,7 @@ fn main() {
         println!(
             "# chaos_soak: seed={} plan={} deadline={}s",
             args.seed,
-            args.plan,
+            args.plan_name,
             deadline.as_nanos() / 1_000_000_000
         );
         let heights: Vec<String> = (0..CHAOS_NODES)
@@ -163,9 +142,6 @@ fn main() {
         let mut out = String::new();
         out.push_str(&net.obs().trace.dump_jsonl());
         out.push_str(&adapter.obs().trace.dump_jsonl());
-        if let Err(e) = std::fs::write(&path, out) {
-            eprintln!("error: cannot write trace to {path}: {e}");
-            std::process::exit(2);
-        }
+        write_or_exit(&path, "trace", &out);
     }
 }

@@ -13,7 +13,6 @@
 use icbtc::canister::{BitcoinCanister, CanisterCall};
 use icbtc::ic::cycles::{cycles_to_usd, FeeSchedule};
 use icbtc::ic::Meter;
-use icbtc::sim::metrics::Histogram;
 use icbtc_bench::report::{banner, Comparison};
 use icbtc_bench::workload::build_query_workload;
 
@@ -30,24 +29,25 @@ fn main() {
     let canister = BitcoinCanister::from_state(workload.state);
     let fees = FeeSchedule::default();
 
-    let mut balance_cycles = Histogram::new();
-    let mut utxo_cycles = Histogram::new();
+    let (mut balance_cycles, mut utxo_cycles) = (0u128, 0u128);
     for (address, _) in &addresses {
         let mut meter = Meter::new();
         let _ = canister.query(
             &CanisterCall::GetBalance { address: *address, min_confirmations: 0 },
             &mut meter,
         );
-        balance_cycles.record(fees.get_balance_fee(meter.instructions()) as f64);
+        balance_cycles += fees.get_balance_fee(meter.instructions());
 
         let mut meter = Meter::new();
         let _ =
             canister.query(&CanisterCall::GetUtxos { address: *address, filter: None }, &mut meter);
-        utxo_cycles.record(fees.get_utxos_fee(meter.instructions()) as f64);
+        utxo_cycles += fees.get_utxos_fee(meter.instructions());
     }
 
-    let balance_per_usd = 1.0 / cycles_to_usd(balance_cycles.mean() as u128);
-    let utxos_per_usd = 1.0 / cycles_to_usd(utxo_cycles.mean() as u128);
+    // Mean cycles per call, truncated to whole cycles.
+    let calls = addresses.len().max(1) as u128;
+    let balance_per_usd = 1.0 / cycles_to_usd(balance_cycles / calls);
+    let utxos_per_usd = 1.0 / cycles_to_usd(utxo_cycles / calls);
     let send_tx_usd = cycles_to_usd(fees.send_transaction_fee(250));
 
     let mut comparison = Comparison::new();

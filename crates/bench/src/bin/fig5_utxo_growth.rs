@@ -28,8 +28,23 @@ use icbtc::bitcoin::Network;
 use icbtc::canister::{StorageConfig, UtxoSet};
 use icbtc::ic::Meter;
 use icbtc::sim::metrics::{humanize, Series};
+use icbtc::sim::obs::{Json, MetricsRegistry};
 use icbtc_bench::chaingen::{ChainGen, ChainGenConfig};
+use icbtc_bench::cli::{emit_report, Flags};
 use icbtc_bench::report::{banner, Comparison};
+
+const USAGE: &str = "\
+usage: fig5_utxo_growth [--seed N] [--blocks N] [--volume-scale N] [--budget-mib N]
+                        [--page-size N] [--sample-every N] [--out PATH] [--metrics-out PATH]
+
+--seed N          simulation seed (default 5)
+--blocks N        blocks to ingest (default 4200)
+--volume-scale N  divisor on mainnet per-block tx volume (default 1)
+--budget-mib N    storage byte budget in MiB; exhaustion exits 3 (default 2048)
+--page-size N     storage page size in bytes (default 8192)
+--sample-every N  trajectory sample cadence in blocks (default 100)
+--out P           write the JSON report to P (always printed to stdout)
+--metrics-out P   write the storage metrics snapshot JSON to P";
 
 struct Args {
     seed: u64,
@@ -42,81 +57,36 @@ struct Args {
     metrics_out: Option<String>,
 }
 
-fn parse_args() -> Args {
-    let mut args = Args {
-        seed: 5,
-        blocks: 4_200,
-        volume_scale: 1,
-        budget_mib: 2_048,
-        page_size: 8_192,
-        sample_every: 100,
-        out: None,
-        metrics_out: None,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut value = |what: &str| it.next().unwrap_or_else(|| usage(what));
-        match flag.as_str() {
-            "--seed" => {
-                args.seed = value("--seed needs a value")
-                    .parse()
-                    .unwrap_or_else(|_| usage("--seed must be a u64"));
+impl Args {
+    fn parse(flags: &mut Flags) -> Args {
+        let mut args = Args {
+            seed: 5,
+            blocks: 4_200,
+            volume_scale: 1,
+            budget_mib: 2_048,
+            page_size: 8_192,
+            sample_every: 100,
+            out: None,
+            metrics_out: None,
+        };
+        while let Some(flag) = flags.next_flag() {
+            match flag.as_str() {
+                "--seed" => args.seed = flags.value("a u64"),
+                "--blocks" => args.blocks = flags.value("a count"),
+                "--volume-scale" => args.volume_scale = flags.value("a divisor >= 1"),
+                "--budget-mib" => args.budget_mib = flags.value("a MiB count"),
+                "--page-size" => args.page_size = flags.value("bytes"),
+                "--sample-every" => args.sample_every = flags.value("a block count"),
+                "--out" => args.out = Some(flags.value("a path")),
+                "--metrics-out" => args.metrics_out = Some(flags.value("a path")),
+                other => flags.unknown(other),
             }
-            "--blocks" => {
-                args.blocks = value("--blocks needs a value")
-                    .parse()
-                    .unwrap_or_else(|_| usage("--blocks must be a count"));
-            }
-            "--volume-scale" => {
-                args.volume_scale = value("--volume-scale needs a value")
-                    .parse()
-                    .unwrap_or_else(|_| usage("--volume-scale must be a divisor >= 1"));
-            }
-            "--budget-mib" => {
-                args.budget_mib = value("--budget-mib needs a value")
-                    .parse()
-                    .unwrap_or_else(|_| usage("--budget-mib must be a MiB count"));
-            }
-            "--page-size" => {
-                args.page_size = value("--page-size needs a value")
-                    .parse()
-                    .unwrap_or_else(|_| usage("--page-size must be bytes"));
-            }
-            "--sample-every" => {
-                args.sample_every = value("--sample-every needs a value")
-                    .parse()
-                    .unwrap_or_else(|_| usage("--sample-every must be a block count"));
-            }
-            "--out" => args.out = Some(value("--out needs a path")),
-            "--metrics-out" => args.metrics_out = Some(value("--metrics-out needs a path")),
-            "--help" | "-h" => usage(""),
-            other => usage(&format!("unknown flag `{other}`")),
         }
+        if args.blocks == 0 || args.volume_scale == 0 || args.sample_every == 0 {
+            flags.fail("--blocks, --volume-scale and --sample-every must be positive");
+        }
+        args
     }
-    if args.blocks == 0 || args.volume_scale == 0 || args.sample_every == 0 {
-        usage("--blocks, --volume-scale and --sample-every must be positive");
-    }
-    args
-}
-
-fn usage(err: &str) -> ! {
-    if !err.is_empty() {
-        eprintln!("error: {err}\n");
-    }
-    eprintln!(
-        "usage: fig5_utxo_growth [--seed N] [--blocks N] [--volume-scale N] [--budget-mib N]\n\
-         \u{20}                       [--page-size N] [--sample-every N] [--out PATH] [--metrics-out PATH]\n\
-         \n\
-         --seed N          simulation seed (default 5)\n\
-         --blocks N        blocks to ingest (default 4200)\n\
-         --volume-scale N  divisor on mainnet per-block tx volume (default 1)\n\
-         --budget-mib N    storage byte budget in MiB; exhaustion exits 3 (default 2048)\n\
-         --page-size N     storage page size in bytes (default 8192)\n\
-         --sample-every N  trajectory sample cadence in blocks (default 100)\n\
-         --out P           write the JSON report to P (always printed to stdout)\n\
-         --metrics-out P   write the storage metrics snapshot JSON to P"
-    );
-    std::process::exit(if err.is_empty() { 0 } else { 2 });
 }
 
 /// Mainnet blocks in Figure 5's two-year window.
@@ -125,7 +95,7 @@ const TWO_YEAR_BLOCKS: u64 = 105_000;
 const BASELINE_UTXOS: u64 = 95_000_000;
 
 fn main() {
-    let args = parse_args();
+    let args = Args::parse(&mut Flags::from_env(USAGE));
     banner("fig5_utxo_growth", "Figure 5 (UTXO-set size and canister space over two years)");
 
     let mut generator =
@@ -140,7 +110,7 @@ fn main() {
         "# fig5_utxo_growth: ingesting {} blocks (volume-scale {}, budget {} MiB, seed {})...",
         args.blocks, args.volume_scale, args.budget_mib, args.seed
     );
-    let mut trajectory: Vec<(u64, u64, u64, u64)> = Vec::new();
+    let mut trajectory = Vec::new();
     let mut count_series = Series::new("utxo_count_vs_block(sim_scale)");
     let mut bytes_series = Series::new("state_bytes_vs_block(sim_scale)");
     for height in 0..args.blocks {
@@ -151,7 +121,12 @@ fn main() {
         }
         if height.is_multiple_of(args.sample_every) || height == args.blocks - 1 {
             let stats = set.storage_stats();
-            trajectory.push((height, set.len() as u64, stats.bytes_reserved, stats.pages_allocated));
+            trajectory.push(Json::Object(vec![
+                ("height", height.into()),
+                ("utxos", set.len().into()),
+                ("bytes_reserved", stats.bytes_reserved.into()),
+                ("pages", stats.pages_allocated.into()),
+            ]));
             count_series.push(height as f64, set.len() as f64);
             bytes_series.push(height as f64, stats.bytes_reserved as f64);
         }
@@ -199,75 +174,36 @@ fn main() {
     );
     comparison.print("paper vs measured (Figure 5 endpoints)");
 
-    let mut trajectory_json = String::new();
-    for (i, (height, count, bytes, pages)) in trajectory.iter().enumerate() {
-        if i > 0 {
-            trajectory_json.push_str(",\n");
-        }
-        trajectory_json.push_str(&format!(
-            "    {{ \"height\": {height}, \"utxos\": {count}, \"bytes_reserved\": {bytes}, \"pages\": {pages} }}"
-        ));
-    }
-    let report = format!(
-        "{{\n\
-         \u{20} \"schema_version\": 1,\n\
-         \u{20} \"bench\": \"fig5_utxo_growth\",\n\
-         \u{20} \"seed\": {seed},\n\
-         \u{20} \"blocks\": {blocks},\n\
-         \u{20} \"volume_scale\": {volume_scale},\n\
-         \u{20} \"page_size\": {page_size},\n\
-         \u{20} \"byte_budget\": {byte_budget},\n\
-         \u{20} \"utxo_count\": {utxos},\n\
-         \u{20} \"pages_allocated\": {pages},\n\
-         \u{20} \"bytes_reserved\": {bytes_reserved},\n\
-         \u{20} \"bytes_used\": {bytes_used},\n\
-         \u{20} \"budget_headroom\": {headroom},\n\
-         \u{20} \"entry_bytes\": {entry_bytes},\n\
-         \u{20} \"bytes_per_utxo\": {bytes_per_utxo},\n\
-         \u{20} \"model_bytes_per_utxo\": {model},\n\
-         \u{20} \"projected_utxos_two_years\": {projected_utxos},\n\
-         \u{20} \"projected_model_bytes_two_years\": {projected_model_bytes},\n\
-         \u{20} \"state_hash\": \"{state_hash}\",\n\
-         \u{20} \"trajectory\": [\n{trajectory_json}\n\u{20} ]\n\
-         }}",
-        seed = args.seed,
-        blocks = args.blocks,
-        volume_scale = args.volume_scale,
-        page_size = stats.page_size,
-        byte_budget = stats.byte_budget,
-        utxos = utxos,
-        pages = stats.pages_allocated,
-        bytes_reserved = stats.bytes_reserved,
-        bytes_used = stats.bytes_used,
-        headroom = stats.budget_headroom,
-        entry_bytes = stats.entry_bytes,
-        bytes_per_utxo = measured_bytes_per_utxo,
-        model = icbtc::canister::metering::STABLE_BYTES_PER_UTXO,
-        projected_utxos = projected_utxos,
-        projected_model_bytes = projected_model_bytes,
-        state_hash = state_hash,
-        trajectory_json = trajectory_json,
-    );
+    let report = Json::Object(vec![
+        ("schema_version", 1u64.into()),
+        ("bench", "fig5_utxo_growth".into()),
+        ("seed", args.seed.into()),
+        ("blocks", args.blocks.into()),
+        ("volume_scale", args.volume_scale.into()),
+        ("page_size", stats.page_size.into()),
+        ("byte_budget", stats.byte_budget.into()),
+        ("utxo_count", utxos.into()),
+        ("pages_allocated", stats.pages_allocated.into()),
+        ("bytes_reserved", stats.bytes_reserved.into()),
+        ("bytes_used", stats.bytes_used.into()),
+        ("budget_headroom", stats.budget_headroom.into()),
+        ("entry_bytes", stats.entry_bytes.into()),
+        ("bytes_per_utxo", measured_bytes_per_utxo.into()),
+        ("model_bytes_per_utxo", icbtc::canister::metering::STABLE_BYTES_PER_UTXO.into()),
+        ("projected_utxos_two_years", projected_utxos.into()),
+        ("projected_model_bytes_two_years", projected_model_bytes.into()),
+        ("state_hash", state_hash.into()),
+        ("trajectory", Json::Array(trajectory)),
+    ])
+    .render();
 
-    println!("{report}");
-    if let Some(path) = &args.out {
-        if let Err(e) = std::fs::write(path, format!("{report}\n")) {
-            eprintln!("error: cannot write report to {path}: {e}");
-            std::process::exit(2);
-        }
-    }
-    if let Some(path) = &args.metrics_out {
-        // The same per-page gauges the live canister exports through its
-        // obs registry (`BitcoinCanister::refresh_state_gauges`).
-        let mut metrics = icbtc::sim::obs::MetricsRegistry::new();
-        metrics.set_gauge("canister_storage_pages_allocated", stats.pages_allocated as i64);
-        metrics.set_gauge("canister_storage_bytes_reserved", stats.bytes_reserved as i64);
-        metrics.set_gauge("canister_storage_bytes_used", stats.bytes_used as i64);
-        metrics.set_gauge("canister_storage_budget_headroom_bytes", stats.budget_headroom as i64);
-        metrics.set_gauge("canister_utxo_count", utxos as i64);
-        if let Err(e) = std::fs::write(path, metrics.snapshot_json()) {
-            eprintln!("error: cannot write metrics to {path}: {e}");
-            std::process::exit(2);
-        }
-    }
+    // The same per-page gauges the live canister exports through its obs
+    // registry (`BitcoinCanister::refresh_state_gauges`).
+    let mut metrics = MetricsRegistry::new();
+    metrics.set_gauge("canister_storage_pages_allocated", stats.pages_allocated as i64);
+    metrics.set_gauge("canister_storage_bytes_reserved", stats.bytes_reserved as i64);
+    metrics.set_gauge("canister_storage_bytes_used", stats.bytes_used as i64);
+    metrics.set_gauge("canister_storage_budget_headroom_bytes", stats.budget_headroom as i64);
+    metrics.set_gauge("canister_utxo_count", utxos as i64);
+    emit_report(&report, args.out.as_deref(), args.metrics_out.as_deref(), &metrics);
 }

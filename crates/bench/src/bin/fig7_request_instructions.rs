@@ -11,18 +11,27 @@
 //! blocks (the latter are cheaper to fetch). The harness meters the same
 //! call over the skewed workload and prints one series per region.
 
+use std::num::NonZeroUsize;
+
 use icbtc::canister::{BitcoinCanister, CanisterCall, CanisterReply};
 use icbtc::ic::Meter;
-use icbtc::sim::metrics::{humanize, Histogram, Series};
+use icbtc::sim::metrics::{exact_quantile_permille, humanize, Series};
+use icbtc_bench::cli::Flags;
 use icbtc_bench::report::{banner, Comparison};
 use icbtc_bench::workload::build_query_workload;
 
+const USAGE: &str = "\
+usage: fig7_request_instructions [scale]
+
+scale  divisor applied to the paper's UTXO counts, a positive integer (default 1)";
+
 fn main() {
+    let mut flags = Flags::from_env(USAGE);
+    let scale = flags.positional("scale", "a positive integer").map_or(1, NonZeroUsize::get);
     banner(
         "fig7_request_instructions",
         "Figure 7 right (instructions per get_utxos vs response size, stable/unstable split)",
     );
-    let scale: usize = std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(1);
     println!("workload scale: 1/{scale} of the paper's UTXO counts\n");
 
     let workload = build_query_workload(11, scale);
@@ -30,9 +39,9 @@ fn main() {
 
     let mut stable_series = Series::new("instructions_vs_utxos(stable_set)");
     let mut unstable_series = Series::new("instructions_vs_utxos(unstable_blocks)");
-    let mut all = Histogram::new();
-    let mut per_utxo_stable = Histogram::new();
-    let mut per_utxo_unstable = Histogram::new();
+    let mut all = Vec::new();
+    let mut per_utxo_stable = Vec::new();
+    let mut per_utxo_unstable = Vec::new();
 
     for (addresses, series, per_utxo) in [
         (&workload.stable_addresses, &mut stable_series, &mut per_utxo_stable),
@@ -47,11 +56,16 @@ fn main() {
             let Ok(CanisterReply::Utxos(response)) = outcome.reply else {
                 panic!("query failed");
             };
-            let instructions = meter.instructions() as f64;
-            all.record(instructions);
-            series.push(response.utxos.len() as f64, instructions);
+            let instructions = meter.instructions();
+            all.push(instructions);
+            series.push(response.utxos.len() as f64, instructions as f64);
             if !response.utxos.is_empty() {
-                per_utxo.record(instructions / response.utxos.len() as f64);
+                // Key ⌊2⁶⁴·instructions/utxos⌋: distinct ratios differ by at least
+                // 1/(u·u′), which scales to ≥ 1 as u·u′ ≤ 2⁶⁴, so the key orders the
+                // exact ratios and the median is the sample an f64 sort would pick.
+                let utxos = response.utxos.len() as u64;
+                let key = (u128::from(instructions) << 64) / u128::from(utxos);
+                per_utxo.push((key, instructions, utxos));
             }
         }
     }
@@ -59,17 +73,24 @@ fn main() {
     println!("{stable_series}");
     println!("{unstable_series}");
 
+    let median = |per_utxo: &mut Vec<(u128, u64, u64)>| {
+        exact_quantile_permille(per_utxo, 500).map_or(0.0, |&(_, i, u)| i as f64 / u as f64)
+    };
+    let stable_median = median(&mut per_utxo_stable);
+    let unstable_median = median(&mut per_utxo_unstable);
+    let min = all.iter().copied().min().unwrap_or(0);
+    let max = all.iter().copied().max().unwrap_or(0);
     let mut comparison = Comparison::new();
-    comparison.row("min instructions", "5.84e6", humanize(all.min()));
-    comparison.row("max instructions", "4.76e8", humanize(all.max()));
+    comparison.row("min instructions", "5.84e6", humanize(min as f64));
+    comparison.row("max instructions", "4.76e8", humanize(max as f64));
     comparison.row(
         "bifurcation (per-UTXO cost, stable vs unstable)",
         "stable several× costlier",
         format!(
             "{} vs {} instr/UTXO ({:.1}×)",
-            humanize(per_utxo_stable.median()),
-            humanize(per_utxo_unstable.median()),
-            per_utxo_stable.median() / per_utxo_unstable.median().max(1.0)
+            humanize(stable_median),
+            humanize(unstable_median),
+            stable_median / unstable_median.max(1.0)
         ),
     );
     comparison.row(

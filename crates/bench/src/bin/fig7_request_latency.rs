@@ -14,16 +14,25 @@
 use icbtc::canister::{BitcoinCanister, CanisterCall};
 use icbtc::ic::consensus::ConsensusConfig;
 use icbtc::ic::Subnet;
-use icbtc::sim::metrics::{Histogram, Series};
+use std::num::NonZeroUsize;
+
+use icbtc::sim::metrics::{exact_quantile_permille, Series};
+use icbtc_bench::cli::Flags;
 use icbtc_bench::report::{banner, Comparison};
 use icbtc_bench::workload::build_query_workload;
 
+const USAGE: &str = "\
+usage: fig7_request_latency [scale]
+
+scale  divisor applied to the paper's UTXO counts, a positive integer (default 2)";
+
 fn main() {
+    let mut flags = Flags::from_env(USAGE);
+    let scale = flags.positional("scale", "a positive integer").map_or(2, NonZeroUsize::get);
     banner(
         "fig7_request_latency",
         "Figure 7 left/center (replicated and query response times)",
     );
-    let scale: usize = std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(2);
     println!("workload scale: 1/{scale} of the paper's UTXO counts\n");
 
     let workload = build_query_workload(7, scale);
@@ -36,10 +45,11 @@ fn main() {
     let canister = BitcoinCanister::from_state(workload.state);
     let mut subnet = Subnet::new(canister, ConsensusConfig::thirteen_replicas(), 7);
 
-    let mut replicated_balance = Histogram::new();
-    let mut replicated_utxos = Histogram::new();
-    let mut query_balance = Histogram::new();
-    let mut query_utxos = Histogram::new();
+    // Latencies in nanoseconds.
+    let mut replicated_balance: Vec<u64> = Vec::new();
+    let mut replicated_utxos: Vec<u64> = Vec::new();
+    let mut query_balance: Vec<u64> = Vec::new();
+    let mut query_utxos: Vec<u64> = Vec::new();
     let mut latency_vs_count = Series::new("query_utxos_latency_s_vs_utxo_count");
 
     // Queries: one pair per address (cheap).
@@ -53,7 +63,7 @@ fn main() {
             },
             |_| 16,
         );
-        query_balance.record(latency.as_secs_f64());
+        query_balance.push(latency.as_nanos());
         let (outcome, _, latency) = subnet.query(
             |canister, meter| {
                 canister.query(&CanisterCall::GetUtxos { address: *address, filter: None }, meter)
@@ -64,13 +74,13 @@ fn main() {
             },
         );
         let _ = outcome;
-        query_utxos.record(latency.as_secs_f64());
+        query_utxos.push(latency.as_nanos());
         latency_vs_count.push(*count as f64, latency.as_secs_f64());
     }
 
     // Replicated calls: a sample of 150 addresses (each waits for rounds).
     for (address, _) in addresses.iter().step_by(addresses.len() / 150) {
-        for (call, histogram) in [
+        for (call, latencies) in [
             (
                 CanisterCall::GetBalance { address: *address, min_confirmations: 0 },
                 &mut replicated_balance,
@@ -82,7 +92,7 @@ fn main() {
                 let report = subnet.execute_round(|_, _| {});
                 for result in report.results {
                     if result.id == id {
-                        histogram.record(result.latency().as_secs_f64());
+                        latencies.push(result.latency().as_nanos());
                         break 'wait;
                     }
                 }
@@ -92,47 +102,50 @@ fn main() {
 
     println!("{latency_vs_count}");
 
+    let secs = |ns: u64| ns as f64 / 1e9;
+    let mean = |ns: &[u64]| secs(ns.iter().sum()) / ns.len().max(1) as f64;
+    let quantile = |ns: &mut [u64], permille| {
+        secs(exact_quantile_permille(ns, permille).copied().unwrap_or(0))
+    };
+    let min = replicated_balance.iter().chain(&replicated_utxos).copied().min().unwrap_or(0);
+
     let mut comparison = Comparison::new();
     comparison.row(
         "replicated: mean",
         "< 10 s",
         format!(
             "{:.1} s (balance) / {:.1} s (utxos)",
-            replicated_balance.mean(),
-            replicated_utxos.mean()
+            mean(&replicated_balance),
+            mean(&replicated_utxos)
         ),
     );
-    comparison.row(
-        "replicated: min",
-        "≈ 7 s",
-        format!("{:.1} s", replicated_balance.min().min(replicated_utxos.min())),
-    );
+    comparison.row("replicated: min", "≈ 7 s", format!("{:.1} s", secs(min)));
     comparison.row(
         "replicated: p90",
         "≈ 18 s",
         format!(
             "{:.1} s / {:.1} s",
-            replicated_balance.percentile(90.0),
-            replicated_utxos.percentile(90.0)
+            quantile(&mut replicated_balance, 900),
+            quantile(&mut replicated_utxos, 900)
         ),
     );
     comparison.row(
         "query get_balance: median",
         "≈ 220 ms",
-        format!("{:.0} ms", query_balance.median() * 1e3),
+        format!("{:.0} ms", quantile(&mut query_balance, 500) * 1e3),
     );
     comparison.row(
         "query get_utxos: median",
         "≈ 310 ms",
-        format!("{:.0} ms", query_utxos.median() * 1e3),
+        format!("{:.0} ms", quantile(&mut query_utxos, 500) * 1e3),
     );
     comparison.row(
         "query p90",
         "< 0.5 s / < 2.5 s",
         format!(
             "{:.2} s / {:.2} s",
-            query_balance.percentile(90.0),
-            query_utxos.percentile(90.0)
+            quantile(&mut query_balance, 900),
+            quantile(&mut query_utxos, 900)
         ),
     );
     comparison.print("paper vs measured (Figure 7 left/center)");

@@ -15,8 +15,17 @@
 //! runs this binary twice with the same seed and `diff`s both outputs as
 //! the observability determinism gate.
 
-use icbtc::system::{System, SystemConfig};
 use icbtc::sim::SimTime;
+use icbtc::system::{System, SystemConfig};
+use icbtc_bench::cli::{write_or_exit, Flags};
+
+const USAGE: &str = "\
+usage: obs_trace [--seed N] [--rounds N] [--json] [--trace-out PATH]
+
+--seed N        simulation seed (default 42)
+--rounds N      consensus rounds to execute (default 200)
+--json          print the merged metrics snapshot as JSON (default: text tables)
+--trace-out P   write the JSONL trace of all layers to P";
 
 struct Args {
     seed: u64,
@@ -25,47 +34,24 @@ struct Args {
     trace_out: Option<String>,
 }
 
-fn parse_args() -> Args {
-    let mut args = Args { seed: 42, rounds: 200, json: false, trace_out: None };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--seed" => {
-                let v = it.next().unwrap_or_else(|| usage("--seed needs a value"));
-                args.seed = v.parse().unwrap_or_else(|_| usage("--seed must be a u64"));
+impl Args {
+    fn parse(flags: &mut Flags) -> Args {
+        let mut args = Args { seed: 42, rounds: 200, json: false, trace_out: None };
+        while let Some(flag) = flags.next_flag() {
+            match flag.as_str() {
+                "--seed" => args.seed = flags.value("a u64"),
+                "--rounds" => args.rounds = flags.value("a usize"),
+                "--json" => args.json = true,
+                "--trace-out" => args.trace_out = Some(flags.value("a path")),
+                other => flags.unknown(other),
             }
-            "--rounds" => {
-                let v = it.next().unwrap_or_else(|| usage("--rounds needs a value"));
-                args.rounds = v.parse().unwrap_or_else(|_| usage("--rounds must be a usize"));
-            }
-            "--json" => args.json = true,
-            "--trace-out" => {
-                args.trace_out = Some(it.next().unwrap_or_else(|| usage("--trace-out needs a path")));
-            }
-            "--help" | "-h" => usage(""),
-            other => usage(&format!("unknown flag `{other}`")),
         }
+        args
     }
-    args
-}
-
-fn usage(err: &str) -> ! {
-    if !err.is_empty() {
-        eprintln!("error: {err}\n");
-    }
-    eprintln!(
-        "usage: obs_trace [--seed N] [--rounds N] [--json] [--trace-out PATH]\n\
-         \n\
-         --seed N        simulation seed (default 42)\n\
-         --rounds N      consensus rounds to execute (default 200)\n\
-         --json          print the merged metrics snapshot as JSON (default: text tables)\n\
-         --trace-out P   write the JSONL trace of all layers to P"
-    );
-    std::process::exit(if err.is_empty() { 0 } else { 2 });
 }
 
 fn main() {
-    let args = parse_args();
+    let args = Args::parse(&mut Flags::from_env(USAGE));
 
     let mut system = System::new(SystemConfig::regtest(args.seed));
     // Give the Bitcoin network a head start so ingestion has blocks to
@@ -82,10 +68,6 @@ fn main() {
     }
 
     if let Some(path) = args.trace_out {
-        let trace = system.trace_jsonl();
-        if let Err(e) = std::fs::write(&path, trace) {
-            eprintln!("error: cannot write trace to {path}: {e}");
-            std::process::exit(2);
-        }
+        write_or_exit(&path, "trace", &system.trace_jsonl());
     }
 }

@@ -18,6 +18,16 @@ use icbtc::canister::CanisterCall;
 use icbtc::contracts::Wallet;
 use icbtc::sim::SimTime;
 use icbtc::system::{System, SystemConfig};
+use icbtc_bench::cli::{write_or_exit, Flags};
+
+const USAGE: &str = "\
+usage: prof_report [--seed N] [--blocks N] [--queries N] [--top N] [--out PATH]
+
+--seed N     simulation seed (default 42)
+--blocks N   coinbases mined to the probe wallet before syncing (default 12)
+--queries N  cached queries issued after the sync (default 64)
+--top N      rows in the self-cost table (default 25)
+--out P      write the report to P (always printed to stdout)";
 
 struct Args {
     seed: u64,
@@ -27,58 +37,25 @@ struct Args {
     out: Option<String>,
 }
 
-fn parse_args() -> Args {
-    let mut args = Args { seed: 42, blocks: 12, queries: 64, top: 25, out: None };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut value = |what: &str| it.next().unwrap_or_else(|| usage(what));
-        match flag.as_str() {
-            "--seed" => {
-                args.seed = value("--seed needs a value")
-                    .parse()
-                    .unwrap_or_else(|_| usage("--seed must be a u64"));
+impl Args {
+    fn parse(flags: &mut Flags) -> Args {
+        let mut args = Args { seed: 42, blocks: 12, queries: 64, top: 25, out: None };
+        while let Some(flag) = flags.next_flag() {
+            match flag.as_str() {
+                "--seed" => args.seed = flags.value("a u64"),
+                "--blocks" => args.blocks = flags.value("a count"),
+                "--queries" => args.queries = flags.value("a count"),
+                "--top" => args.top = flags.value("a count"),
+                "--out" => args.out = Some(flags.value("a path")),
+                other => flags.unknown(other),
             }
-            "--blocks" => {
-                args.blocks = value("--blocks needs a value")
-                    .parse()
-                    .unwrap_or_else(|_| usage("--blocks must be a count"));
-            }
-            "--queries" => {
-                args.queries = value("--queries needs a value")
-                    .parse()
-                    .unwrap_or_else(|_| usage("--queries must be a count"));
-            }
-            "--top" => {
-                args.top = value("--top needs a value")
-                    .parse()
-                    .unwrap_or_else(|_| usage("--top must be a count"));
-            }
-            "--out" => args.out = Some(value("--out needs a path")),
-            "--help" | "-h" => usage(""),
-            other => usage(&format!("unknown flag `{other}`")),
         }
+        args
     }
-    args
-}
-
-fn usage(err: &str) -> ! {
-    if !err.is_empty() {
-        eprintln!("error: {err}\n");
-    }
-    eprintln!(
-        "usage: prof_report [--seed N] [--blocks N] [--queries N] [--top N] [--out PATH]\n\
-         \n\
-         --seed N     simulation seed (default 42)\n\
-         --blocks N   coinbases mined to the probe wallet before syncing (default 12)\n\
-         --queries N  cached queries issued after the sync (default 64)\n\
-         --top N      rows in the self-cost table (default 25)\n\
-         --out P      write the report to P (always printed to stdout)"
-    );
-    std::process::exit(if err.is_empty() { 0 } else { 2 });
 }
 
 fn main() {
-    let args = parse_args();
+    let args = Args::parse(&mut Flags::from_env(USAGE));
 
     eprintln!(
         "# prof_report: seed {}, {} blocks, {} queries...",
@@ -109,9 +86,6 @@ fn main() {
     let report = system.profile_report(args.top);
     println!("{report}");
     if let Some(path) = &args.out {
-        if let Err(e) = std::fs::write(path, &report) {
-            eprintln!("error: cannot write report to {path}: {e}");
-            std::process::exit(2);
-        }
+        write_or_exit(path, "report", &report);
     }
 }

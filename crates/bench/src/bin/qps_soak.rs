@@ -30,9 +30,25 @@
 use icbtc::canister::{BitcoinCanister, CanisterCall, QueryCache};
 use icbtc::ic::consensus::ConsensusConfig;
 use icbtc::ic::{QueryPlaneConfig, Subnet};
-use icbtc::sim::metrics::Histogram;
+use icbtc::sim::metrics::exact_quantile_permille;
+use icbtc::sim::obs::{Json, MetricsRegistry};
 use icbtc::sim::{SimRng, SimTime};
+use icbtc_bench::cli::{emit_report, Flags};
 use icbtc_bench::workload::build_soak_workload;
+
+const USAGE: &str = "\
+usage: qps_soak [--seed N] [--addresses N] [--utxo-scale N] [--requests N]
+                [--rate N] [--ingest-every N] [--no-cache] [--out PATH] [--metrics-out PATH]
+
+--seed N          simulation seed (default 42)
+--addresses N     synthetic address population (default 1000000)
+--utxo-scale N    divisor applied to the paper's UTXO counts (default 250)
+--requests N      total queries to issue (default 100000)
+--rate N          queries submitted per round (default 256)
+--ingest-every N  ingest a pre-mined block every N rounds (default 30, 0 = never)
+--no-cache        run with the query cache disabled (A/B baseline)
+--out P           write the JSON report to P (always printed to stdout)
+--metrics-out P   write the merged metrics snapshot JSON to P";
 
 struct Args {
     seed: u64,
@@ -46,84 +62,38 @@ struct Args {
     metrics_out: Option<String>,
 }
 
-fn parse_args() -> Args {
-    let mut args = Args {
-        seed: 42,
-        addresses: 1_000_000,
-        utxo_scale: 250,
-        requests: 100_000,
-        rate: 256,
-        ingest_every: 30,
-        no_cache: false,
-        out: None,
-        metrics_out: None,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut value = |what: &str| it.next().unwrap_or_else(|| usage(what));
-        match flag.as_str() {
-            "--seed" => {
-                args.seed = value("--seed needs a value")
-                    .parse()
-                    .unwrap_or_else(|_| usage("--seed must be a u64"));
+impl Args {
+    fn parse(flags: &mut Flags) -> Args {
+        let mut args = Args {
+            seed: 42,
+            addresses: 1_000_000,
+            utxo_scale: 250,
+            requests: 100_000,
+            rate: 256,
+            ingest_every: 30,
+            no_cache: false,
+            out: None,
+            metrics_out: None,
+        };
+        while let Some(flag) = flags.next_flag() {
+            match flag.as_str() {
+                "--seed" => args.seed = flags.value("a u64"),
+                "--addresses" => args.addresses = flags.value("a count"),
+                "--utxo-scale" => args.utxo_scale = flags.value("a divisor >= 1"),
+                "--requests" => args.requests = flags.value("a count"),
+                "--rate" => args.rate = flags.value("queries per round"),
+                "--ingest-every" => args.ingest_every = flags.value("a round count"),
+                "--no-cache" => args.no_cache = true,
+                "--out" => args.out = Some(flags.value("a path")),
+                "--metrics-out" => args.metrics_out = Some(flags.value("a path")),
+                other => flags.unknown(other),
             }
-            "--addresses" => {
-                args.addresses = value("--addresses needs a value")
-                    .parse()
-                    .unwrap_or_else(|_| usage("--addresses must be a count"));
-            }
-            "--utxo-scale" => {
-                args.utxo_scale = value("--utxo-scale needs a value")
-                    .parse()
-                    .unwrap_or_else(|_| usage("--utxo-scale must be a divisor >= 1"));
-            }
-            "--requests" => {
-                args.requests = value("--requests needs a value")
-                    .parse()
-                    .unwrap_or_else(|_| usage("--requests must be a count"));
-            }
-            "--rate" => {
-                args.rate = value("--rate needs a value")
-                    .parse()
-                    .unwrap_or_else(|_| usage("--rate must be queries per round"));
-            }
-            "--ingest-every" => {
-                args.ingest_every = value("--ingest-every needs a value")
-                    .parse()
-                    .unwrap_or_else(|_| usage("--ingest-every must be a round count"));
-            }
-            "--no-cache" => args.no_cache = true,
-            "--out" => args.out = Some(value("--out needs a path")),
-            "--metrics-out" => args.metrics_out = Some(value("--metrics-out needs a path")),
-            "--help" | "-h" => usage(""),
-            other => usage(&format!("unknown flag `{other}`")),
         }
+        if args.addresses == 0 || args.requests == 0 || args.rate == 0 {
+            flags.fail("--addresses, --requests and --rate must be positive");
+        }
+        args
     }
-    if args.addresses == 0 || args.requests == 0 || args.rate == 0 {
-        usage("--addresses, --requests and --rate must be positive");
-    }
-    args
-}
-
-fn usage(err: &str) -> ! {
-    if !err.is_empty() {
-        eprintln!("error: {err}\n");
-    }
-    eprintln!(
-        "usage: qps_soak [--seed N] [--addresses N] [--utxo-scale N] [--requests N]\n\
-         \u{20}               [--rate N] [--ingest-every N] [--no-cache] [--out PATH] [--metrics-out PATH]\n\
-         \n\
-         --seed N          simulation seed (default 42)\n\
-         --addresses N     synthetic address population (default 1000000)\n\
-         --utxo-scale N    divisor applied to the paper's UTXO counts (default 250)\n\
-         --requests N      total queries to issue (default 100000)\n\
-         --rate N          queries submitted per round (default 256)\n\
-         --ingest-every N  ingest a pre-mined block every N rounds (default 30, 0 = never)\n\
-         --no-cache        run with the query cache disabled (A/B baseline)\n\
-         --out P           write the JSON report to P (always printed to stdout)\n\
-         --metrics-out P   write the merged metrics snapshot JSON to P"
-    );
-    std::process::exit(if err.is_empty() { 0 } else { 2 });
 }
 
 /// Hot-set size for the skewed request stream. Sized so the hot keys
@@ -132,7 +102,7 @@ fn usage(err: &str) -> ! {
 const HOT_SET: usize = 1024;
 
 fn main() {
-    let args = parse_args();
+    let args = Args::parse(&mut Flags::from_env(USAGE));
 
     eprintln!(
         "# qps_soak: loading {} addresses (utxo-scale {}, seed {})...",
@@ -180,7 +150,7 @@ fn main() {
     let mut ingests: u64 = 0;
     let mut rounds: u64 = 0;
     let mut instructions_total: u64 = 0;
-    let mut latencies_ms = Histogram::new();
+    let mut latencies_ns: Vec<u64> = Vec::new();
 
     while completed < args.requests {
         for _ in 0..args.rate {
@@ -210,7 +180,7 @@ fn main() {
         for result in &report.query_results {
             completed += 1;
             instructions_total += result.instructions;
-            latencies_ms.record(result.latency().as_nanos() as f64 / 1_000_000.0);
+            latencies_ns.push(result.latency().as_nanos());
             if result.output.reply.is_err() {
                 errors += 1;
             }
@@ -238,71 +208,49 @@ fn main() {
 
     let elapsed_nanos = subnet.now().saturating_since(SimTime::ZERO).as_nanos().max(1);
     let requests_per_sec = completed.saturating_mul(1_000_000_000) / elapsed_nanos;
-    let p50 = latencies_ms.percentile(50.0).round() as u64;
-    let p90 = latencies_ms.percentile(90.0).round() as u64;
-    let p99 = latencies_ms.percentile(99.0).round() as u64;
+    // Exact nearest-rank percentiles, rounded to the nearest millisecond.
+    let mut latency_ms = |permille| {
+        let ns = exact_quantile_permille(&mut latencies_ns, permille).copied().unwrap_or(0);
+        (ns + 500_000) / 1_000_000
+    };
 
-    let report = format!(
-        "{{\n\
-         \u{20} \"schema_version\": 1,\n\
-         \u{20} \"bench\": \"qps_soak\",\n\
-         \u{20} \"seed\": {seed},\n\
-         \u{20} \"addresses\": {addresses},\n\
-         \u{20} \"utxo_scale\": {utxo_scale},\n\
-         \u{20} \"requests\": {requests},\n\
-         \u{20} \"rate_per_round\": {rate},\n\
-         \u{20} \"ingest_every\": {ingest_every},\n\
-         \u{20} \"cache_enabled\": {cache_enabled},\n\
-         \u{20} \"rounds\": {rounds},\n\
-         \u{20} \"sim_millis\": {sim_millis},\n\
-         \u{20} \"requests_per_sec\": {requests_per_sec},\n\
-         \u{20} \"latency_ms_p50\": {p50},\n\
-         \u{20} \"latency_ms_p90\": {p90},\n\
-         \u{20} \"latency_ms_p99\": {p99},\n\
-         \u{20} \"cache_hits\": {hits},\n\
-         \u{20} \"cache_misses\": {misses},\n\
-         \u{20} \"cache_evictions\": {evictions},\n\
-         \u{20} \"cache_invalidations\": {invalidations},\n\
-         \u{20} \"cache_hit_permille\": {hit_permille},\n\
-         \u{20} \"query_instructions_total\": {instructions_total},\n\
-         \u{20} \"instructions_per_request\": {per_request},\n\
-         \u{20} \"hot_path\": {{\n\
-         \u{20}   \"optimization\": \"qcache_hit_precomputed_serialized_size\",\n\
-         \u{20}   \"hit_instructions_before\": {hit_before},\n\
-         \u{20}   \"hit_instructions_after\": {hit_after},\n\
-         \u{20}   \"hit_instructions_per_hit_before\": {per_hit_before},\n\
-         \u{20}   \"hit_instructions_per_hit_after\": {per_hit_after}\n\
-         \u{20} }},\n\
-         \u{20} \"ingests\": {ingests},\n\
-         \u{20} \"errors\": {errors}\n\
-         }}",
-        seed = args.seed,
-        addresses = args.addresses,
-        utxo_scale = args.utxo_scale,
-        requests = args.requests,
-        rate = args.rate,
-        ingest_every = args.ingest_every,
-        cache_enabled = u64::from(!args.no_cache),
-        rounds = rounds,
-        sim_millis = elapsed_nanos / 1_000_000,
-        requests_per_sec = requests_per_sec,
-        p50 = p50,
-        p90 = p90,
-        p99 = p99,
-        hits = hits,
-        misses = misses,
-        evictions = evictions,
-        invalidations = invalidations,
-        hit_permille = hit_permille,
-        instructions_total = instructions_total,
-        per_request = instructions_total / completed.max(1),
-        hit_before = hit_instructions_before,
-        hit_after = hit_instructions_after,
-        per_hit_before = per_hit_before,
-        per_hit_after = per_hit_after,
-        ingests = ingests,
-        errors = errors,
-    );
+    let report = Json::Object(vec![
+        ("schema_version", 1u64.into()),
+        ("bench", "qps_soak".into()),
+        ("seed", args.seed.into()),
+        ("addresses", args.addresses.into()),
+        ("utxo_scale", args.utxo_scale.into()),
+        ("requests", args.requests.into()),
+        ("rate_per_round", args.rate.into()),
+        ("ingest_every", args.ingest_every.into()),
+        ("cache_enabled", u64::from(!args.no_cache).into()),
+        ("rounds", rounds.into()),
+        ("sim_millis", (elapsed_nanos / 1_000_000).into()),
+        ("requests_per_sec", requests_per_sec.into()),
+        ("latency_ms_p50", latency_ms(500).into()),
+        ("latency_ms_p90", latency_ms(900).into()),
+        ("latency_ms_p99", latency_ms(990).into()),
+        ("cache_hits", hits.into()),
+        ("cache_misses", misses.into()),
+        ("cache_evictions", evictions.into()),
+        ("cache_invalidations", invalidations.into()),
+        ("cache_hit_permille", hit_permille.into()),
+        ("query_instructions_total", instructions_total.into()),
+        ("instructions_per_request", (instructions_total / completed.max(1)).into()),
+        (
+            "hot_path",
+            Json::Object(vec![
+                ("optimization", "qcache_hit_precomputed_serialized_size".into()),
+                ("hit_instructions_before", hit_instructions_before.into()),
+                ("hit_instructions_after", hit_instructions_after.into()),
+                ("hit_instructions_per_hit_before", per_hit_before.into()),
+                ("hit_instructions_per_hit_after", per_hit_after.into()),
+            ]),
+        ),
+        ("ingests", ingests.into()),
+        ("errors", errors.into()),
+    ])
+    .render();
 
     if per_hit_after >= per_hit_before {
         eprintln!(
@@ -313,20 +261,8 @@ fn main() {
         std::process::exit(3);
     }
 
-    println!("{report}");
-    if let Some(path) = &args.out {
-        if let Err(e) = std::fs::write(path, format!("{report}\n")) {
-            eprintln!("error: cannot write report to {path}: {e}");
-            std::process::exit(2);
-        }
-    }
-    if let Some(path) = &args.metrics_out {
-        let mut merged = icbtc::sim::obs::MetricsRegistry::new();
-        merged.merge_from(metrics);
-        merged.merge_from(&subnet.obs().metrics);
-        if let Err(e) = std::fs::write(path, merged.snapshot_json()) {
-            eprintln!("error: cannot write metrics to {path}: {e}");
-            std::process::exit(2);
-        }
-    }
+    let mut merged = MetricsRegistry::new();
+    merged.merge_from(metrics);
+    merged.merge_from(&subnet.obs().metrics);
+    emit_report(&report, args.out.as_deref(), args.metrics_out.as_deref(), &merged);
 }

@@ -22,8 +22,28 @@
 //! length per catch-up.
 
 use icbtc::ic::LifecyclePlan;
+use icbtc::sim::obs::Json;
 use icbtc::sim::{SimRng, SimTime};
 use icbtc::system::{System, SystemConfig};
+use icbtc_bench::cli::{emit_report, Flags};
+
+const USAGE: &str = "\
+usage: recovery_soak [--seed N] [--rounds N] [--plan NAME]
+                     [--cadence N --upgrades N --crashes N --corruptions N]
+                     [--out PATH] [--metrics-out PATH]
+
+--seed N         simulation seed (default 42)
+--rounds N       IC rounds to run (default 60)
+--mine-every N   force a Bitcoin block every N rounds so the tip keeps
+                 moving during the soak (default 5, 0 = never)
+--plan NAME      builtin lifecycle plan: checkpoints, upgrades, crashes,
+                 corruption, mixed (default mixed)
+--cadence N      randomized plan: checkpoint every N rounds (default 10)
+--upgrades N     randomized plan: canister upgrades to schedule
+--crashes N      randomized plan: crash/restart catch-ups to schedule
+--corruptions N  randomized plan: shadow corruptions to schedule
+--out P          write the JSON report to P (always printed to stdout)
+--metrics-out P  write the merged metrics snapshot JSON to P";
 
 struct Args {
     seed: u64,
@@ -38,114 +58,64 @@ struct Args {
     metrics_out: Option<String>,
 }
 
-fn parse_args() -> Args {
-    let mut args = Args {
-        seed: 42,
-        rounds: 60,
-        mine_every: 5,
-        plan: None,
-        cadence: 10,
-        upgrades: 0,
-        crashes: 0,
-        corruptions: 0,
-        out: None,
-        metrics_out: None,
-    };
-    let mut randomized = false;
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut value = |what: &str| it.next().unwrap_or_else(|| usage(what));
-        match flag.as_str() {
-            "--seed" => {
-                args.seed = value("--seed needs a value")
-                    .parse()
-                    .unwrap_or_else(|_| usage("--seed must be a u64"));
+impl Args {
+    fn parse(flags: &mut Flags) -> Args {
+        let mut args = Args {
+            seed: 42,
+            rounds: 60,
+            mine_every: 5,
+            plan: None,
+            cadence: 10,
+            upgrades: 0,
+            crashes: 0,
+            corruptions: 0,
+            out: None,
+            metrics_out: None,
+        };
+        let mut randomized = false;
+        while let Some(flag) = flags.next_flag() {
+            randomized |= matches!(
+                flag.as_str(),
+                "--cadence" | "--upgrades" | "--crashes" | "--corruptions"
+            );
+            match flag.as_str() {
+                "--seed" => args.seed = flags.value("a u64"),
+                "--rounds" => args.rounds = flags.value("a count"),
+                "--mine-every" => args.mine_every = flags.value("a round count"),
+                "--plan" => args.plan = Some(flags.value("a builtin name")),
+                "--cadence" => args.cadence = flags.value("a round count"),
+                "--upgrades" => args.upgrades = flags.value("a count"),
+                "--crashes" => args.crashes = flags.value("a count"),
+                "--corruptions" => args.corruptions = flags.value("a count"),
+                "--out" => args.out = Some(flags.value("a path")),
+                "--metrics-out" => args.metrics_out = Some(flags.value("a path")),
+                other => flags.unknown(other),
             }
-            "--rounds" => {
-                args.rounds = value("--rounds needs a value")
-                    .parse()
-                    .unwrap_or_else(|_| usage("--rounds must be a count"));
-            }
-            "--mine-every" => {
-                args.mine_every = value("--mine-every needs a value")
-                    .parse()
-                    .unwrap_or_else(|_| usage("--mine-every must be a round count"));
-            }
-            "--plan" => args.plan = Some(value("--plan needs a builtin name")),
-            "--cadence" => {
-                randomized = true;
-                args.cadence = value("--cadence needs a value")
-                    .parse()
-                    .unwrap_or_else(|_| usage("--cadence must be a round count"));
-            }
-            "--upgrades" => {
-                randomized = true;
-                args.upgrades = value("--upgrades needs a value")
-                    .parse()
-                    .unwrap_or_else(|_| usage("--upgrades must be a count"));
-            }
-            "--crashes" => {
-                randomized = true;
-                args.crashes = value("--crashes needs a value")
-                    .parse()
-                    .unwrap_or_else(|_| usage("--crashes must be a count"));
-            }
-            "--corruptions" => {
-                randomized = true;
-                args.corruptions = value("--corruptions needs a value")
-                    .parse()
-                    .unwrap_or_else(|_| usage("--corruptions must be a count"));
-            }
-            "--out" => args.out = Some(value("--out needs a path")),
-            "--metrics-out" => args.metrics_out = Some(value("--metrics-out needs a path")),
-            "--help" | "-h" => usage(""),
-            other => usage(&format!("unknown flag `{other}`")),
         }
+        if args.plan.is_some() && randomized {
+            flags.fail(
+                "--plan and the randomized flags (--cadence/--upgrades/--crashes/--corruptions) \
+                 are mutually exclusive",
+            );
+        }
+        if args.plan.is_none() && !randomized {
+            args.plan = Some("mixed".to_string());
+        }
+        if args.rounds == 0 {
+            flags.fail("--rounds must be positive");
+        }
+        args
     }
-    if args.plan.is_some() && randomized {
-        usage("--plan and the randomized flags (--cadence/--upgrades/--crashes/--corruptions) are mutually exclusive");
-    }
-    if args.plan.is_none() && !randomized {
-        args.plan = Some("mixed".to_string());
-    }
-    if args.rounds == 0 {
-        usage("--rounds must be positive");
-    }
-    args
-}
-
-fn usage(err: &str) -> ! {
-    if !err.is_empty() {
-        eprintln!("error: {err}\n");
-    }
-    eprintln!(
-        "usage: recovery_soak [--seed N] [--rounds N] [--plan NAME]\n\
-         \u{20}                    [--cadence N --upgrades N --crashes N --corruptions N]\n\
-         \u{20}                    [--out PATH] [--metrics-out PATH]\n\
-         \n\
-         --seed N         simulation seed (default 42)\n\
-         --rounds N       IC rounds to run (default 60)\n\
-         --mine-every N   force a Bitcoin block every N rounds so the tip keeps\n\
-         \u{20}                moving during the soak (default 5, 0 = never)\n\
-         --plan NAME      builtin lifecycle plan: checkpoints, upgrades, crashes,\n\
-         \u{20}                corruption, mixed (default mixed)\n\
-         --cadence N      randomized plan: checkpoint every N rounds (default 10)\n\
-         --upgrades N     randomized plan: canister upgrades to schedule\n\
-         --crashes N      randomized plan: crash/restart catch-ups to schedule\n\
-         --corruptions N  randomized plan: shadow corruptions to schedule\n\
-         --out P          write the JSON report to P (always printed to stdout)\n\
-         --metrics-out P  write the merged metrics snapshot JSON to P"
-    );
-    std::process::exit(if err.is_empty() { 0 } else { 2 });
 }
 
 fn main() {
-    let args = parse_args();
+    let mut flags = Flags::from_env(USAGE);
+    let args = Args::parse(&mut flags);
 
     let (plan, plan_name) = match &args.plan {
         Some(name) => {
             let plan = LifecyclePlan::builtin(name).unwrap_or_else(|| {
-                usage(&format!(
+                flags.fail(&format!(
                     "unknown plan `{name}` (builtins: {})",
                     LifecyclePlan::builtin_names().join(", ")
                 ))
@@ -168,7 +138,7 @@ fn main() {
         }
     };
     if plan.ends_at() > args.rounds {
-        usage(&format!(
+        flags.fail(&format!(
             "plan schedules events through round {} but the run is only {} rounds",
             plan.ends_at(),
             args.rounds
@@ -205,54 +175,32 @@ fn main() {
         system.canister().state_hash().iter().map(|b| format!("{b:02x}")).collect();
     let mttr_ns_mean = stats.mttr_ns_total / stats.catchups.max(1);
 
-    let report = format!(
-        "{{\n\
-         \u{20} \"schema_version\": 1,\n\
-         \u{20} \"bench\": \"recovery_soak\",\n\
-         \u{20} \"seed\": {seed},\n\
-         \u{20} \"rounds\": {rounds},\n\
-         \u{20} \"plan\": \"{plan_name}\",\n\
-         \u{20} \"checkpoint_cadence\": {cadence},\n\
-         \u{20} \"checkpoints_taken\": {checkpoints_taken},\n\
-         \u{20} \"checkpoint_bytes_total\": {checkpoint_bytes_total},\n\
-         \u{20} \"checkpoint_last_bytes\": {checkpoint_last_bytes},\n\
-         \u{20} \"upgrades\": {upgrades},\n\
-         \u{20} \"catchups\": {catchups},\n\
-         \u{20} \"catchup_matches\": {catchup_matches},\n\
-         \u{20} \"replayed_rounds_total\": {replayed_rounds_total},\n\
-         \u{20} \"replayed_rounds_max\": {replayed_rounds_max},\n\
-         \u{20} \"replayed_instructions_total\": {replayed_instructions_total},\n\
-         \u{20} \"mttr_ns_total\": {mttr_ns_total},\n\
-         \u{20} \"mttr_ns_max\": {mttr_ns_max},\n\
-         \u{20} \"mttr_ns_mean\": {mttr_ns_mean},\n\
-         \u{20} \"divergence_checks\": {divergence_checks},\n\
-         \u{20} \"corruptions_injected\": {corruptions_injected},\n\
-         \u{20} \"divergence_detected\": {divergence_detected},\n\
-         \u{20} \"duplicates_dropped\": {duplicates_dropped},\n\
-         \u{20} \"state_hash\": \"{state_hash}\"\n\
-         }}",
-        seed = args.seed,
-        rounds = args.rounds,
-        plan_name = plan_name,
-        cadence = cadence,
-        checkpoints_taken = checkpoints_taken,
-        checkpoint_bytes_total = checkpoint_bytes_total,
-        checkpoint_last_bytes = checkpoint_last_bytes,
-        upgrades = stats.upgrades,
-        catchups = stats.catchups,
-        catchup_matches = stats.catchup_matches,
-        replayed_rounds_total = stats.replayed_rounds_total,
-        replayed_rounds_max = stats.replayed_rounds_max,
-        replayed_instructions_total = stats.replayed_instructions_total,
-        mttr_ns_total = stats.mttr_ns_total,
-        mttr_ns_max = stats.mttr_ns_max,
-        mttr_ns_mean = mttr_ns_mean,
-        divergence_checks = stats.divergence_checks,
-        corruptions_injected = stats.corruptions_injected,
-        divergence_detected = stats.divergence_detected,
-        duplicates_dropped = duplicates_dropped,
-        state_hash = state_hash,
-    );
+    let report = Json::Object(vec![
+        ("schema_version", 1u64.into()),
+        ("bench", "recovery_soak".into()),
+        ("seed", args.seed.into()),
+        ("rounds", args.rounds.into()),
+        ("plan", plan_name.into()),
+        ("checkpoint_cadence", cadence.into()),
+        ("checkpoints_taken", checkpoints_taken.into()),
+        ("checkpoint_bytes_total", checkpoint_bytes_total.into()),
+        ("checkpoint_last_bytes", checkpoint_last_bytes.into()),
+        ("upgrades", stats.upgrades.into()),
+        ("catchups", stats.catchups.into()),
+        ("catchup_matches", stats.catchup_matches.into()),
+        ("replayed_rounds_total", stats.replayed_rounds_total.into()),
+        ("replayed_rounds_max", stats.replayed_rounds_max.into()),
+        ("replayed_instructions_total", stats.replayed_instructions_total.into()),
+        ("mttr_ns_total", stats.mttr_ns_total.into()),
+        ("mttr_ns_max", stats.mttr_ns_max.into()),
+        ("mttr_ns_mean", mttr_ns_mean.into()),
+        ("divergence_checks", stats.divergence_checks.into()),
+        ("corruptions_injected", stats.corruptions_injected.into()),
+        ("divergence_detected", stats.divergence_detected.into()),
+        ("duplicates_dropped", duplicates_dropped.into()),
+        ("state_hash", state_hash.into()),
+    ])
+    .render();
 
     if stats.catchups > stats.catchup_matches {
         eprintln!(
@@ -272,17 +220,5 @@ fn main() {
         std::process::exit(3);
     }
 
-    println!("{report}");
-    if let Some(path) = &args.out {
-        if let Err(e) = std::fs::write(path, format!("{report}\n")) {
-            eprintln!("error: cannot write report to {path}: {e}");
-            std::process::exit(2);
-        }
-    }
-    if let Some(path) = &args.metrics_out {
-        if let Err(e) = std::fs::write(path, metrics.snapshot_json()) {
-            eprintln!("error: cannot write metrics to {path}: {e}");
-            std::process::exit(2);
-        }
-    }
+    emit_report(&report, args.out.as_deref(), args.metrics_out.as_deref(), &metrics);
 }

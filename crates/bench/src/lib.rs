@@ -10,10 +10,12 @@
 //!   published UTXO-count skew (517 addresses < 50 UTXOs, 159 in 50–199,
 //!   113 in 200–999, 211 ≥ 1000), which drives Figure 7.
 //! * [`report`] — paper-vs-measured table helpers.
+//! * [`cli`] — the binaries' one flag parser and report emitter.
 
 #![forbid(unsafe_code)]
 #![deny(unreachable_pub)]
 
 pub mod chaingen;
+pub mod cli;
 pub mod report;
 pub mod workload;

@@ -584,6 +584,36 @@ mod tests {
             });
         }
 
+        /// `send_transaction` decodes caller-supplied bytes: byte soup
+        /// never panics the decoder, whatever it returns.
+        #[test]
+        fn random_bytes_decode_without_panicking() {
+            testkit::check(0x7C_0004, testkit::DEFAULT_CASES, |rng| {
+                let bytes = testkit::bytes(rng, 0..300);
+                let _ = Transaction::decode_exact(&bytes);
+            });
+        }
+
+        /// Every truncation of a real transaction is an error, and a
+        /// flipped byte either fails to decode or yields a transaction
+        /// that survives its own encode/decode round trip.
+        #[test]
+        fn damaged_transactions_are_typed_errors_never_panics() {
+            testkit::check(0x7C_0005, testkit::DEFAULT_CASES, |rng| {
+                let good = arb_tx(rng).encode_to_vec();
+                let cut = testkit::usize_in(rng, 0..good.len());
+                assert!(Transaction::decode_exact(&good[..cut]).is_err(), "cut {cut}");
+
+                let mut flipped = good.clone();
+                let at = testkit::usize_in(rng, 0..good.len());
+                flipped[at] ^= testkit::u64_in(rng, 1..256) as u8;
+                if let Ok(tx) = Transaction::decode_exact(&flipped) {
+                    let again = Transaction::decode_exact(&tx.encode_to_vec());
+                    assert_eq!(again, Ok(tx), "flip at {at}");
+                }
+            });
+        }
+
         /// Weight identity: weight = 3*base + total, vsize = ceil(w/4).
         #[test]
         fn weight_identity() {

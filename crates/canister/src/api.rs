@@ -297,7 +297,9 @@ impl BitcoinCanisterState {
     ///
     /// # Errors
     ///
-    /// As for [`BitcoinCanisterState::get_utxos`]. A token whose tip no
+    /// As for [`BitcoinCanisterState::get_utxos`]. A token this canister
+    /// cannot have issued (undecodable, or carrying a `min_confirmations`
+    /// above δ) is [`ApiError::MalformedPage`]. A token whose tip no
     /// longer matches the considered tip is *stale*: the view it was
     /// paging over has shifted, and resuming would silently skip or
     /// duplicate entries — [`ApiError::MalformedPage`] is returned
@@ -318,7 +320,11 @@ impl BitcoinCanisterState {
             None => (0, None),
             Some(UtxosFilter::MinConfirmations(c)) => (*c, None),
             Some(UtxosFilter::Page(bytes)) => {
-                let token = decode_page(bytes).ok_or(ApiError::MalformedPage)?;
+                // A token carrying c > δ was never issued here: report the
+                // token, not a confirmation bound the caller never asked for.
+                let token = decode_page(bytes)
+                    .filter(|t| u64::from(t.min_confirmations) <= self.params().stability_delta)
+                    .ok_or(ApiError::MalformedPage)?;
                 (token.min_confirmations, Some(token))
             }
         };
@@ -664,10 +670,8 @@ mod tests {
         assert_eq!(balance9.balance.to_sat(), 1000);
     }
 
-    #[test]
-    fn pagination_walks_the_full_set() {
-        // One block whose transaction pays addr(3) 25 outputs; page
-        // through with a small page size and stitch the pages back up.
+    /// One block whose transaction pays addr(3) 25 outputs.
+    fn state_with_25_utxos_for_addr3() -> BitcoinCanisterState {
         let chain = ChainStore::new(Network::Regtest);
         let outputs: Vec<TxOut> = (0..25)
             .map(|_| TxOut::new(Amount::from_sat(10), addr(3).script_pubkey()))
@@ -685,6 +689,13 @@ mod tests {
             NOW,
             &mut Meter::new(),
         );
+        state
+    }
+
+    #[test]
+    fn pagination_walks_the_full_set() {
+        // Page through with a small page size and stitch the pages back up.
+        let state = state_with_25_utxos_for_addr3();
 
         // The default page size swallows all 25 at once.
         let response = state.get_utxos(&addr(3), None, &mut Meter::new()).unwrap();
@@ -901,5 +912,39 @@ mod tests {
         let _ = state.get_utxos(&addr(7), None, &mut large);
         assert!(large.instructions() > small.instructions());
         assert!(small.instructions() >= metering::QUERY_BASE);
+    }
+
+    mod properties {
+        use super::*;
+        use icbtc_sim::testkit;
+
+        /// Page tokens are caller-supplied bytes: random tokens and
+        /// damaged real ones never panic the query path. The reply is
+        /// [`ApiError::MalformedPage`] or a page of the address's UTXOs.
+        #[test]
+        fn damaged_page_tokens_are_malformed_or_valid_pages() {
+            let state = state_with_25_utxos_for_addr3();
+            let all = state.get_utxos(&addr(3), None, &mut Meter::new()).unwrap();
+            let first = state.get_utxos_paged(&addr(3), None, 10, &mut Meter::new()).unwrap();
+            let token = first.next_page.expect("25 UTXOs span three pages of 10");
+            let check = |bytes: Vec<u8>| {
+                let filter = Some(UtxosFilter::Page(bytes));
+                match state.get_utxos_paged(&addr(3), filter, 10, &mut Meter::new()) {
+                    Err(error) => assert_eq!(error, ApiError::MalformedPage),
+                    Ok(page) => {
+                        assert!(page.utxos.len() <= 10);
+                        assert!(page.utxos.iter().all(|u| all.utxos.contains(u)));
+                        assert_eq!(page.tip_block_hash, all.tip_block_hash);
+                    }
+                }
+            };
+            testkit::check(0xA9_0001, testkit::DEFAULT_CASES, |rng| {
+                check(testkit::bytes(rng, 0..121));
+                let mut flipped = token.clone();
+                let at = testkit::usize_in(rng, 0..token.len());
+                flipped[at] ^= testkit::u64_in(rng, 1..256) as u8;
+                check(flipped);
+            });
+        }
     }
 }

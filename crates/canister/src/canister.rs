@@ -846,4 +846,53 @@ mod tests {
             "{snapshot}"
         );
     }
+
+    mod properties {
+        use super::*;
+        use icbtc_btcnet::miner::mine_block_on;
+        use icbtc_btcnet::ChainStore;
+        use icbtc_sim::testkit;
+
+        /// A canister that has ingested three blocks and burned cycles.
+        fn checkpoint() -> Vec<u8> {
+            let mut chain = ChainStore::new(Network::Regtest);
+            let mut blocks = Vec::new();
+            for i in 0..3 {
+                let block =
+                    mine_block_on(&chain, chain.tip_hash(), Vec::new(), addr(i).script_pubkey(), 0);
+                chain.accept_block(block.clone(), 2_000_000_000).unwrap();
+                blocks.push(block);
+            }
+            let mut c = canister();
+            let mut meter = Meter::new();
+            let mut ctx =
+                ExecutionContext { meter: &mut meter, now: icbtc_sim::SimTime::ZERO, round: 1 };
+            let response = GetSuccessorsResponse { blocks, next: Vec::new() };
+            assert_eq!(c.ingest_response(response, 2_000_000_000, &mut ctx).blocks_accepted, 3);
+            let call = CanisterCall::GetBalance { address: addr(1), min_confirmations: 0 };
+            c.execute(call, &mut ctx);
+            c.checkpoint_bytes()
+        }
+
+        /// Restore reads stable memory or a peer's checkpoint: every
+        /// truncation is a typed error, and a flipped byte is either an
+        /// error or restores a canister whose checkpoint is exactly those
+        /// bytes. Neither ever panics.
+        #[test]
+        fn damaged_checkpoints_are_typed_errors_never_panics() {
+            let good = checkpoint();
+            assert_eq!(BitcoinCanister::restore(&good).unwrap().checkpoint_bytes(), good);
+            testkit::check(0xC4_0001, testkit::DEFAULT_CASES, |rng| {
+                let cut = testkit::usize_in(rng, 0..good.len());
+                assert!(BitcoinCanister::restore(&good[..cut]).is_err(), "cut {cut}");
+
+                let mut flipped = good.clone();
+                let at = testkit::usize_in(rng, 0..good.len());
+                flipped[at] ^= testkit::u64_in(rng, 1..256) as u8;
+                if let Ok(restored) = BitcoinCanister::restore(&flipped) {
+                    assert_eq!(restored.checkpoint_bytes(), flipped, "flip at {at} is non-canonical");
+                }
+            });
+        }
+    }
 }

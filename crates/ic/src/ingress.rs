@@ -225,6 +225,7 @@ impl LatencyModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use icbtc_sim::metrics::exact_quantile_permille;
 
     #[test]
     fn pool_orders_and_filters_by_availability() {
@@ -258,25 +259,26 @@ mod tests {
         let model = LatencyModel::default();
         let mut rng = SimRng::seed_from(1);
         // get_balance-like: ~6M instructions, tiny response.
-        let mut balance = icbtc_sim::metrics::Histogram::new();
+        let mut balance = Vec::new();
         // get_utxos-like: tens of M instructions, tens of kB responses.
-        let mut utxos = icbtc_sim::metrics::Histogram::new();
+        let mut utxos = Vec::new();
         for _ in 0..4000 {
-            balance.record(model.sample_query(&mut rng, 6_000_000, 100).as_secs_f64());
-            utxos.record(model.sample_query(&mut rng, 40_000_000, 300_000).as_secs_f64());
+            balance.push(model.sample_query(&mut rng, 6_000_000, 100).as_nanos());
+            utxos.push(model.sample_query(&mut rng, 40_000_000, 300_000).as_nanos());
         }
-        let balance_median = balance.median();
-        let utxos_median = utxos.median();
+        let quantile = |ns: &mut [u64], permille| *exact_quantile_permille(ns, permille).unwrap();
+        let balance_median = quantile(&mut balance, 500);
+        let utxos_median = quantile(&mut utxos, 500);
         assert!(
-            (0.15..0.30).contains(&balance_median),
-            "balance median {balance_median}s, paper ≈ 0.22s"
+            (150_000_000..300_000_000).contains(&balance_median),
+            "balance median {balance_median} ns, paper ≈ 0.22 s"
         );
         assert!(
-            (0.22..0.45).contains(&utxos_median),
-            "utxos median {utxos_median}s, paper ≈ 0.31s"
+            (220_000_000..450_000_000).contains(&utxos_median),
+            "utxos median {utxos_median} ns, paper ≈ 0.31 s"
         );
-        assert!(balance.percentile(90.0) < 1.5);
-        assert!(utxos.percentile(90.0) < 2.5);
+        assert!(quantile(&mut balance, 900) < 1_500_000_000);
+        assert!(quantile(&mut utxos, 900) < 2_500_000_000);
     }
 
     #[test]

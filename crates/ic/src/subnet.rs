@@ -640,6 +640,7 @@ impl<S: StateMachine> std::fmt::Debug for Subnet<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use icbtc_sim::metrics::exact_quantile_permille;
 
     struct Adder {
         total: u64,
@@ -709,24 +710,24 @@ mod tests {
     #[test]
     fn replicated_latency_matches_paper_distribution() {
         let mut subnet = subnet(4);
-        let mut latencies = icbtc_sim::metrics::Histogram::new();
+        let mut latencies = Vec::new();
         for _ in 0..300 {
             subnet.submit(1);
             loop {
                 let report = subnet.execute_round(|_, _| {});
                 if let Some(result) = report.results.first() {
-                    latencies.record(result.latency().as_secs_f64());
+                    latencies.push(result.latency().as_nanos());
                     break;
                 }
             }
         }
-        let mean = latencies.mean();
-        let p90 = latencies.percentile(90.0);
-        let min = latencies.min();
-        assert!(mean < 10.0, "mean replicated latency {mean}s, paper < 10s");
-        assert!(mean > 4.0, "mean implausibly low: {mean}s");
-        assert!(min > 2.0, "min {min}s");
-        assert!(p90 < 20.0, "p90 {p90}s, paper ≈ 18s");
+        let mean = latencies.iter().sum::<u64>() / latencies.len() as u64;
+        let min = *latencies.iter().min().unwrap();
+        let p90 = *exact_quantile_permille(&mut latencies, 900).unwrap();
+        assert!(mean < 10_000_000_000, "mean replicated latency {mean} ns, paper < 10 s");
+        assert!(mean > 4_000_000_000, "mean implausibly low: {mean} ns");
+        assert!(min > 2_000_000_000, "min {min} ns");
+        assert!(p90 < 20_000_000_000, "p90 {p90} ns, paper ≈ 18 s");
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! * [`EventQueue`] — a time-ordered queue with deterministic FIFO tie-breaks.
 //! * [`SimRng`] — a seeded random generator with the distribution helpers the
 //!   simulations need (exponential inter-arrival times, rough normals, …).
-//! * [`metrics`] — sample histograms, counters and series used by the
+//! * [`metrics`] — exact percentiles, series and text tables used by the
 //!   benchmark harness to regenerate the paper's figures.
 //! * [`obs`] — the deterministic observability layer: a labelled metrics
 //!   registry and a sim-time-stamped structured trace, embedded in every

@@ -1,113 +1,38 @@
 //! Measurement primitives used by the evaluation harness.
 //!
-//! The benchmark binaries regenerate the paper's figures as printed series;
-//! these types collect samples, compute the summary statistics the paper
-//! reports (means, medians, percentiles), and render aligned text tables.
+//! The benchmark binaries regenerate the paper's figures as printed series:
+//! [`exact_quantile_permille`] computes the exact percentiles the paper
+//! reports from integer samples, and [`Series`] / [`Table`] render them as
+//! aligned text. Anything recorded at runtime goes through the registry's
+//! [`FixedHistogram`](crate::obs::FixedHistogram) instead.
 
 use std::fmt;
 
-/// A collection of `f64` samples with percentile queries.
+/// Exact nearest-rank quantile at `permille` (500 = median, 900 = p90):
+/// the rank-`⌈permille·n/1000⌉` smallest of `values` (rank at least 1,
+/// `permille` capped at 1000), or `None` if `values` is empty.
 ///
-/// Samples are kept verbatim (the experiments here collect at most a few
-/// hundred thousand points), so percentiles are exact.
+/// This is [`FixedHistogram::quantile_permille`](crate::obs::FixedHistogram::quantile_permille)'s
+/// rank convention without the bucket estimate. `values` is reordered
+/// in place (a linear-time selection, not a full sort).
 ///
 /// # Examples
 ///
 /// ```
-/// use icbtc_sim::metrics::Histogram;
-/// let mut h = Histogram::new();
-/// for v in 1..=100 {
-///     h.record(v as f64);
-/// }
-/// assert_eq!(h.percentile(50.0), 50.0);
-/// assert_eq!(h.min(), 1.0);
-/// assert_eq!(h.max(), 100.0);
+/// use icbtc_sim::metrics::exact_quantile_permille;
+/// let mut v: Vec<u64> = (1..=100).rev().collect();
+/// assert_eq!(exact_quantile_permille(&mut v, 500), Some(&50));
+/// assert_eq!(exact_quantile_permille(&mut v, 900), Some(&90));
+/// assert_eq!(exact_quantile_permille(&mut v, 0), Some(&1));
+/// assert_eq!(exact_quantile_permille::<u64>(&mut [], 500), None);
 /// ```
-#[derive(Debug, Clone, Default)]
-pub struct Histogram {
-    samples: Vec<f64>,
-    sorted: bool,
-}
-
-impl Histogram {
-    /// Creates an empty histogram.
-    pub fn new() -> Self {
-        Histogram::default()
+pub fn exact_quantile_permille<T: Ord>(values: &mut [T], permille: u64) -> Option<&T> {
+    if values.is_empty() {
+        return None;
     }
-
-    /// Records one sample.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `value` is NaN.
-    pub fn record(&mut self, value: f64) {
-        assert!(!value.is_nan(), "histogram sample must not be NaN");
-        self.samples.push(value);
-        self.sorted = false;
-    }
-
-    /// Returns the number of recorded samples.
-    pub fn len(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// Returns `true` if no samples have been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-
-    /// Returns the arithmetic mean, or 0 if empty.
-    pub fn mean(&self) -> f64 {
-        if self.samples.is_empty() {
-            return 0.0;
-        }
-        self.samples.iter().sum::<f64>() / self.samples.len() as f64
-    }
-
-    /// Returns the smallest sample, or 0 if empty.
-    pub fn min(&self) -> f64 {
-        if self.samples.is_empty() {
-            return 0.0;
-        }
-        self.samples.iter().copied().fold(f64::INFINITY, f64::min)
-    }
-
-    /// Returns the largest sample, or 0 if empty.
-    pub fn max(&self) -> f64 {
-        if self.samples.is_empty() {
-            return 0.0;
-        }
-        self.samples.iter().copied().fold(f64::NEG_INFINITY, f64::max)
-    }
-
-    /// Returns the `p`-th percentile (0–100) using nearest-rank, or 0 if
-    /// empty.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is outside `[0, 100]`.
-    pub fn percentile(&mut self, p: f64) -> f64 {
-        assert!((0.0..=100.0).contains(&p), "percentile must be in [0, 100]");
-        if self.samples.is_empty() {
-            return 0.0;
-        }
-        if !self.sorted {
-            self.samples.sort_by(|a, b| a.partial_cmp(b).expect("no NaN samples"));
-            self.sorted = true;
-        }
-        let rank = ((p / 100.0) * self.samples.len() as f64).ceil() as usize;
-        self.samples[rank.saturating_sub(1).min(self.samples.len() - 1)]
-    }
-
-    /// Returns the median (50th percentile).
-    pub fn median(&mut self) -> f64 {
-        self.percentile(50.0)
-    }
-
-    /// Returns a view of the raw samples (unspecified order).
-    pub fn samples(&self) -> &[f64] {
-        &self.samples
-    }
+    let rank = permille.min(1000).saturating_mul(values.len() as u64).div_ceil(1000).max(1);
+    let (_, nth, _) = values.select_nth_unstable(rank as usize - 1);
+    Some(nth)
 }
 
 /// A labelled (x, y) series, printed as two aligned columns — the textual
@@ -120,7 +45,7 @@ impl Histogram {
 /// let mut s = Series::new("utxo_count");
 /// s.push(1.0, 10.0);
 /// s.push(2.0, 20.0);
-/// assert_eq!(s.len(), 2);
+/// assert_eq!(s.to_string().lines().count(), 3);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Series {
@@ -137,34 +62,6 @@ impl Series {
     /// Appends a point.
     pub fn push(&mut self, x: f64, y: f64) {
         self.points.push((x, y));
-    }
-
-    /// Returns the series name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Returns the number of points.
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// Returns `true` if the series has no points.
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
-
-    /// Returns the recorded points.
-    pub fn points(&self) -> &[(f64, f64)] {
-        &self.points
-    }
-
-    /// Returns the mean of the y values, or 0 if empty.
-    pub fn mean_y(&self) -> f64 {
-        if self.points.is_empty() {
-            return 0.0;
-        }
-        self.points.iter().map(|p| p.1).sum::<f64>() / self.points.len() as f64
     }
 }
 
@@ -208,16 +105,6 @@ impl Table {
     pub fn row(&mut self, cells: Vec<String>) {
         assert_eq!(cells.len(), self.headers.len(), "row arity must match headers");
         self.rows.push(cells);
-    }
-
-    /// Returns the number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Returns `true` if the table has no data rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
     }
 }
 
@@ -273,48 +160,16 @@ mod tests {
     use super::*;
 
     #[test]
-    fn histogram_statistics() {
-        let mut h = Histogram::new();
-        for v in [4.0, 1.0, 3.0, 2.0, 5.0] {
-            h.record(v);
-        }
-        assert_eq!(h.len(), 5);
-        assert_eq!(h.mean(), 3.0);
-        assert_eq!(h.min(), 1.0);
-        assert_eq!(h.max(), 5.0);
-        assert_eq!(h.median(), 3.0);
-        assert_eq!(h.percentile(100.0), 5.0);
-        assert_eq!(h.percentile(0.0), 1.0);
-    }
-
-    #[test]
-    fn empty_histogram_is_zeroed() {
-        let mut h = Histogram::new();
-        assert!(h.is_empty());
-        assert_eq!(h.mean(), 0.0);
-        assert_eq!(h.min(), 0.0);
-        assert_eq!(h.max(), 0.0);
-        assert_eq!(h.percentile(90.0), 0.0);
-    }
-
-    #[test]
-    fn single_sample_min_max_agree() {
-        let mut h = Histogram::new();
-        h.record(42.5);
-        assert_eq!(h.min(), 42.5);
-        assert_eq!(h.max(), 42.5);
-        assert_eq!(h.mean(), 42.5);
-    }
-
-    #[test]
-    fn negative_samples_keep_sign() {
-        // The old `pipe_finite` chain would have zeroed nothing here, but
-        // make the contract explicit: min/max pass negative values through.
-        let mut h = Histogram::new();
-        h.record(-3.0);
-        h.record(-1.0);
-        assert_eq!(h.min(), -3.0);
-        assert_eq!(h.max(), -1.0);
+    fn exact_quantile_takes_the_ceiling_rank() {
+        let mut v = [4u64, 1, 3, 2, 5];
+        assert_eq!(exact_quantile_permille(&mut v, 500), Some(&3));
+        assert_eq!(exact_quantile_permille(&mut v, 1000), Some(&5));
+        assert_eq!(exact_quantile_permille(&mut v, 5000), Some(&5));
+        assert_eq!(exact_quantile_permille(&mut v, 0), Some(&1));
+        // ⌈0.9·5⌉ = 5, ⌈0.2·5⌉ = 1.
+        assert_eq!(exact_quantile_permille(&mut v, 900), Some(&5));
+        assert_eq!(exact_quantile_permille(&mut v, 200), Some(&1));
+        assert_eq!(exact_quantile_permille(&mut [7i64], 990), Some(&7));
     }
 
     #[test]
@@ -322,44 +177,16 @@ mod tests {
         let s = Series::new("empty");
         let text = s.to_string();
         assert_eq!(text, "# series: empty\n");
-        assert!(s.is_empty());
-        assert_eq!(s.mean_y(), 0.0);
-    }
-
-    #[test]
-    fn series_mean_y_single_point() {
-        let mut s = Series::new("one");
-        s.push(3.0, 7.5);
-        assert_eq!(s.mean_y(), 7.5);
-        assert_eq!(s.len(), 1);
     }
 
     #[test]
     fn table_with_zero_rows_renders_header_and_rule() {
         let t = Table::new(vec!["col_a", "col_b"]);
-        assert!(t.is_empty());
-        assert_eq!(t.len(), 0);
         let text = t.to_string();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 2);
         assert!(lines[0].contains("col_a"));
         assert!(lines[1].chars().all(|c| c == '-'));
-    }
-
-    #[test]
-    #[should_panic]
-    fn nan_sample_panics() {
-        Histogram::new().record(f64::NAN);
-    }
-
-    #[test]
-    fn percentile_after_more_records_resorts() {
-        let mut h = Histogram::new();
-        h.record(10.0);
-        assert_eq!(h.median(), 10.0);
-        h.record(1.0);
-        h.record(2.0);
-        assert_eq!(h.median(), 2.0);
     }
 
     #[test]
@@ -370,7 +197,6 @@ mod tests {
         let text = s.to_string();
         assert!(text.contains("# series: latency"));
         assert_eq!(text.lines().count(), 3);
-        assert!((s.mean_y() - 0.6).abs() < 1e-12);
     }
 
     #[test]
@@ -402,21 +228,22 @@ mod tests {
         use super::*;
         use crate::testkit;
 
-        /// Percentiles are monotone in p and bounded by min/max.
+        /// Exact quantiles agree with indexing the sorted samples, and
+        /// are monotone in the permille.
         #[test]
-        fn percentile_monotone() {
+        fn exact_quantile_matches_sorted_index() {
             testkit::check(0x3E_0001, testkit::DEFAULT_CASES, |rng| {
-                let mut vals = testkit::vec_with(rng, 1..300, |r| testkit::f64_in(r, -1e9..1e9));
-                let mut h = Histogram::new();
-                for v in &vals {
-                    h.record(*v);
+                let mut vals = testkit::vec_with(rng, 1..300, |r| testkit::u64_in(r, 0..1_000_000));
+                let mut sorted = vals.clone();
+                sorted.sort_unstable();
+                let mut last = sorted[0];
+                for permille in [0, 10, 250, 500, 750, 900, 990, 1000] {
+                    let q = *exact_quantile_permille(&mut vals, permille).unwrap();
+                    let rank = (permille as usize * sorted.len()).div_ceil(1000).max(1);
+                    assert_eq!(q, sorted[rank - 1]);
+                    assert!(q >= last);
+                    last = q;
                 }
-                vals.sort_by(|a, b| a.partial_cmp(b).unwrap());
-                let p25 = h.percentile(25.0);
-                let p50 = h.percentile(50.0);
-                let p75 = h.percentile(75.0);
-                assert!(p25 <= p50 && p50 <= p75);
-                assert!(h.min() <= p25 && p75 <= h.max());
             });
         }
     }

@@ -1,6 +1,6 @@
 //! `icbtc-obs`: deterministic observability for the simulation runtime.
 //!
-//! Three parts, all zero-dependency and fully deterministic:
+//! Four parts, all zero-dependency and fully deterministic:
 //!
 //! * [`MetricsRegistry`] — monotonic counters, gauges, and fixed-bucket
 //!   histograms with static label sets. Storage is `BTreeMap`-backed so a
@@ -12,6 +12,9 @@
 //! * [`Profiler`] — a sampling-free hierarchical frame profiler that
 //!   attributes metered instructions / modeled service units to a stack
 //!   of named frames, with per-frame self/total cost and call counts.
+//! * [`Json`] — the one ordered, integer-only JSON writer; the registry
+//!   snapshot, the trace JSONL and the harness reports all render
+//!   through it.
 //!
 //! Every runtime layer (adapter, canister, IC subnet, btcnet) owns an
 //! [`Obs`] instance; benches and tests read experiment numbers back out of
@@ -27,10 +30,12 @@
 //! * Trace sequence numbers are assigned in call order; a given seed
 //!   produces the identical call order and therefore identical dumps.
 
+mod json;
 mod prof;
 mod registry;
 mod trace;
 
+pub use json::Json;
 pub use prof::{FrameStat, FrameToken, ProfScope, Profiler};
 pub use registry::{
     FixedHistogram, MetricsRegistry, DEFAULT_BOUNDS, INSTRUCTION_BOUNDS, SNAPSHOT_SCHEMA_VERSION,
@@ -83,35 +88,9 @@ impl Obs {
     }
 }
 
-/// Appends `s` to `out` as a JSON string literal (with surrounding quotes).
-pub(crate) fn push_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn json_escaping_covers_control_and_quotes() {
-        let mut out = String::new();
-        push_json_str(&mut out, "a\"b\\c\nd\te\u{1}");
-        assert_eq!(out, "\"a\\\"b\\\\c\\nd\\te\\u0001\"");
-    }
 
     #[test]
     fn obs_carries_component_tag() {

@@ -7,7 +7,7 @@
 
 use std::collections::BTreeMap;
 
-use super::push_json_str;
+use super::Json;
 use crate::metrics::{humanize, Table};
 
 /// Version stamped into every JSON snapshot.
@@ -468,104 +468,43 @@ impl MetricsRegistry {
         out
     }
 
-    /// Renders the snapshot as JSON (`schema_version` 1).
+    /// Renders the snapshot as JSON (`schema_version` 1) with the
+    /// [`Json`] document layout: one series per line.
     ///
     /// Every value is an integer and every list is walked in `BTreeMap`
     /// order, so equal registries render byte-identical strings.
     // icbtc-lint: node-local -- metrics are per-replica observability state; replicated execution must never read them back
     pub fn snapshot_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str(&format!("  \"schema_version\": {SNAPSHOT_SCHEMA_VERSION},\n"));
-
-        out.push_str("  \"counters\": [");
-        let mut first = true;
-        for (key, value) in &self.counters {
-            push_entry_prefix(&mut out, &mut first);
-            push_name_labels(&mut out, key);
-            out.push_str(&format!(", \"value\": {value}}}"));
-        }
-        close_list(&mut out, first);
-        out.push(',');
-        out.push('\n');
-
-        out.push_str("  \"gauges\": [");
-        let mut first = true;
-        for (key, value) in &self.gauges {
-            push_entry_prefix(&mut out, &mut first);
-            push_name_labels(&mut out, key);
-            out.push_str(&format!(", \"value\": {value}}}"));
-        }
-        close_list(&mut out, first);
-        out.push(',');
-        out.push('\n');
-
-        out.push_str("  \"histograms\": [");
-        let mut first = true;
-        for (key, hist) in &self.histograms {
-            push_entry_prefix(&mut out, &mut first);
-            push_name_labels(&mut out, key);
-            out.push_str(&format!(", \"count\": {}, \"sum\": {}", hist.count(), hist.sum()));
-            out.push_str(&format!(
-                ", \"p50\": {}, \"p90\": {}, \"p99\": {}",
-                hist.p50(),
-                hist.p90(),
-                hist.p99()
-            ));
-            out.push_str(", \"bounds\": [");
-            for (i, b) in hist.bounds().iter().enumerate() {
-                if i > 0 {
-                    out.push_str(", ");
-                }
-                out.push_str(&b.to_string());
-            }
-            out.push_str("], \"buckets\": [");
-            for (i, c) in hist.buckets().iter().enumerate() {
-                if i > 0 {
-                    out.push_str(", ");
-                }
-                out.push_str(&c.to_string());
-            }
-            out.push_str("]}");
-        }
-        close_list(&mut out, first);
-        out.push('\n');
-        out.push('}');
+        let series = |key: &Key, values: Vec<(&'static str, Json)>| {
+            let labels = key.labels.iter().map(|&(k, v)| (k, Json::from(v))).collect();
+            let mut fields = vec![("name", Json::from(key.name)), ("labels", Json::Object(labels))];
+            fields.extend(values);
+            Json::Object(fields)
+        };
+        let integers = |values: &[u64]| Json::Array(values.iter().map(|&v| v.into()).collect());
+        let counters = self.counters.iter().map(|(k, &v)| series(k, vec![("value", v.into())]));
+        let gauges = self.gauges.iter().map(|(k, &v)| series(k, vec![("value", v.into())]));
+        let histograms = self.histograms.iter().map(|(k, h)| {
+            let values = vec![
+                ("count", h.count().into()),
+                ("sum", h.sum().into()),
+                ("p50", h.p50().into()),
+                ("p90", h.p90().into()),
+                ("p99", h.p99().into()),
+                ("bounds", integers(h.bounds())),
+                ("buckets", integers(h.buckets())),
+            ];
+            series(k, values)
+        });
+        let doc = Json::Object(vec![
+            ("schema_version", u64::from(SNAPSHOT_SCHEMA_VERSION).into()),
+            ("counters", Json::Array(counters.collect())),
+            ("gauges", Json::Array(gauges.collect())),
+            ("histograms", Json::Array(histograms.collect())),
+        ]);
+        let mut out = doc.render();
         out.push('\n');
         out
-    }
-}
-
-fn push_entry_prefix(out: &mut String, first: &mut bool) {
-    if *first {
-        out.push('\n');
-        *first = false;
-    } else {
-        out.push_str(",\n");
-    }
-    out.push_str("    ");
-}
-
-fn push_name_labels(out: &mut String, key: &Key) {
-    out.push_str("{\"name\": ");
-    push_json_str(out, key.name);
-    out.push_str(", \"labels\": {");
-    for (i, (k, v)) in key.labels.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        push_json_str(out, k);
-        out.push_str(": ");
-        push_json_str(out, v);
-    }
-    out.push('}');
-}
-
-fn close_list(out: &mut String, was_empty: bool) {
-    if was_empty {
-        out.push(']');
-    } else {
-        out.push_str("\n  ]");
     }
 }
 
@@ -580,6 +519,7 @@ fn format_labels(labels: &[(&'static str, &'static str)]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::exact_quantile_permille;
 
     #[test]
     fn counters_accumulate_per_label_set() {
@@ -626,14 +566,6 @@ mod tests {
         assert!((h.mean() - 255.5).abs() < 1e-9);
     }
 
-    /// Exact percentile of a value set, matching the estimator's rank
-    /// convention: the rank-`⌈permille·count/1000⌉` smallest value.
-    fn oracle(values: &mut [u64], permille: u64) -> u64 {
-        values.sort_unstable();
-        let rank = (permille * values.len() as u64).div_ceil(1000).max(1);
-        values[rank as usize - 1]
-    }
-
     /// Width of the histogram bucket that contains `value` — the
     /// estimator's documented error bound.
     fn bucket_width(bounds: &[u64], value: u64) -> u64 {
@@ -652,9 +584,11 @@ mod tests {
         }
         let h = m.histogram("lat").unwrap();
         // Uniform 1..=1000 interpolates exactly on the 1-2-5 ladder.
-        assert_eq!(h.p50(), oracle(&mut values, 500));
-        assert_eq!(h.p90(), oracle(&mut values, 900));
-        assert_eq!(h.p99(), oracle(&mut values, 990));
+        // The exact oracle shares the estimator's rank convention.
+        let mut oracle = |permille| exact_quantile_permille(&mut values, permille).copied();
+        assert_eq!(Some(h.p50()), oracle(500));
+        assert_eq!(Some(h.p90()), oracle(900));
+        assert_eq!(Some(h.p99()), oracle(990));
     }
 
     #[test]
@@ -669,7 +603,7 @@ mod tests {
         }
         let h = m.histogram("lat").unwrap();
         for permille in [500, 900, 990] {
-            let exact = oracle(&mut values, permille);
+            let exact = *exact_quantile_permille(&mut values, permille).unwrap();
             let est = h.quantile_permille(permille);
             let band = bucket_width(DEFAULT_BOUNDS, exact);
             assert!(
@@ -759,7 +693,7 @@ mod tests {
         let json = m.snapshot_json();
         assert_eq!(json, m.snapshot_json());
         assert!(json.contains("\"schema_version\": 1"));
-        assert!(json.contains("{\"name\": \"msgs\", \"labels\": {\"type\": \"inv\"}, \"value\": 1}"));
+        assert!(json.contains("{ \"name\": \"msgs\", \"labels\": { \"type\": \"inv\" }, \"value\": 1 }"));
         assert!(json.contains("\"bounds\": [10], \"buckets\": [1, 0]"));
         assert!(!json.contains('.'), "snapshot must not contain float values");
     }

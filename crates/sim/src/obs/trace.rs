@@ -7,7 +7,7 @@
 
 use std::collections::VecDeque;
 
-use super::push_json_str;
+use super::Json;
 use crate::SimTime;
 
 /// Default ring-buffer capacity (records).
@@ -73,6 +73,16 @@ impl From<i64> for FieldValue {
 impl From<&'static str> for FieldValue {
     fn from(v: &'static str) -> FieldValue {
         FieldValue::Str(v)
+    }
+}
+
+impl From<FieldValue> for Json {
+    fn from(v: FieldValue) -> Json {
+        match v {
+            FieldValue::U64(n) => n.into(),
+            FieldValue::I64(n) => n.into(),
+            FieldValue::Str(s) => s.into(),
+        }
     }
 }
 
@@ -226,36 +236,28 @@ impl Trace {
         self.records.clear();
     }
 
-    /// Dumps held records as JSONL, one record per line, oldest first.
+    /// Dumps held records as JSONL, one inline [`Json`] record per line,
+    /// oldest first.
     // icbtc-lint: node-local -- trace dumps are per-replica diagnostics
     pub fn dump_jsonl(&self) -> String {
         let mut out = String::new();
         for record in &self.records {
-            out.push_str("{\"component\": ");
-            push_json_str(&mut out, self.component);
-            out.push_str(&format!(", \"seq\": {}, \"t_ns\": {}, \"kind\": ", record.seq, record.at.as_nanos()));
-            push_json_str(&mut out, record.kind.as_str());
+            let mut fields = vec![
+                ("component", Json::from(self.component)),
+                ("seq", record.seq.into()),
+                ("t_ns", record.at.as_nanos().into()),
+                ("kind", record.kind.as_str().into()),
+            ];
             if !record.name.is_empty() {
-                out.push_str(", \"name\": ");
-                push_json_str(&mut out, record.name);
+                fields.push(("name", record.name.into()));
             }
             if let Some(span) = record.span {
-                out.push_str(&format!(", \"span\": {span}"));
+                fields.push(("span", span.into()));
             }
-            out.push_str(", \"fields\": {");
-            for (i, (k, v)) in record.fields.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(", ");
-                }
-                push_json_str(&mut out, k);
-                out.push_str(": ");
-                match v {
-                    FieldValue::U64(n) => out.push_str(&n.to_string()),
-                    FieldValue::I64(n) => out.push_str(&n.to_string()),
-                    FieldValue::Str(s) => push_json_str(&mut out, s),
-                }
-            }
-            out.push_str("}}\n");
+            let payload = record.fields.iter().map(|&(k, v)| (k, v.into())).collect();
+            fields.push(("fields", Json::Object(payload)));
+            out.push_str(&Json::Object(fields).render_inline());
+            out.push('\n');
         }
         out
     }
@@ -313,8 +315,8 @@ mod tests {
         assert_eq!(lines.len(), 2);
         assert_eq!(
             lines[0],
-            "{\"component\": \"ic\", \"seq\": 0, \"t_ns\": 5000000000, \"kind\": \"span_start\", \
-             \"name\": \"ic.round\", \"span\": 0, \"fields\": {\"round\": 1}}"
+            "{ \"component\": \"ic\", \"seq\": 0, \"t_ns\": 5000000000, \"kind\": \"span_start\", \
+             \"name\": \"ic.round\", \"span\": 0, \"fields\": { \"round\": 1 } }"
         );
         assert!(lines[1].contains("\"kind\": \"span_end\", \"span\": 0"));
         assert!(lines[1].contains("\"maker\": \"n3\""));

@@ -15,6 +15,12 @@ cargo build --release --offline
 echo "==> cargo test -q --offline --workspace"
 cargo test -q --offline --workspace
 
+# perfbench/ is a Cargo workspace of its own with path dependencies on
+# this one (icbtc-bench included), so the workspace build above never
+# compiles it; its equivalence and manifest tests run here.
+echo "==> cargo test -q --offline --manifest-path perfbench/Cargo.toml"
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
+
 OBS_TMP="$(mktemp -d)"
 trap 'rm -rf "$OBS_TMP"' EXIT
 
@@ -130,4 +136,4 @@ if cargo tree --offline --prefix none | grep -v '^icbtc' | grep -q '[^[:space:]]
     exit 1
 fi
 
-echo "OK: hermetic build + tests + lint + observability + chaos + query-plane + profiler + storage + recovery gates passed"
+echo "OK: hermetic build + tests + perfbench tests + lint + observability + chaos + query-plane + profiler + storage + recovery gates passed"
