@@ -231,38 +231,43 @@ impl BitcoinCanister {
         }
     }
 
-    /// Streams the checkpoint envelope: magic, version, the replicated
-    /// counters, then the length-prefixed full-state snapshot. Exactly
-    /// the replicated portion of the canister — the query cache, the
-    /// profiler, and the metrics/trace registries are node-local and
-    /// deliberately absent, which is what makes an upgrade equivalent to
-    /// dropping them.
-    fn checkpoint_into(&self, sink: &mut dyn FnMut(&[u8])) {
-        sink(CHECKPOINT_MAGIC);
-        sink(&CHECKPOINT_VERSION.to_be_bytes());
-        sink(&self.cycles_burned.to_be_bytes());
-        sink(&self.instructions_total.to_be_bytes());
-        let state_bytes = self.state.serialize();
-        sink(&(state_bytes.len() as u64).to_be_bytes());
-        sink(&state_bytes);
-    }
-
     /// The canister checkpoint as one contiguous buffer — what
     /// `pre_upgrade` writes to stable memory and what the subnet's
-    /// periodic checkpointer stores for crash catch-up.
+    /// periodic checkpointer stores for crash catch-up: magic, version,
+    /// the replicated counters, then the length-prefixed full-state
+    /// snapshot. Exactly the replicated portion of the canister — the
+    /// query cache, the profiler, and the metrics/trace registries are
+    /// node-local and deliberately absent, which is what makes an
+    /// upgrade equivalent to dropping them.
     pub fn checkpoint_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
-        self.checkpoint_into(&mut |bytes| out.extend_from_slice(bytes));
+        out.extend_from_slice(CHECKPOINT_MAGIC);
+        out.extend_from_slice(&CHECKPOINT_VERSION.to_be_bytes());
+        out.extend_from_slice(&self.cycles_burned.to_be_bytes());
+        out.extend_from_slice(&self.instructions_total.to_be_bytes());
+        // The state is streamed in place; its length is patched in after.
+        let len_at = out.len();
+        out.extend_from_slice(&0u64.to_be_bytes());
+        self.state.serialize_into(&mut out);
+        let state_len = (out.len() - len_at - 8) as u64;
+        out[len_at..len_at + 8].copy_from_slice(&state_len.to_be_bytes());
         out
     }
 
-    /// Composite SHA-256d over the checkpoint stream — the per-round
+    /// SHA-256d over `magic ‖ version ‖ cycles_burned ‖
+    /// instructions_total ‖ state().state_hash()` — the per-round
     /// fingerprint the shadow-replica divergence detector compares.
     /// Covers replicated state only, so two replicas with different
-    /// query-cache or profiler contents still hash identically.
+    /// query-cache or profiler contents still hash identically, and
+    /// costs only the unstable state while the anchor is still (see
+    /// [`BitcoinCanisterState::state_hash`]).
     pub fn state_hash(&self) -> [u8; 32] {
         let mut hasher = Sha256::new();
-        self.checkpoint_into(&mut |bytes| hasher.update(bytes));
+        hasher.update(CHECKPOINT_MAGIC);
+        hasher.update(&CHECKPOINT_VERSION.to_be_bytes());
+        hasher.update(&self.cycles_burned.to_be_bytes());
+        hasher.update(&self.instructions_total.to_be_bytes());
+        hasher.update(&self.state.state_hash());
         sha256(&hasher.finalize())
     }
 
@@ -845,6 +850,83 @@ mod tests {
                 .contains("\"name\": \"canister_qcache_invalidations_total\", \"labels\": {}, \"value\": 1"),
             "{snapshot}"
         );
+    }
+
+    /// The memoized UTXO-set hash never goes stale: after every step of a
+    /// chain with stabilizations, a pre-BIP34 duplicate-txid re-insert and
+    /// a reorg next to the anchor, the live hashes equal those of a
+    /// restored copy, whose memo starts empty.
+    #[test]
+    fn state_hash_memo_matches_a_restored_copy_after_every_step() {
+        use crate::utxoset::UtxoSet;
+        use icbtc_bitcoin::{Amount, Block, OutPoint, Transaction, TxIn, TxOut, Txid};
+        use icbtc_btcnet::miner::mine_block_on;
+        use icbtc_btcnet::ChainStore;
+
+        const NOW: u32 = 2_000_000_000;
+        let mut c = BitcoinCanister::new(
+            IntegrationParams::for_network(Network::Regtest).with_stability_delta(2),
+        );
+        let state = c.state();
+        let mut previous = (state.anchor_height(), state.state_hash(), state.utxos().state_hash());
+        let mut round = 0;
+        let mut step = |c: &mut BitcoinCanister, block: &Block| {
+            round += 1;
+            let mut meter = Meter::new();
+            let mut ctx =
+                ExecutionContext { meter: &mut meter, now: icbtc_sim::SimTime::ZERO, round };
+            let response = GetSuccessorsResponse { blocks: vec![block.clone()], next: Vec::new() };
+            assert_eq!(c.ingest_response(response, NOW, &mut ctx).blocks_accepted, 1);
+
+            let live = (c.state_hash(), c.state().state_hash(), c.state().utxos().state_hash());
+            let restored = BitcoinCanister::restore(&c.checkpoint_bytes()).unwrap();
+            assert_eq!(live.0, restored.state_hash(), "round {round}");
+            assert_eq!(live.1, restored.state().state_hash(), "round {round}");
+            let utxos = c.state().utxos();
+            assert_eq!(live.2, UtxoSet::deserialize(&utxos.serialize()).unwrap().state_hash());
+            let anchor = c.state().anchor_height();
+            if anchor > previous.0 {
+                assert_ne!(live.1, previous.1, "round {round}: anchor advanced");
+                assert_ne!(live.2, previous.2, "round {round}: anchor advanced");
+            }
+            previous = (anchor, live.1, live.2);
+        };
+
+        // Stabilizations, with the same non-coinbase transaction in two
+        // blocks: the second fold re-inserts its outpoint (pre-BIP34).
+        let duplicate = Transaction {
+            version: 2,
+            inputs: vec![TxIn::new(OutPoint::new(Txid([0xab; 32]), 7))],
+            outputs: vec![TxOut::new(Amount::from_sat(123), addr(5).script_pubkey())],
+            lock_time: 0,
+        };
+        let mut main = ChainStore::new(Network::Regtest);
+        let mut mined = Vec::new();
+        for i in 0..7u8 {
+            let txs = if i == 3 || i == 4 { vec![duplicate.clone()] } else { Vec::new() };
+            let block = mine_block_on(&main, main.tip_hash(), txs, addr(i).script_pubkey(), 0);
+            main.accept_block(block.clone(), NOW).unwrap();
+            step(&mut c, &block);
+            mined.push(block);
+        }
+        let stable = c.state().utxos();
+        assert!(stable.get(&OutPoint::new(duplicate.txid(), 0)).is_some_and(|u| u.height == 5));
+
+        // Reorg next to the anchor: a heavier fork replaces the unstable
+        // tip block.
+        let tip = mined[6].block_hash();
+        let mut fork = ChainStore::new(Network::Regtest);
+        for block in &mined[..6] {
+            fork.accept_block(block.clone(), NOW).unwrap();
+        }
+        for i in 0..3u8 {
+            let payout = addr(50 + i).script_pubkey();
+            let block = mine_block_on(&fork, fork.tip_hash(), Vec::new(), payout, 1);
+            fork.accept_block(block.clone(), NOW).unwrap();
+            step(&mut c, &block);
+        }
+        assert!(c.state().header_at_height(7).is_some_and(|h| h.block_hash() != tip));
+        assert!(c.state().anchor_height() >= 7, "the fork stabilized past the reorg");
     }
 
     mod properties {

@@ -541,14 +541,14 @@ impl BitcoinCanisterState {
     // Full-state snapshot envelope (checkpoints & upgrades)
     // -----------------------------------------------------------------
 
-    /// Streams the canonical full-state snapshot into `sink`: magic,
-    /// version, the integration parameters, the UTXO-set snapshot, the
-    /// stable header chain, the unstable header tree, the unstable block
-    /// bodies, the outbound queue, and the bookkeeping scalars. The same
-    /// byte stream backs [`BitcoinCanisterState::serialize`] and the
-    /// streamed [`BitcoinCanisterState::state_hash`], so the hash
-    /// commits to exactly what a restore rebuilds.
-    fn snapshot_into(&self, sink: &mut dyn FnMut(&[u8])) {
+    /// Streams the canonical full-state sections into `sink`: magic,
+    /// version, the integration parameters, the UTXO section, the stable
+    /// header chain, the unstable header tree, the unstable block bodies,
+    /// the outbound queue, and the bookkeeping scalars. The one section
+    /// list backs both [`BitcoinCanisterState::serialize`] and
+    /// [`BitcoinCanisterState::state_hash`]; they differ only in how
+    /// `utxos` emits the UTXO section.
+    fn snapshot_into(&self, utxos: UtxoSection, sink: &mut dyn FnMut(&[u8])) {
         sink(STATE_MAGIC);
         sink(&STATE_VERSION.to_be_bytes());
         sink(&[codec::network_tag(self.params.network)]);
@@ -559,9 +559,13 @@ impl BitcoinCanisterState {
         sink(&(self.params.addr_high_watermark as u64).to_be_bytes());
         sink(&self.params.bulk_sync_height.to_be_bytes());
         sink(&self.params.tx_cache_expiry_secs.to_be_bytes());
-        let utxo_bytes = self.utxos.serialize();
-        sink(&(utxo_bytes.len() as u64).to_be_bytes());
-        sink(&utxo_bytes);
+        match utxos {
+            UtxoSection::Snapshot => {
+                sink(&self.utxos.snapshot_len().to_be_bytes());
+                self.utxos.snapshot_into(sink);
+            }
+            UtxoSection::Hash => sink(&self.utxos.state_hash()),
+        }
         sink(&(self.stable_headers.len() as u64).to_be_bytes());
         for header in &self.stable_headers {
             sink(&header.encode_to_vec());
@@ -612,17 +616,26 @@ impl BitcoinCanisterState {
     /// upgrade writes to stable memory in `pre_upgrade`.
     pub fn serialize(&self) -> Vec<u8> {
         let mut out = Vec::new();
-        self.snapshot_into(&mut |bytes| out.extend_from_slice(bytes));
+        self.serialize_into(&mut out);
         out
     }
 
-    /// Composite SHA-256d over the snapshot stream, computed without
-    /// materializing the buffer. Two states are behaviorally identical
-    /// for every replicated API iff their hashes match, which is what the
+    /// Appends [`BitcoinCanisterState::serialize`]'s bytes to `out`,
+    /// streaming the UTXO snapshot straight into it.
+    pub(crate) fn serialize_into(&self, out: &mut Vec<u8>) {
+        self.snapshot_into(UtxoSection::Snapshot, &mut |bytes| out.extend_from_slice(bytes));
+    }
+
+    /// SHA-256d over the snapshot's sections with the UTXO section
+    /// (`len ‖ snapshot bytes`) replaced by the set's 32-byte
+    /// [`UtxoSet::state_hash`], which is memoized until the anchor next
+    /// advances. While the anchor is still, a call costs only the
+    /// unstable sections. Two states are behaviorally identical for
+    /// every replicated API iff their hashes match, which is what the
     /// shadow-replica divergence detector compares every round.
     pub fn state_hash(&self) -> [u8; 32] {
         let mut hasher = Sha256::new();
-        self.snapshot_into(&mut |bytes| hasher.update(bytes));
+        self.snapshot_into(UtxoSection::Hash, &mut |bytes| hasher.update(bytes));
         sha256(&hasher.finalize())
     }
 
@@ -741,6 +754,14 @@ impl BitcoinCanisterState {
             last_response_fingerprint,
         })
     }
+}
+
+/// How [`BitcoinCanisterState::snapshot_into`] emits the UTXO section.
+enum UtxoSection {
+    /// `len ‖ snapshot bytes`, what a restore reads back.
+    Snapshot,
+    /// The set's 32-byte [`UtxoSet::state_hash`], for hashing.
+    Hash,
 }
 
 /// Magic prefix of the full-state snapshot envelope.
@@ -1082,9 +1103,20 @@ mod tests {
     }
 
     #[test]
-    fn state_hash_is_sha256d_of_serialization() {
+    fn state_hash_is_sha256d_of_sections_with_the_utxo_hash() {
+        // The serialized sections with `len ‖ utxo snapshot` replaced by
+        // the UTXO set's own hash.
         let state = populated_state();
-        assert_eq!(state.state_hash(), icbtc_bitcoin::hash::sha256d(&state.serialize()));
+        let bytes = state.serialize();
+        let utxo_bytes = state.utxos().serialize();
+        let start = 8 + 2 + 1 + 7 * 8;
+        assert_eq!(bytes[start..start + 8], (utxo_bytes.len() as u64).to_be_bytes());
+        assert_eq!(bytes[start + 8..start + 8 + utxo_bytes.len()], utxo_bytes[..]);
+        let mut sections = bytes[..start].to_vec();
+        sections.extend_from_slice(&icbtc_bitcoin::hash::sha256d(&utxo_bytes));
+        sections.extend_from_slice(&bytes[start + 8 + utxo_bytes.len()..]);
+        assert_eq!(state.state_hash(), icbtc_bitcoin::hash::sha256d(&sections));
+        assert_eq!(state.utxos().state_hash(), icbtc_bitcoin::hash::sha256d(&utxo_bytes));
     }
 
     #[test]

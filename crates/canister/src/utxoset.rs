@@ -14,6 +14,8 @@
 //! snapshot for upgrade safety, and [`UtxoSet::storage_stats`] feeds the
 //! `canister_storage_*` gauges.
 
+use std::cell::OnceCell;
+
 use icbtc_bitcoin::hash::{sha256, Sha256};
 use icbtc_bitcoin::{Address, Amount, Network, OutPoint, Script, Transaction, TxOut};
 use icbtc_ic::Meter;
@@ -60,6 +62,11 @@ pub struct UtxoSet {
     /// never touch `by_outpoint`.
     by_address: PagedMap,
     next_height: u64,
+    /// [`UtxoSet::state_hash`], filled by its first call and cleared by
+    /// [`UtxoSet::try_ingest_block`], the only `&mut` mutator. The set
+    /// changes once per anchor advance while the replica hashes it every
+    /// round, so all other rounds read this memo.
+    hash_memo: OnceCell<[u8; 32]>,
 }
 
 impl UtxoSet {
@@ -77,6 +84,7 @@ impl UtxoSet {
             by_outpoint: PagedMap::new(),
             by_address: PagedMap::new(),
             next_height: 0,
+            hash_memo: OnceCell::new(),
         }
     }
 
@@ -190,6 +198,7 @@ impl UtxoSet {
                 got: height,
             });
         }
+        self.hash_memo.take();
         for tx in transactions {
             let hashing = meter.frame("hashing");
             meter.charge(metering::TX_HASHING);
@@ -365,9 +374,10 @@ impl UtxoSet {
     }
 
     /// Streams the canonical snapshot bytes into `sink` — shared by
-    /// [`UtxoSet::serialize`] and [`UtxoSet::state_hash`] so the hash is
-    /// always the hash of the exact serialized bytes.
-    fn snapshot_into(&self, sink: &mut dyn FnMut(&[u8])) {
+    /// [`UtxoSet::serialize`], [`UtxoSet::state_hash`] and the full-state
+    /// envelope, so the hash is always the hash of the exact serialized
+    /// bytes.
+    pub(crate) fn snapshot_into(&self, sink: &mut dyn FnMut(&[u8])) {
         sink(SNAPSHOT_MAGIC);
         sink(&SNAPSHOT_VERSION.to_be_bytes());
         sink(&[codec::network_tag(self.network)]);
@@ -392,19 +402,30 @@ impl UtxoSet {
     /// same UTXOs serialize byte-identically regardless of their page
     /// layout history.
     pub fn serialize(&self) -> Vec<u8> {
-        let stats = self.storage_stats();
-        let mut out = Vec::with_capacity(47 + stats.entry_bytes as usize + 4 * stats.entries as usize);
+        let mut out = Vec::with_capacity(self.snapshot_len() as usize);
         self.snapshot_into(&mut |bytes| out.extend_from_slice(bytes));
         out
     }
 
-    /// SHA-256d over the serialized snapshot, computed streaming (no
-    /// intermediate buffer) — the state fingerprint the determinism gate
-    /// compares across runs.
+    /// Exact length of [`UtxoSet::serialize`]'s output, known without
+    /// walking the maps: the 47-byte header and map counts, plus each
+    /// entry's key and value bytes behind two 2-byte length prefixes.
+    pub(crate) fn snapshot_len(&self) -> u64 {
+        let stats = self.storage_stats();
+        47 + stats.entry_bytes + 4 * stats.entries
+    }
+
+    /// SHA-256d over the serialized snapshot — the state fingerprint the
+    /// determinism gate compares across runs. The first call after a
+    /// mutation streams the snapshot into the hasher (no intermediate
+    /// buffer); later calls return the memo until the next
+    /// [`UtxoSet::try_ingest_block`].
     pub fn state_hash(&self) -> [u8; 32] {
-        let mut hasher = Sha256::new();
-        self.snapshot_into(&mut |bytes| hasher.update(bytes));
-        sha256(&hasher.finalize())
+        *self.hash_memo.get_or_init(|| {
+            let mut hasher = Sha256::new();
+            self.snapshot_into(&mut |bytes| hasher.update(bytes));
+            sha256(&hasher.finalize())
+        })
     }
 
     /// Rebuilds a set from [`UtxoSet::serialize`] bytes. Only the
@@ -793,6 +814,42 @@ mod tests {
         };
         assert!(matches!(error, StorageError::BudgetExhausted { .. }), "{error:?}");
         assert_eq!(set.storage_stats().budget_headroom, 0);
+    }
+
+    #[test]
+    fn state_hash_memo_is_cleared_by_every_ingest_even_a_failed_one() {
+        let mut set = UtxoSet::with_config(
+            Network::Regtest,
+            StorageConfig { page_size: 512, byte_budget: 4 * 512 },
+        );
+        // A deserialized copy starts with an empty memo.
+        let fresh_hash =
+            |set: &UtxoSet| UtxoSet::deserialize(&set.serialize()).unwrap().state_hash();
+        let mut meter = Meter::new();
+        for height in 0..1000u64 {
+            let memo = set.state_hash();
+            assert_eq!(memo, fresh_hash(&set));
+            let outputs: Vec<(u8, u64)> = (0..30).map(|i| (i as u8, 100 + height)).collect();
+            let result = set.try_ingest_block(&[pay_tx(None, &outputs)], height, &mut meter);
+            // Partly applied or whole, the block moved the content.
+            assert_ne!(fresh_hash(&set), memo, "height {height}");
+            assert_eq!(set.state_hash(), fresh_hash(&set), "height {height}");
+            if let Err(error) = result {
+                assert!(matches!(error, StorageError::BudgetExhausted { .. }), "{error:?}");
+                return;
+            }
+        }
+        panic!("budget must eventually exhaust");
+    }
+
+    #[test]
+    fn snapshot_len_is_the_serialized_length() {
+        let (mut set, mut meter) = fresh();
+        assert_eq!(set.snapshot_len(), set.serialize().len() as u64);
+        let mut tx = pay_tx(None, &[(1, 100), (2, 200)]);
+        tx.outputs.push(TxOut::new(Amount::from_sat(50), Script::from_bytes(vec![0xde; 300])));
+        set.ingest_block(&[tx], 0, &mut meter);
+        assert_eq!(set.snapshot_len(), set.serialize().len() as u64);
     }
 
     #[test]

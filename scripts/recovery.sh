@@ -13,7 +13,8 @@
 # gate configuration to equal BENCH_recovery_gate.json exactly; the
 # binary exits 3 if a catch-up fails to reconverge or a corruption goes
 # undetected).
-# The committed BENCH_recovery.json is the full-scale baseline:
+# The committed BENCH_recovery.json is the full-scale baseline, which
+# scripts/verify.sh also reruns and requires exactly:
 #
 #   scripts/recovery.sh --seed 42 --rounds 240 --cadence 15 \
 #       --upgrades 4 --crashes 6 --corruptions 3 --out BENCH_recovery.json

@@ -51,8 +51,8 @@ same_twice() {
     done
 }
 
-# matches_gate FRESH GATE: a small-scale report is an exact function of
-# its flags, so it must equal its committed gate file byte for byte.
+# matches_gate FRESH GATE: a bench report is an exact function of its
+# flags, so it must equal its committed file byte for byte.
 matches_gate() {
     if ! diff -q "$1" "$2" >/dev/null; then
         echo "ERROR: fresh report differs from committed $2 (regenerate it only for an intended change):" >&2
@@ -120,14 +120,22 @@ same_twice fig5_utxo_growth cargo run -q --release --offline -p icbtc-bench --bi
 matches_gate "$OBS_TMP/utxo1.json" BENCH_utxo_gate.json
 require BENCH_utxo.json '"schema_version": 1' '"state_hash": "'
 
-echo "==> recovery gate (byte-identical lifecycle soak, equal to BENCH_recovery_gate.json)"
+echo "==> recovery gate (byte-identical lifecycle soak, equal to BENCH_recovery_gate.json and BENCH_recovery.json)"
 # recovery_soak itself exits non-zero if a catch-up fails to reconverge
 # or detections differ from injected corruptions.
 same_twice recovery_soak cargo run -q --release --offline -p icbtc-bench --bin recovery_soak -- \
     --seed 42 --rounds 60 --plan mixed \
     --out "$OBS_TMP/recovery@RUN.json" --metrics-out "$OBS_TMP/recovery_metrics@RUN.json"
 matches_gate "$OBS_TMP/recovery1.json" BENCH_recovery_gate.json
-require BENCH_recovery.json '"schema_version": 1' '"state_hash": "'
+# The full-scale baseline is cheap enough to rerun whole (the flags of
+# scripts/recovery.sh's header), so a stale committed hash fails here.
+scripts/recovery.sh --seed 42 --rounds 240 --cadence 15 \
+    --upgrades 4 --crashes 6 --corruptions 3 --out "$OBS_TMP/recovery_full.json" \
+    > /dev/null 2> "$OBS_TMP/recovery_full.err" || {
+    tail -20 "$OBS_TMP/recovery_full.err" >&2
+    exit 1
+}
+matches_gate "$OBS_TMP/recovery_full.json" BENCH_recovery.json
 
 echo "==> verifying the dependency tree is workspace-only"
 if cargo tree --offline --prefix none | grep -v '^icbtc' | grep -q '[^[:space:]]'; then
