@@ -133,13 +133,7 @@ fn attempt_bucket(attempt: u32) -> &'static str {
 /// scoring. Orphans are everyday out-of-order delivery; duplicates never
 /// reach this path.
 fn header_offence(err: &ValidationError) -> bool {
-    matches!(
-        err,
-        ValidationError::BadProofOfWork
-            | ValidationError::BadDifficultyBits { .. }
-            | ValidationError::TimestampTooOld
-            | ValidationError::TimestampTooNew
-    )
+    matches!(err, ValidationError::Header(_))
 }
 
 /// Whether a block rejection is a hard violation: malformed bodies and

@@ -211,8 +211,8 @@ fn bench_stability() {
     bench_function("confirmation_stability_depth60_fork20", || {
         tree.confirmation_stability(std::hint::black_box(&child))
     });
-    bench_function("difficulty_stability_depth60_fork20", || {
-        tree.difficulty_stability(std::hint::black_box(&child), root_work)
+    bench_function("is_difficulty_stable_depth60_fork20", || {
+        tree.is_difficulty_stable(std::hint::black_box(&child), 6, root_work)
     });
     bench_function("best_chain_depth60_fork20", || tree.best_chain());
 }

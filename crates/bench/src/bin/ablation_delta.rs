@@ -6,8 +6,7 @@
 //! cargo run --release -p icbtc-bench --bin ablation_delta
 //! ```
 
-use icbtc::bitcoin::pow::median_time_past;
-use icbtc::bitcoin::{merkle_root, Amount, Block, BlockHeader, Network};
+use icbtc::bitcoin::{Amount, Network};
 use icbtc::btcnet::adversary::mining_race;
 use icbtc::canister::{BitcoinCanisterState, UtxoSet};
 use icbtc::core::{GetSuccessorsResponse, IntegrationParams};
@@ -15,6 +14,7 @@ use icbtc::ic::Meter;
 use icbtc::sim::metrics::Table;
 use icbtc::sim::SimRng;
 use icbtc_bench::report::banner;
+use icbtc_bench::workload::seal_regtest_block;
 
 /// Builds a canister whose unstable region holds exactly `depth` blocks,
 /// each carrying outputs for one query address.
@@ -42,22 +42,9 @@ fn state_with_unstable_depth(depth: u64) -> (BitcoinCanisterState, icbtc::bitcoi
             address.script_pubkey(),
             i,
         );
-        let txdata = vec![coinbase];
-        let mtp = median_time_past(&times);
-        let mut header = BlockHeader {
-            version: 2,
-            prev_blockhash: prev.block_hash(),
-            merkle_root: merkle_root(&txdata.iter().map(|t| t.txid()).collect::<Vec<_>>()),
-            time: mtp + 600,
-            bits: genesis.bits,
-            nonce: 0,
-        };
-        while !header.meets_pow_target() {
-            header.nonce += 1;
-        }
-        times.push(header.time);
-        prev = header;
-        blocks.push(Block { header, txdata });
+        let block = seal_regtest_block(&prev, &mut times, vec![coinbase]);
+        prev = block.header;
+        blocks.push(block);
     }
     let now = times.last().unwrap() + 60;
     let report = state.process_response(

@@ -38,6 +38,30 @@ pub fn paper_utxo_counts(rng: &mut SimRng, scale: usize) -> Vec<usize> {
     counts
 }
 
+/// Seals `txdata` into a regtest block on `prev`: its Merkle root, a
+/// timestamp 600 s past the median time past of `recent_times` (which
+/// then records it), the genesis bits, and the first nonce from zero
+/// that meets them.
+pub fn seal_regtest_block(
+    prev: &BlockHeader,
+    recent_times: &mut Vec<u32>,
+    txdata: Vec<Transaction>,
+) -> Block {
+    let mut header = BlockHeader {
+        version: 2,
+        prev_blockhash: prev.block_hash(),
+        merkle_root: merkle_root(&txdata.iter().map(|t| t.txid()).collect::<Vec<_>>()),
+        time: median_time_past(recent_times) + 600,
+        bits: Network::Regtest.genesis_block().header.bits,
+        nonce: 0,
+    };
+    while !header.meets_pow_target() {
+        header.nonce += 1;
+    }
+    recent_times.push(header.time);
+    Block { header, txdata }
+}
+
 /// A loaded Figure-7 workload.
 pub struct QueryWorkload {
     /// The canister state holding the UTXOs.
@@ -165,21 +189,9 @@ pub fn build_query_workload(seed: u64, scale: usize) -> QueryWorkload {
                 lock_time: 0,
             });
         }
-        let mtp = median_time_past(&recent_times);
-        let mut header = BlockHeader {
-            version: 2,
-            prev_blockhash: prev.block_hash(),
-            merkle_root: merkle_root(&txdata.iter().map(|t| t.txid()).collect::<Vec<_>>()),
-            time: mtp + 600,
-            bits: genesis.bits,
-            nonce: 0,
-        };
-        while !header.meets_pow_target() {
-            header.nonce += 1;
-        }
-        recent_times.push(header.time);
-        prev = header;
-        blocks.push(Block { header, txdata });
+        let block = seal_regtest_block(&prev, &mut recent_times, txdata);
+        prev = block.header;
+        blocks.push(block);
     }
     let now_unix = recent_times.last().unwrap() + 60;
     let report = state.process_response(
@@ -328,22 +340,9 @@ pub fn build_soak_workload(
             outputs,
             lock_time: 0,
         };
-        let txdata = vec![coinbase, spend];
-        let mtp = median_time_past(recent_times);
-        let mut header = BlockHeader {
-            version: 2,
-            prev_blockhash: prev.block_hash(),
-            merkle_root: merkle_root(&txdata.iter().map(|t| t.txid()).collect::<Vec<_>>()),
-            time: mtp + 600,
-            bits: genesis.bits,
-            nonce: 0,
-        };
-        while !header.meets_pow_target() {
-            header.nonce += 1;
-        }
-        recent_times.push(header.time);
-        *prev = header;
-        Block { header, txdata }
+        let block = seal_regtest_block(prev, recent_times, vec![coinbase, spend]);
+        *prev = block.header;
+        block
     };
 
     let unstable: Vec<Block> = (0..SOAK_UNSTABLE_BLOCKS as u64)

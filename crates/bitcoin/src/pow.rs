@@ -4,9 +4,15 @@
 //! *hash work* `w(b)` of each block, so the reproduction needs the real
 //! arithmetic: compact-bits encoding, target comparison, per-block work
 //! `⌊2²⁵⁶ / (target + 1)⌋`, and the 2016-block retargeting rule.
+//!
+//! [`validate_header`] holds Bitcoin's header rules in one place: the
+//! adapter's chain store (§III-B) and the canister's Algorithm 2 (§III-C)
+//! both call it, and differ only in how they walk a parent's ancestors.
 
 use std::fmt;
 
+use crate::block::BlockHeader;
+use crate::network::Params;
 use crate::u256::U256;
 
 /// The difficulty target in Bitcoin's compact "bits" encoding.
@@ -164,6 +170,13 @@ impl std::ops::AddAssign for Work {
     }
 }
 
+impl std::ops::Mul<u64> for Work {
+    type Output = Work;
+    fn mul(self, rhs: u64) -> Work {
+        Work(self.0.checked_mul(U256::from_u64(rhs)).unwrap_or(U256::MAX))
+    }
+}
+
 impl std::iter::Sum for Work {
     fn sum<I: Iterator<Item = Work>>(iter: I) -> Work {
         iter.fold(Work::ZERO, |a, b| a + b)
@@ -219,6 +232,117 @@ pub fn median_time_past(timestamps: &[u32]) -> u32 {
     let mut window: Vec<u32> = timestamps[start..].to_vec();
     window.sort_unstable();
     window[window.len() / 2]
+}
+
+/// Maximum allowed clock skew for header timestamps (Bitcoin's rule).
+pub const MAX_FUTURE_SKEW_SECS: u32 = 2 * 60 * 60;
+
+/// Headers in the median-time-past window.
+const MTP_WINDOW: usize = 11;
+
+/// Why a header breaks Bitcoin's header rules.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum HeaderError {
+    /// The `bits` field disagrees with the retarget schedule.
+    BadDifficultyBits {
+        /// What the schedule requires.
+        expected: CompactTarget,
+        /// What the header carried.
+        actual: CompactTarget,
+    },
+    /// The header hash does not meet its stated target.
+    BadProofOfWork,
+    /// Timestamp at or below the median of the previous 11 blocks.
+    TimestampTooOld,
+    /// Timestamp more than [`MAX_FUTURE_SKEW_SECS`] past the
+    /// validator's clock.
+    TimestampTooNew,
+}
+
+impl fmt::Display for HeaderError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            HeaderError::BadDifficultyBits { expected, actual } => {
+                write!(f, "wrong difficulty bits: expected {expected}, got {actual}")
+            }
+            HeaderError::BadProofOfWork => write!(f, "header hash exceeds target"),
+            HeaderError::TimestampTooOld => write!(f, "timestamp not above median time past"),
+            HeaderError::TimestampTooNew => write!(f, "timestamp too far in the future"),
+        }
+    }
+}
+
+impl std::error::Error for HeaderError {}
+
+/// The difficulty bits the retarget schedule requires of a child of
+/// `parent` (at `parent_height`). Off a retarget boundary that is the
+/// parent's own bits and `ancestors` is not read; on one, it reads the
+/// span of `retarget_interval` headers ending at the parent.
+///
+/// `ancestors` walks from `parent` (inclusive) toward genesis, newest
+/// first.
+pub fn next_bits(
+    params: &Params,
+    parent: &BlockHeader,
+    parent_height: u64,
+    ancestors: impl Iterator<Item = BlockHeader>,
+) -> CompactTarget {
+    let interval = params.retarget_interval;
+    if !(parent_height + 1).is_multiple_of(interval as u64) {
+        return parent.bits;
+    }
+    let first = ancestors.take(interval as usize).last().unwrap_or(*parent);
+    let actual = parent.time.saturating_sub(first.time) as u64;
+    retarget(parent.bits, actual.max(1), params.expected_timespan_secs(), params.pow_limit)
+}
+
+/// Median time past of the chain `ancestors` walks down from its newest
+/// header: the median of the first 11 timestamps (0 for an empty walk).
+pub fn walk_median_time_past(ancestors: impl Iterator<Item = BlockHeader>) -> u32 {
+    let window: Vec<u32> = ancestors.take(MTP_WINDOW).map(|h| h.time).collect();
+    if window.is_empty() {
+        return 0;
+    }
+    median_time_past(&window)
+}
+
+/// Checks `header` against Bitcoin's header rules, in order: difficulty
+/// bits ([`next_bits`]), proof of work, timestamp above the parent's
+/// median time past, and timestamp at most [`MAX_FUTURE_SKEW_SECS`] past
+/// `now_unix`. Whether the parent is known at all is the caller's check.
+///
+/// `ancestors` walks from `parent` (inclusive) toward genesis, newest
+/// first; it is cloned once per window and read lazily, so a walk that
+/// meters its reads is charged only for the headers a rule needed.
+///
+/// # Errors
+///
+/// The first rule the header breaks, as a [`HeaderError`].
+pub fn validate_header<I>(
+    params: &Params,
+    header: &BlockHeader,
+    parent: &BlockHeader,
+    parent_height: u64,
+    ancestors: I,
+    now_unix: u32,
+) -> Result<(), HeaderError>
+where
+    I: Iterator<Item = BlockHeader> + Clone,
+{
+    let expected = next_bits(params, parent, parent_height, ancestors.clone());
+    if header.bits != expected {
+        return Err(HeaderError::BadDifficultyBits { expected, actual: header.bits });
+    }
+    if !header.meets_pow_target() {
+        return Err(HeaderError::BadProofOfWork);
+    }
+    if header.time <= walk_median_time_past(ancestors) {
+        return Err(HeaderError::TimestampTooOld);
+    }
+    if header.time > now_unix.saturating_add(MAX_FUTURE_SKEW_SECS) {
+        return Err(HeaderError::TimestampTooNew);
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -339,6 +463,30 @@ mod tests {
     #[should_panic]
     fn median_of_empty_panics() {
         let _ = median_time_past(&[]);
+    }
+
+    #[test]
+    fn next_bits_reads_ancestors_only_at_a_boundary() {
+        let params = crate::Network::Regtest.params();
+        let parent = crate::Network::Regtest.genesis_block().header;
+        let reads = std::cell::Cell::new(0);
+        let walk = || std::iter::repeat(parent).inspect(|_| reads.set(reads.get() + 1));
+        assert_eq!(next_bits(&params, &parent, 5, walk()), parent.bits);
+        assert_eq!(reads.get(), 0);
+        // The whole span shares one timestamp: the 4x clamp, harder.
+        let bits = next_bits(&params, &parent, 2015, walk());
+        assert_eq!(reads.get(), 2016);
+        let expected = params.expected_timespan_secs();
+        assert_eq!(bits, retarget(parent.bits, 1, expected, params.pow_limit));
+        assert_ne!(bits, parent.bits);
+    }
+
+    #[test]
+    fn walk_median_time_past_uses_the_newest_eleven() {
+        let header = |time| BlockHeader { time, ..crate::Network::Regtest.genesis_block().header };
+        // Newest first: 30, 29, ..., 1; the window is 30..=20.
+        assert_eq!(walk_median_time_past((1..=30).rev().map(header)), 25);
+        assert_eq!(walk_median_time_past(std::iter::empty()), 0);
     }
 
     mod properties {

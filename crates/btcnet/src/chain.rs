@@ -7,7 +7,7 @@
 
 use std::collections::HashMap;
 
-use icbtc_bitcoin::pow::{median_time_past, retarget, CompactTarget, Work};
+use icbtc_bitcoin::pow::{self, HeaderError, Work};
 use icbtc_bitcoin::{Block, BlockHash, BlockHeader, Network};
 
 /// A header accepted into the tree, with its derived chain position.
@@ -26,19 +26,8 @@ pub struct StoredHeader {
 pub enum ValidationError {
     /// The predecessor is not in the tree.
     OrphanHeader(BlockHash),
-    /// The header hash does not meet its stated target.
-    BadProofOfWork,
-    /// The `bits` field disagrees with the retarget schedule.
-    BadDifficultyBits {
-        /// What the schedule requires.
-        expected: CompactTarget,
-        /// What the header carried.
-        actual: CompactTarget,
-    },
-    /// Timestamp at or below the median of the previous 11 blocks.
-    TimestampTooOld,
-    /// Timestamp too far in the future relative to simulated now.
-    TimestampTooNew,
+    /// The header breaks Bitcoin's header rules.
+    Header(HeaderError),
     /// The block body is malformed (coinbase/Merkle rules).
     MalformedBlock,
     /// The block's header was never accepted.
@@ -49,12 +38,7 @@ impl std::fmt::Display for ValidationError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ValidationError::OrphanHeader(h) => write!(f, "orphan header: unknown parent {h}"),
-            ValidationError::BadProofOfWork => write!(f, "header hash exceeds target"),
-            ValidationError::BadDifficultyBits { expected, actual } => {
-                write!(f, "wrong difficulty bits: expected {expected}, got {actual}")
-            }
-            ValidationError::TimestampTooOld => write!(f, "timestamp not above median time past"),
-            ValidationError::TimestampTooNew => write!(f, "timestamp too far in the future"),
+            ValidationError::Header(e) => write!(f, "{e}"),
             ValidationError::MalformedBlock => write!(f, "malformed block body"),
             ValidationError::UnknownHeader(h) => write!(f, "block for unknown header {h}"),
         }
@@ -62,9 +46,6 @@ impl std::fmt::Display for ValidationError {
 }
 
 impl std::error::Error for ValidationError {}
-
-/// Maximum allowed clock skew for header timestamps (Bitcoin's rule).
-pub const MAX_FUTURE_SKEW_SECS: u32 = 2 * 60 * 60;
 
 /// The header tree plus block store of one node.
 ///
@@ -149,46 +130,16 @@ impl ChainStore {
         self.children.get(hash).map(Vec::as_slice).unwrap_or(&[])
     }
 
-    /// The difficulty bits required for a block extending `prev`.
-    pub fn expected_bits(&self, prev: &BlockHash) -> Option<CompactTarget> {
-        let params = self.network.params();
-        let prev_stored = self.headers.get(prev)?;
-        let next_height = prev_stored.height + 1;
-        if next_height % params.retarget_interval as u64 != 0 {
-            return Some(prev_stored.header.bits);
-        }
-        // Retarget boundary: span the previous interval.
-        let mut cursor = *prev_stored;
-        for _ in 0..params.retarget_interval - 1 {
-            let parent = self.headers.get(&cursor.header.prev_blockhash)?;
-            cursor = *parent;
-        }
-        let actual = prev_stored.header.time.saturating_sub(cursor.header.time) as u64;
-        Some(retarget(
-            prev_stored.header.bits,
-            actual.max(1),
-            params.expected_timespan_secs(),
-            params.pow_limit,
-        ))
+    /// The headers from `hash` (inclusive) back to genesis, newest first.
+    pub fn ancestors(&self, hash: &BlockHash) -> impl Iterator<Item = BlockHeader> + Clone + '_ {
+        std::iter::successors(self.headers.get(hash), |stored| {
+            self.headers.get(&stored.header.prev_blockhash)
+        })
+        .map(|stored| stored.header)
     }
 
-    /// Median time past of the 11 headers ending at `hash`.
-    pub fn median_time_past(&self, hash: &BlockHash) -> Option<u32> {
-        let mut timestamps = Vec::with_capacity(11);
-        let mut cursor = *self.headers.get(hash)?;
-        loop {
-            timestamps.push(cursor.header.time);
-            if timestamps.len() == 11 || cursor.height == 0 {
-                break;
-            }
-            cursor = *self.headers.get(&cursor.header.prev_blockhash)?;
-        }
-        timestamps.reverse();
-        Some(median_time_past(&timestamps))
-    }
-
-    /// Validates a header against the tree: known parent, correct
-    /// difficulty bits, proof of work, and timestamp window. This is the
+    /// Validates a header against the tree: a known parent, then
+    /// Bitcoin's header rules ([`pow::validate_header`]). This is the
     /// check the paper's adapter performs on every downloaded header
     /// (§III-B).
     ///
@@ -201,24 +152,16 @@ impl ChainStore {
         now_unix: u32,
     ) -> Result<(), ValidationError> {
         let prev = header.prev_blockhash;
-        if !self.headers.contains_key(&prev) {
-            return Err(ValidationError::OrphanHeader(prev));
-        }
-        let expected = self.expected_bits(&prev).expect("parent exists");
-        if header.bits != expected {
-            return Err(ValidationError::BadDifficultyBits { expected, actual: header.bits });
-        }
-        if !header.meets_pow_target() {
-            return Err(ValidationError::BadProofOfWork);
-        }
-        let mtp = self.median_time_past(&prev).expect("parent exists");
-        if header.time <= mtp {
-            return Err(ValidationError::TimestampTooOld);
-        }
-        if header.time > now_unix.saturating_add(MAX_FUTURE_SKEW_SECS) {
-            return Err(ValidationError::TimestampTooNew);
-        }
-        Ok(())
+        let parent = self.headers.get(&prev).ok_or(ValidationError::OrphanHeader(prev))?;
+        pow::validate_header(
+            &self.network.params(),
+            header,
+            &parent.header,
+            parent.height,
+            self.ancestors(&prev),
+            now_unix,
+        )
+        .map_err(ValidationError::Header)
     }
 
     /// Accepts a validated header into the tree, updating the best tip by
@@ -343,6 +286,7 @@ impl ChainStore {
 mod tests {
     use super::*;
     use crate::miner::mine_block_on;
+    use icbtc_bitcoin::pow::{CompactTarget, MAX_FUTURE_SKEW_SECS};
     use icbtc_bitcoin::Script;
 
     fn extend(chain: &mut ChainStore, tip: BlockHash, n: usize, salt: u64) -> Vec<BlockHash> {
@@ -418,7 +362,10 @@ mod tests {
             }
         }
         assert!(!bad.meets_pow_target());
-        assert_eq!(chain.accept_header(bad, bad.time), Err(ValidationError::BadProofOfWork));
+        assert_eq!(
+            chain.accept_header(bad, bad.time),
+            Err(ValidationError::Header(HeaderError::BadProofOfWork))
+        );
     }
 
     #[test]
@@ -430,7 +377,7 @@ mod tests {
         wrong.bits = CompactTarget::from_consensus(0x1d00ffff);
         assert!(matches!(
             chain.validate_header(&wrong, wrong.time),
-            Err(ValidationError::BadDifficultyBits { .. })
+            Err(ValidationError::Header(HeaderError::BadDifficultyBits { .. }))
         ));
     }
 
@@ -447,7 +394,7 @@ mod tests {
         let stale = remine(stale);
         assert_eq!(
             chain.validate_header(&stale, good.header.time),
-            Err(ValidationError::TimestampTooOld)
+            Err(ValidationError::Header(HeaderError::TimestampTooOld))
         );
 
         let mut future = good.header;
@@ -455,7 +402,7 @@ mod tests {
         let future = remine(future);
         assert_eq!(
             chain.validate_header(&future, genesis_time),
-            Err(ValidationError::TimestampTooNew)
+            Err(ValidationError::Header(HeaderError::TimestampTooNew))
         );
     }
 
@@ -523,15 +470,15 @@ mod tests {
     fn error_display_nonempty() {
         for e in [
             ValidationError::OrphanHeader(BlockHash::ZERO),
-            ValidationError::BadProofOfWork,
-            ValidationError::TimestampTooOld,
-            ValidationError::TimestampTooNew,
+            ValidationError::Header(HeaderError::BadProofOfWork),
+            ValidationError::Header(HeaderError::TimestampTooOld),
+            ValidationError::Header(HeaderError::TimestampTooNew),
             ValidationError::MalformedBlock,
             ValidationError::UnknownHeader(BlockHash::ZERO),
-            ValidationError::BadDifficultyBits {
+            ValidationError::Header(HeaderError::BadDifficultyBits {
                 expected: CompactTarget::from_consensus(1),
                 actual: CompactTarget::from_consensus(2),
-            },
+            }),
         ] {
             assert!(!e.to_string().is_empty());
         }

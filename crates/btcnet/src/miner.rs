@@ -7,6 +7,7 @@
 //! [`crate::network`]); the nonce scan only decides validity, not tempo.
 
 use icbtc_bitcoin::builder::coinbase_transaction;
+use icbtc_bitcoin::pow::{next_bits, walk_median_time_past};
 use icbtc_bitcoin::{Amount, Block, BlockHash, BlockHeader, Script, Transaction};
 
 use crate::chain::ChainStore;
@@ -53,9 +54,9 @@ pub fn mine_block_on(
     }
 
     let merkle = icbtc_bitcoin::merkle_root(&txdata.iter().map(|t| t.txid()).collect::<Vec<_>>());
-    let mtp = chain.median_time_past(&prev).expect("parent exists");
+    let mtp = walk_median_time_past(chain.ancestors(&prev));
     let time = mtp.max(parent.header.time).saturating_add(1);
-    let bits = chain.expected_bits(&prev).expect("parent exists");
+    let bits = next_bits(&params, &parent.header, parent.height, chain.ancestors(&prev));
 
     let mut header = BlockHeader {
         version: 2,
@@ -96,7 +97,7 @@ pub fn mine_block_at(
     unix_time: u32,
 ) -> Block {
     let mut block = mine_block_on(chain, prev, transactions, payout_script, extra_nonce);
-    let mtp = chain.median_time_past(&prev).expect("parent exists");
+    let mtp = walk_median_time_past(chain.ancestors(&prev));
     let clamped = unix_time.max(mtp + 1);
     if clamped != block.header.time {
         block.header.time = clamped;

@@ -395,20 +395,6 @@ impl BitcoinCanister {
 
     fn dispatch(&mut self, call: CanisterCall, meter: &mut Meter) -> CallOutcome {
         match call {
-            CanisterCall::GetUtxos { address, filter } => {
-                let reply = self.state.get_utxos(&address, filter, meter).map(CanisterReply::Utxos);
-                CallOutcome { reply, cycles_charged: self.fees.get_utxos_fee(meter.instructions()) }
-            }
-            CanisterCall::GetBalance { address, min_confirmations } => {
-                let reply = self
-                    .state
-                    .get_balance(&address, min_confirmations, meter)
-                    .map(CanisterReply::Balance);
-                CallOutcome {
-                    reply,
-                    cycles_charged: self.fees.get_balance_fee(meter.instructions()),
-                }
-            }
             CanisterCall::SendTransaction { transaction } => {
                 let size = transaction.len();
                 let reply = self
@@ -417,28 +403,7 @@ impl BitcoinCanister {
                     .map(CanisterReply::TransactionSent);
                 CallOutcome { reply, cycles_charged: self.fees.send_transaction_fee(size) }
             }
-            CanisterCall::GetFeePercentiles => {
-                let reply =
-                    Ok(CanisterReply::FeePercentiles(self.state.get_current_fee_percentiles(meter)));
-                CallOutcome { reply, cycles_charged: self.fees.get_balance_fee(meter.instructions()) }
-            }
-            CanisterCall::GetBlockHeaders { start_height, end_height } => {
-                let reply = self
-                    .state
-                    .get_block_headers(start_height, end_height, meter)
-                    .map(CanisterReply::BlockHeaders);
-                CallOutcome { reply, cycles_charged: self.fees.get_balance_fee(meter.instructions()) }
-            }
-            CanisterCall::GetMetrics => {
-                // Mirrors the production canister's metrics endpoint: an
-                // unpaid read (served over HTTP query there), so no cycles
-                // are charged.
-                meter.charge(metering::QUERY_BASE);
-                CallOutcome {
-                    reply: Ok(CanisterReply::Metrics(self.get_metrics())),
-                    cycles_charged: 0,
-                }
-            }
+            read => self.query(&read, meter),
         }
     }
 
@@ -446,48 +411,30 @@ impl BitcoinCanister {
     /// `SendTransaction` is rejected in query mode — writes must be
     /// replicated.
     pub fn query(&self, call: &CanisterCall, meter: &mut Meter) -> CallOutcome {
-        match call {
-            CanisterCall::SendTransaction { .. } => CallOutcome {
-                reply: Err(ApiError::MalformedTransaction),
-                cycles_charged: 0,
-            },
+        let reply = match call {
+            CanisterCall::SendTransaction { .. } => Err(ApiError::MalformedTransaction),
             CanisterCall::GetUtxos { address, filter } => {
-                let reply = self
-                    .state
-                    .get_utxos(address, filter.clone(), meter)
-                    .map(CanisterReply::Utxos);
-                CallOutcome { reply, cycles_charged: self.fees.get_utxos_fee(meter.instructions()) }
+                self.state.get_utxos(address, filter.clone(), meter).map(CanisterReply::Utxos)
             }
-            CanisterCall::GetBalance { address, min_confirmations } => {
-                let reply = self
-                    .state
-                    .get_balance(address, *min_confirmations, meter)
-                    .map(CanisterReply::Balance);
-                CallOutcome {
-                    reply,
-                    cycles_charged: self.fees.get_balance_fee(meter.instructions()),
-                }
-            }
+            CanisterCall::GetBalance { address, min_confirmations } => self
+                .state
+                .get_balance(address, *min_confirmations, meter)
+                .map(CanisterReply::Balance),
             CanisterCall::GetFeePercentiles => {
-                let reply =
-                    Ok(CanisterReply::FeePercentiles(self.state.get_current_fee_percentiles(meter)));
-                CallOutcome { reply, cycles_charged: self.fees.get_balance_fee(meter.instructions()) }
+                Ok(CanisterReply::FeePercentiles(self.state.get_current_fee_percentiles(meter)))
             }
-            CanisterCall::GetBlockHeaders { start_height, end_height } => {
-                let reply = self
-                    .state
-                    .get_block_headers(*start_height, *end_height, meter)
-                    .map(CanisterReply::BlockHeaders);
-                CallOutcome { reply, cycles_charged: self.fees.get_balance_fee(meter.instructions()) }
-            }
+            CanisterCall::GetBlockHeaders { start_height, end_height } => self
+                .state
+                .get_block_headers(*start_height, *end_height, meter)
+                .map(CanisterReply::BlockHeaders),
             CanisterCall::GetMetrics => {
+                // Mirrors the production canister's metrics endpoint: an
+                // unpaid read (served over HTTP query there).
                 meter.charge(metering::QUERY_BASE);
-                CallOutcome {
-                    reply: Ok(CanisterReply::Metrics(self.get_metrics())),
-                    cycles_charged: 0,
-                }
+                Ok(CanisterReply::Metrics(self.get_metrics()))
             }
-        }
+        };
+        CallOutcome { reply, cycles_charged: self.query_fee(call, meter.instructions()) }
     }
 
     /// Executes a call in query mode through the tip-keyed query cache.
@@ -556,7 +503,8 @@ impl BitcoinCanister {
         outcome
     }
 
-    /// The fee a query-mode call pays for `instructions`.
+    /// The fee a read pays for `instructions`; unpaid reads (metrics)
+    /// and writes refused in query mode pay nothing.
     fn query_fee(&self, call: &CanisterCall, instructions: u64) -> Cycles {
         match call {
             CanisterCall::GetUtxos { .. } => self.fees.get_utxos_fee(instructions),

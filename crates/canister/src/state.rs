@@ -8,11 +8,12 @@
 //! advance the anchor whenever a child becomes δ-stable, and track
 //! syncedness against the τ lag bound.
 
+use std::cell::Cell;
 use std::collections::BTreeMap;
 
 use icbtc_bitcoin::encode::{Decodable, Encodable};
 use icbtc_bitcoin::hash::{sha256, Sha256};
-use icbtc_bitcoin::pow::{median_time_past, retarget};
+use icbtc_bitcoin::pow::{self, HeaderError};
 use icbtc_bitcoin::{Block, BlockHash, BlockHeader, Transaction, Txid};
 use icbtc_core::stability::HeaderTree;
 use icbtc_core::{GetSuccessorsRequest, GetSuccessorsResponse, IntegrationParams};
@@ -27,20 +28,15 @@ use crate::utxoset::{SnapshotReader, UtxoSet};
 /// so Algorithm 2 records and skips them.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RejectReason {
-    /// Parent header unknown.
+    /// Parent header not in the unstable tree: unknown, or at or below
+    /// the anchor (already finalized).
     Orphan(BlockHash),
-    /// Hash exceeds the stated target.
-    BadProofOfWork,
-    /// `bits` disagrees with the retarget schedule.
-    BadDifficultyBits,
-    /// Timestamp at or below median time past, or too far in the future.
-    BadTimestamp,
+    /// The header breaks Bitcoin's header rules.
+    Header(HeaderError),
     /// Block body malformed (coinbase/Merkle rules).
     MalformedBlock,
     /// Predecessor block body unavailable.
     MissingPredecessorBlock(BlockHash),
-    /// Header is at or below the anchor height (already finalized).
-    BelowAnchor,
 }
 
 /// Statistics from one [`BitcoinCanisterState::process_response`] call.
@@ -233,6 +229,10 @@ impl BitcoinCanisterState {
     // Validation (the same checks the adapter performs, §III-B/§III-C)
     // -----------------------------------------------------------------
 
+    /// A known parent in the unstable tree, then Bitcoin's header rules
+    /// ([`pow::validate_header`]) over a walk that crosses from the tree
+    /// into the stable chain. Each header the walk yields is charged
+    /// [`metering::HEADER_WALK`].
     fn validate_header(
         &self,
         header: &BlockHeader,
@@ -240,76 +240,32 @@ impl BitcoinCanisterState {
         meter: &mut Meter,
     ) -> Result<(), RejectReason> {
         let prev = header.prev_blockhash;
-        if !self.tree.contains(&prev) {
-            // Headers below the anchor cannot extend anything.
-            if self.stable_headers.iter().any(|h| h.block_hash() == prev) {
-                return Err(RejectReason::BelowAnchor);
-            }
+        let (Some(parent), Some(parent_height)) = (self.tree.header(&prev), self.tree.height(&prev))
+        else {
             return Err(RejectReason::Orphan(prev));
-        }
-        let expected = self.expected_bits(&prev, meter);
-        if header.bits != expected {
-            return Err(RejectReason::BadDifficultyBits);
-        }
-        if !header.meets_pow_target() {
-            return Err(RejectReason::BadProofOfWork);
-        }
-        let mtp = self.median_time_past(&prev, meter);
-        if header.time <= mtp || header.time > now_unix.saturating_add(2 * 60 * 60) {
-            return Err(RejectReason::BadTimestamp);
-        }
-        Ok(())
+        };
+        let walked = Cell::new(0u64);
+        let ancestors = self.ancestors(&prev).inspect(|_| walked.set(walked.get() + 1));
+        let verdict = pow::validate_header(
+            &self.params.network.params(),
+            header,
+            &parent,
+            parent_height,
+            ancestors,
+            now_unix,
+        );
+        meter.charge(walked.get() * metering::HEADER_WALK);
+        verdict.map_err(RejectReason::Header)
     }
 
-    /// Walks up to `count` ancestors of `hash` (inclusive), newest last,
-    /// crossing from the tree into the stable chain as needed.
-    fn ancestor_headers(&self, hash: &BlockHash, count: usize, meter: &mut Meter) -> Vec<BlockHeader> {
-        let mut rev = Vec::with_capacity(count);
-        let mut cursor = *hash;
-        while rev.len() < count {
-            meter.charge(metering::HEADER_WALK);
-            if let Some(header) = self.tree.header(&cursor) {
-                let height = self.tree.height(&cursor).expect("header in tree"); // icbtc-lint: allow(no-panic) -- invariant: cursor was just returned by tree.header on the line above
-                rev.push(header);
-                if height == 0 {
-                    break;
-                }
-                if cursor == self.tree.root() {
-                    // Continue below the anchor on the stable chain.
-                    let mut h = height;
-                    while rev.len() < count && h > 0 {
-                        h -= 1;
-                        meter.charge(metering::HEADER_WALK);
-                        rev.push(self.stable_headers[h as usize]);
-                    }
-                    break;
-                }
-                cursor = header.prev_blockhash;
-            } else {
-                break;
-            }
-        }
-        rev.reverse();
-        rev
-    }
-
-    fn expected_bits(&self, prev: &BlockHash, meter: &mut Meter) -> icbtc_bitcoin::CompactTarget {
-        let params = self.params.network.params();
-        let prev_header = self.tree.header(prev).expect("validated parent"); // icbtc-lint: allow(no-panic) -- invariant: caller checked tree.contains(prev) in validate_header
-        let prev_height = self.tree.height(prev).expect("validated parent");
-        let next_height = prev_height + 1;
-        if !next_height.is_multiple_of(params.retarget_interval as u64) {
-            return prev_header.bits;
-        }
-        let span = self.ancestor_headers(prev, params.retarget_interval as usize, meter);
-        let first = span.first().expect("non-empty ancestry"); // icbtc-lint: allow(no-panic) -- invariant: ancestor_headers always returns at least `prev` itself
-        let actual = prev_header.time.saturating_sub(first.time) as u64;
-        retarget(prev_header.bits, actual.max(1), params.expected_timespan_secs(), params.pow_limit)
-    }
-
-    fn median_time_past(&self, hash: &BlockHash, meter: &mut Meter) -> u32 {
-        let window = self.ancestor_headers(hash, 11, meter);
-        median_time_past(&window.iter().map(|h| h.time).collect::<Vec<_>>())
+    /// The headers from `hash` (inclusive) back to genesis, newest
+    /// first: up the unstable tree to the anchor, then down the stable
+    /// chain below it.
+    fn ancestors(&self, hash: &BlockHash) -> impl Iterator<Item = BlockHeader> + Clone + '_ {
+        let in_tree =
+            std::iter::successors(self.tree.header(hash), |h| self.tree.header(&h.prev_blockhash));
+        let below_anchor = self.stable_headers[..self.anchor_height() as usize].iter().rev().copied();
+        in_tree.chain(below_anchor)
     }
 
     fn block_valid(&self, block: &Block) -> Result<(), RejectReason> {
@@ -774,7 +730,7 @@ mod tests {
     use super::*;
     use icbtc_bitcoin::{Network, Script};
     use icbtc_btcnet::miner::mine_block_on;
-    use icbtc_btcnet::ChainStore;
+    use icbtc_btcnet::{ChainStore, ValidationError};
 
     const NOW: u32 = 2_000_000_000;
 
@@ -874,12 +830,78 @@ mod tests {
             }
         }
         let report = state.process_response(respond_with(&[tampered]), NOW, &mut meter);
-        assert_eq!(report.rejected, vec![RejectReason::BadProofOfWork]);
+        assert_eq!(report.rejected, vec![RejectReason::Header(HeaderError::BadProofOfWork)]);
 
         // Timestamp too far in the future.
         let future_chain_now = blocks[0].header.time.saturating_sub(3 * 60 * 60);
         let report = state.process_response(respond_with(&blocks[..1]), future_chain_now, &mut meter);
-        assert_eq!(report.rejected, vec![RejectReason::BadTimestamp]);
+        assert_eq!(report.rejected, vec![RejectReason::Header(HeaderError::TimestampTooNew)]);
+    }
+
+    #[test]
+    fn fork_below_the_anchor_is_an_orphan() {
+        let mut chain = ChainStore::new(Network::Regtest);
+        let main = mine_chain(&mut chain, 6, 0);
+        let mut state = BitcoinCanisterState::new(params());
+        state.process_response(respond_with(&main), NOW, &mut Meter::new());
+        assert!(state.anchor_height() >= 3);
+        let tree_before: Vec<BlockHash> = state.tree().hashes().copied().collect();
+
+        // A fork off height 1, which is now below the anchor.
+        let mut fork_chain = ChainStore::new(Network::Regtest);
+        fork_chain.accept_block(main[0].clone(), NOW).unwrap();
+        let fork = mine_chain(&mut fork_chain, 1, 900);
+        let report = state.process_response(respond_with(&fork), NOW, &mut Meter::new());
+        assert_eq!(report.rejected, vec![RejectReason::Orphan(main[0].block_hash())]);
+        assert_eq!(report.blocks_accepted, 0);
+        let tree_after: Vec<BlockHash> = state.tree().hashes().copied().collect();
+        assert_eq!(tree_after, tree_before);
+    }
+
+    #[test]
+    fn retarget_boundary_is_checked_alike_by_chain_store_and_canister() {
+        let interval = Network::Regtest.params().retarget_interval as usize;
+        let mut chain = ChainStore::new(Network::Regtest);
+        let blocks = mine_chain(&mut chain, interval - 1, 0);
+        let parent = blocks[interval - 2].header;
+        // mine_block_on spaces blocks one second apart, so the boundary
+        // retargets to the 4x clamp instead of keeping the parent's bits.
+        let boundary =
+            mine_block_on(&chain, chain.tip_hash(), Vec::new(), Script::new_p2wpkh(&[9; 20]), 0);
+        assert_ne!(boundary.header.bits, parent.bits);
+        let mut stale = boundary.clone();
+        stale.header.bits = parent.bits;
+        while !stale.header.meets_pow_target() {
+            stale.header.nonce += 1;
+        }
+        let wrong_bits =
+            HeaderError::BadDifficultyBits { expected: boundary.header.bits, actual: parent.bits };
+
+        assert_eq!(chain.validate_header(&boundary.header, NOW), Ok(()));
+        assert_eq!(
+            chain.validate_header(&stale.header, NOW),
+            Err(ValidationError::Header(wrong_bits))
+        );
+
+        let mut state = BitcoinCanisterState::new(params());
+        state.process_response(respond_with(&blocks), NOW, &mut Meter::new());
+        // The retarget span reaches far below the anchor, so the walk
+        // must cross from the tree into the stable chain.
+        assert!(state.tree().len() < interval);
+        let report = state.process_response(respond_with(&[stale]), NOW, &mut Meter::new());
+        assert_eq!(report.rejected, vec![RejectReason::Header(wrong_bits)]);
+        let mut meter = Meter::new();
+        let report = state.process_response(respond_with(&[boundary]), NOW, &mut meter);
+        assert_eq!(report.blocks_accepted, 1, "{:?}", report.rejected);
+        // One header validation plus the walks: the retarget span
+        // (2,016 headers) and the median-time-past window (11).
+        let frames = meter.profile().frames();
+        let validate = frames.iter().find(|f| f.path == "header_validate").unwrap();
+        assert_eq!(validate.total_units, 4_114_000);
+        assert_eq!(
+            validate.total_units,
+            metering::VALIDATE_HEADER + (interval as u64 + 11) * metering::HEADER_WALK
+        );
     }
 
     #[test]

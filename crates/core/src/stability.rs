@@ -142,45 +142,27 @@ impl HeaderTree {
     }
 
     /// Generic depth (maximum cumulative cost from `hash` to any reachable
-    /// tip), per the definition in §II-B.
-    // icbtc-lint: allow(float) -- scaled-difficulty work fits f64 integers (< 2^53) exactly; anchor advance compares integer Work via depth_work, not this path
-    fn depth_with<C: Fn(&BlockHeader) -> f64>(&self, hash: &BlockHash, cost: &C) -> Option<f64> {
-        let node = self.nodes.get(hash)?;
-        let own = cost(&node.header);
-        let children = self.children(hash);
-        if children.is_empty() {
-            return Some(own);
-        }
-        let best_child = children
-            .iter()
-            .filter_map(|c| self.depth_with(c, cost))
-            .fold(f64::NEG_INFINITY, f64::max); // icbtc-lint: allow(float) -- max-fold over exact integer-valued depths
-        Some(own + best_child)
+    /// tip), per the definition in §II-B, summed exactly in `T`.
+    fn depth_with<T, C>(&self, hash: &BlockHash, cost: &C) -> Option<T>
+    where
+        T: Copy + Ord + std::ops::Add<Output = T>,
+        C: Fn(&BlockHeader) -> T,
+    {
+        let own = cost(&self.nodes.get(hash)?.header);
+        let best_child = self.children(hash).iter().filter_map(|c| self.depth_with(c, cost)).max();
+        Some(best_child.map_or(own, |best| own + best))
     }
 
     /// `d_c(b)`: depth counting each block once — the basis of
     /// confirmation-based stability. A tip has `d_c = 1`.
     pub fn depth_count(&self, hash: &BlockHash) -> Option<u64> {
-        self.depth_with(hash, &|_| 1.0).map(|d| d as u64) // icbtc-lint: allow(float) -- unit cost: every partial sum is an exact small integer
+        self.depth_with(hash, &|_| 1u64)
     }
 
     /// `d_w(b)`: depth accumulating hash work — the basis of
     /// difficulty-based stability.
     pub fn depth_work(&self, hash: &BlockHash) -> Option<Work> {
-        // Work values exceed f64 precision for real difficulty; sum as
-        // Work along the recursion instead.
-        let node = self.nodes.get(hash)?;
-        let own = node.header.work();
-        let children = self.children(hash);
-        if children.is_empty() {
-            return Some(own);
-        }
-        let best = children
-            .iter()
-            .filter_map(|c| self.depth_work(c))
-            .max()
-            .unwrap_or(Work::ZERO);
-        Some(own + best)
+        self.depth_with(hash, &BlockHeader::work)
     }
 
     /// Confirmation-based stability of a block: the largest δ for which
@@ -208,32 +190,10 @@ impl HeaderTree {
             .unwrap_or(false)
     }
 
-    /// Difficulty-based stability of a block *relative to the work of a
-    /// reference block* `reference_work` — the quantity
-    /// `d_w(b) / w(b*)` that §II-C compares against δ. Returns the
-    /// normalized margin `min(d_w(b), min_{b′}(d_w(b) − d_w(b′)))/w(b*)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `reference_work` is zero.
-    // icbtc-lint: allow(float) -- reporting-grade ratio per the paper's d_w/w(b*); see is_difficulty_stable for the guarded use
-    pub fn difficulty_stability(&self, hash: &BlockHash, reference_work: Work) -> Option<f64> {
-        assert!(reference_work > Work::ZERO, "reference work must be positive");
-        let node = self.nodes.get(hash)?;
-        let own = self.depth_work(hash)?.as_f64();
-        let mut margin = own;
-        for other in self.at_height(node.height) {
-            if other == hash {
-                continue;
-            }
-            let other_depth = self.depth_work(other)?.as_f64();
-            margin = margin.min(own - other_depth);
-        }
-        Some(margin / reference_work.as_f64())
-    }
-
     /// Whether `hash` is difficulty-based δ-stable with respect to a
-    /// reference block of work `reference_work`.
+    /// reference block of work `reference_work` (§II-C): with
+    /// `m = δ·w(b*)`, `d_w(b) ≥ m` and `d_w(b) ≥ d_w(b′) + m` for every
+    /// other `b′` at the same height. Decided in exact integer work.
     pub fn is_difficulty_stable(
         &self,
         hash: &BlockHash,
@@ -241,9 +201,14 @@ impl HeaderTree {
         reference_work: Work,
     ) -> bool {
         assert!(delta > 0, "delta-stability requires delta > 0");
-        self.difficulty_stability(hash, reference_work)
-            .map(|s| s >= delta as f64) // icbtc-lint: allow(float) -- margins and delta are exact in f64 at simulation difficulty scale
-            .unwrap_or(false)
+        let (Some(node), Some(own)) = (self.nodes.get(hash), self.depth_work(hash)) else {
+            return false;
+        };
+        let margin = reference_work * delta;
+        own >= margin
+            && self.at_height(node.height).iter().filter(|other| *other != hash).all(|other| {
+                self.depth_work(other).is_some_and(|depth| own >= depth + margin)
+            })
     }
 
     /// The current blockchain per §II-B: the path from the root to a tip
@@ -453,13 +418,49 @@ mod tests {
     #[test]
     fn difficulty_stability_equal_bits_matches_confirmations() {
         // With uniform difficulty, d_w/w(b*) numerically equals d_c.
-        let (tree, main, _) = figure3();
+        let (tree, main, fork) = figure3();
         let reference = tree.header(&main[0]).unwrap().work();
-        for hash in &main {
-            let conf = tree.confirmation_stability(hash).unwrap() as f64;
-            let diff = tree.difficulty_stability(hash, reference).unwrap();
-            assert!((conf - diff).abs() < 1e-9, "{conf} vs {diff}");
+        for hash in main.iter().chain(&fork) {
+            for delta in 1..=6u64 {
+                assert_eq!(
+                    tree.is_difficulty_stable(hash, delta, reference),
+                    tree.is_confirmation_stable(hash, delta),
+                    "delta {delta}"
+                );
+            }
         }
+    }
+
+    #[test]
+    fn difficulty_stability_is_exact_at_mainnet_scale_work() {
+        // A candidate tip whose work is ~2^78 against a 4-block sibling
+        // chain it beats by exactly δ·w(b*): stable per Definition II.1.
+        // Rounding both depths to f64 (53-bit mantissas) puts the margin
+        // just below δ, so only an exact comparison gets this right.
+        let bits = CompactTarget::from_consensus;
+        let mut anchor = root();
+        anchor.bits = bits(0x1a0f_ffff);
+        let mut tree = HeaderTree::new(anchor);
+        let mut candidate = child_of(&anchor, 1);
+        candidate.bits = bits(0x1703_4219);
+        tree.insert(candidate).unwrap();
+        let mut parent = anchor;
+        let sibling_bits = [0x1703_421a, 0x190a_c898, 0x1c0d_1dbd, 0x1f04_a954];
+        for (i, raw) in sibling_bits.into_iter().enumerate() {
+            let mut sibling = child_of(&parent, 10 + i as u32);
+            sibling.bits = bits(raw);
+            tree.insert(sibling).unwrap();
+            parent = sibling;
+        }
+        let delta = 6;
+        let reference = anchor.work();
+        let sibling = tree.at_height(1).iter().find(|h| **h != candidate.block_hash()).unwrap();
+        assert_eq!(
+            tree.depth_work(&candidate.block_hash()).unwrap(),
+            tree.depth_work(sibling).unwrap() + reference * delta
+        );
+        assert!(tree.is_difficulty_stable(&candidate.block_hash(), delta, reference));
+        assert!(!tree.is_difficulty_stable(&candidate.block_hash(), delta + 1, reference));
     }
 
     #[test]

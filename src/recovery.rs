@@ -106,16 +106,10 @@ pub struct UpgradeReport {
     pub state_hash_preserved: bool,
 }
 
-/// Restores `checkpoint` and replays every logged round after it, in
-/// consensus order: the round's adapter response first (Algorithm 2),
-/// then its finalized ingress batch. Returns the recovered canister,
-/// the number of rounds replayed, and the instructions spent (modeled
-/// restore cost plus metered re-execution).
-///
-/// Each replayed message runs under a fresh meter, mirroring the live
-/// subnet's per-message metering, so the recovered canister's
-/// instruction counters — and therefore its state hash — track the live
-/// replica exactly.
+/// Restores `checkpoint` and replays every logged round after it with
+/// [`replay_round`]. Returns the recovered canister, the number of
+/// rounds replayed, and the instructions spent (modeled restore cost
+/// plus metered re-execution).
 ///
 /// # Errors
 ///
@@ -131,25 +125,39 @@ pub fn replay_catchup(
     let mut replayed_rounds = 0;
     for record in log.iter().filter(|r| r.round > checkpoint.round) {
         replayed_rounds += 1;
-        let mut meter = Meter::new();
-        let mut ctx =
-            ExecutionContext { meter: &mut meter, now: record.finalized_at, round: record.round };
-        canister.ingest_response(record.response.clone(), record.now_unix, &mut ctx);
-        instructions += meter.take();
-        for entry in journal.iter().filter(|e| e.round == record.round) {
-            for input in &entry.inputs {
-                let mut meter = Meter::new();
-                let mut ctx = ExecutionContext {
-                    meter: &mut meter,
-                    now: entry.finalized_at,
-                    round: entry.round,
-                };
-                canister.execute(input.clone(), &mut ctx);
-                instructions += meter.take();
-            }
-        }
+        instructions += replay_round(&mut canister, record, journal);
     }
     Ok((canister, replayed_rounds, instructions))
+}
+
+/// Re-executes one finalized round on `canister`, in consensus order:
+/// the round's adapter response first (Algorithm 2), then its ingress
+/// batch from `journal`. Returns the instructions spent.
+///
+/// Each message runs under a fresh meter, mirroring the live subnet's
+/// per-message metering, so the replaying canister's instruction
+/// counters — and therefore its state hash — track the live replica
+/// exactly. Catch-up and the shadow replica both replay through here.
+pub fn replay_round(
+    canister: &mut BitcoinCanister,
+    record: &IngestRecord,
+    journal: &[JournalRound<CanisterCall>],
+) -> u64 {
+    let mut meter = Meter::new();
+    let mut ctx =
+        ExecutionContext { meter: &mut meter, now: record.finalized_at, round: record.round };
+    canister.ingest_response(record.response.clone(), record.now_unix, &mut ctx);
+    let mut instructions = meter.take();
+    for entry in journal.iter().filter(|e| e.round == record.round) {
+        for input in &entry.inputs {
+            let mut meter = Meter::new();
+            let mut ctx =
+                ExecutionContext { meter: &mut meter, now: entry.finalized_at, round: entry.round };
+            canister.execute(input.clone(), &mut ctx);
+            instructions += meter.take();
+        }
+    }
+    instructions
 }
 
 #[cfg(test)]

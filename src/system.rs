@@ -16,13 +16,13 @@ use icbtc_canister::{BitcoinCanister, CallOutcome, CanisterCall};
 use icbtc_core::{GetSuccessorsResponse, IntegrationParams};
 use icbtc_ic::consensus::ConsensusConfig;
 use icbtc_ic::subnet::Subnet;
-use icbtc_ic::{LifecyclePlan, Meter};
+use icbtc_ic::LifecyclePlan;
 use icbtc_sim::obs::FieldValue;
 use icbtc_sim::{SimDuration, SimRng, SimTime};
 use icbtc_tecdsa::ecdsa::Signature;
 use icbtc_tecdsa::protocol::{DerivationPath, ThresholdKey};
 
-use crate::recovery::{CatchupReport, IngestRecord, RecoveryStats, UpgradeReport};
+use crate::recovery::{replay_round, CatchupReport, IngestRecord, RecoveryStats, UpgradeReport};
 
 /// Configuration of a full integrated deployment.
 #[derive(Debug, Clone)]
@@ -405,38 +405,14 @@ impl System {
         self.shadow.as_ref().map(|shadow| shadow.state_hash())
     }
 
-    /// Re-executes one finalized round on the shadow replica: the same
-    /// adapter response, then the same ingress batch (still in the
-    /// journal — pruning happens after). Metering is per-message with a
-    /// fresh meter, exactly like the live subnet, so the shadow's
-    /// instruction counters track the live canister's.
+    /// Re-executes one finalized round on the shadow replica with
+    /// [`replay_round`] (its ingress batch is still in the
+    /// journal — pruning happens after), metering exactly like the live
+    /// subnet and catch-up.
     fn replay_on_shadow(&mut self, record: &IngestRecord) {
-        let Some(mut shadow) = self.shadow.take() else { return };
-        let mut meter = Meter::new();
-        let mut ctx = icbtc_ic::ExecutionContext {
-            meter: &mut meter,
-            now: record.finalized_at,
-            round: record.round,
-        };
-        shadow.ingest_response(record.response.clone(), record.now_unix, &mut ctx);
-        use icbtc_ic::StateMachine;
-        let inputs: Vec<CanisterCall> = self
-            .subnet
-            .input_journal()
-            .iter()
-            .filter(|entry| entry.round == record.round)
-            .flat_map(|entry| entry.inputs.iter().cloned())
-            .collect();
-        for input in inputs {
-            let mut meter = Meter::new();
-            let mut ctx = icbtc_ic::ExecutionContext {
-                meter: &mut meter,
-                now: record.finalized_at,
-                round: record.round,
-            };
-            shadow.execute(input, &mut ctx);
+        if let Some(shadow) = self.shadow.as_mut() {
+            replay_round(shadow, record, self.subnet.input_journal());
         }
-        self.shadow = Some(shadow);
     }
 
     /// Fires the plan's events scheduled after `round`, runs the per-round
