@@ -395,8 +395,29 @@ macro_rules! hash256_newtype {
         /// Internally stored in the byte order produced by the hash function;
         /// `Display` renders the conventional byte-reversed hex used by
         /// Bitcoin tooling.
-        #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
+        #[derive(Clone, Copy, PartialEq, Eq, Hash, Default)]
         pub struct $name(pub [u8; 32]);
+
+        /// The bytes' lexicographic order, compared eight at a time: these
+        /// are the keys of the header trees and the UTXO maps.
+        impl Ord for $name {
+            fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+                let word = |h: &[u8; 32], i| u64::from_be_bytes(std::array::from_fn(|j| h[i + j]));
+                for i in [0, 8, 16, 24] {
+                    let order = word(&self.0, i).cmp(&word(&other.0, i));
+                    if order.is_ne() {
+                        return order;
+                    }
+                }
+                std::cmp::Ordering::Equal
+            }
+        }
+
+        impl PartialOrd for $name {
+            fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+                Some(self.cmp(other))
+            }
+        }
 
         impl $name {
             /// The all-zero hash, used as the "no predecessor" sentinel.
@@ -641,6 +662,20 @@ mod tests {
             testkit::check(0x4A_0002, testkit::DEFAULT_CASES, |rng| {
                 let txid = Txid(testkit::byte_array(rng));
                 assert_eq!(Txid::from_hex(&txid.to_string()), Some(txid));
+            });
+        }
+
+        /// Hashes order exactly as their byte arrays do, including pairs
+        /// that share a prefix.
+        #[test]
+        fn hash_order_is_byte_order() {
+            testkit::check(0x4A_0003, testkit::DEFAULT_CASES, |rng| {
+                let a: [u8; 32] = testkit::byte_array(rng);
+                let mut b = a;
+                let at = testkit::usize_in(rng, 0..32);
+                b[at..].copy_from_slice(&testkit::byte_array::<32>(rng)[at..]);
+                assert_eq!(BlockHash(a).cmp(&BlockHash(b)), a.cmp(&b));
+                assert_eq!(BlockHash(a).partial_cmp(&BlockHash(b)), Some(a.cmp(&b)));
             });
         }
     }

@@ -15,7 +15,10 @@
 //!   signature-hash algorithms (legacy, BIP-143, BIP-341 key path).
 //! * [`address`] — Base58Check and Bech32/Bech32m addresses.
 //! * [`block`] — headers, blocks, Merkle roots.
-//! * [`pow`] — compact targets, chain work, retargeting, median time past.
+//! * [`pow`] — compact targets, chain work, retargeting, median time past,
+//!   and the header rules.
+//! * [`tree`] — the header tree with its most-work tip: btcnet's chain
+//!   store and the canister's unstable region share it.
 //! * [`network`] — mainnet/testnet/regtest parameters and deterministic
 //!   genesis blocks (difficulty scaled down for simulation; see DESIGN.md).
 //! * [`builder`] — transaction construction for miners and contracts.
@@ -46,6 +49,7 @@ pub mod hash;
 pub mod network;
 pub mod pow;
 pub mod script;
+pub mod tree;
 pub mod tx;
 mod u256;
 
@@ -55,5 +59,6 @@ pub use hash::{BlockHash, MerkleRoot, Txid};
 pub use network::{Network, Params};
 pub use pow::{CompactTarget, Work};
 pub use script::{Script, ScriptKind};
+pub use tree::{HeaderTree, StoredHeader};
 pub use tx::{Amount, OutPoint, Transaction, TxIn, TxOut};
 pub use u256::U256;

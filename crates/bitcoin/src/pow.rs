@@ -170,6 +170,13 @@ impl std::ops::AddAssign for Work {
     }
 }
 
+impl std::ops::Sub for Work {
+    type Output = Work;
+    fn sub(self, rhs: Work) -> Work {
+        Work(self.0.checked_sub(rhs.0).unwrap_or(U256::ZERO))
+    }
+}
+
 impl std::ops::Mul<u64> for Work {
     type Output = Work;
     fn mul(self, rhs: u64) -> Work {

@@ -2,24 +2,13 @@
 //!
 //! Every simulated full node keeps the complete directed tree of valid
 //! headers it has seen (forks included — exactly the structure the paper's
-//! §II-B defines), a store of full blocks, and tracks the tip with the
-//! greatest accumulated work.
+//! §II-B defines) in a [`HeaderTree`], which tracks the tip with the
+//! greatest accumulated work, plus a store of full blocks.
 
 use std::collections::HashMap;
 
-use icbtc_bitcoin::pow::{self, HeaderError, Work};
-use icbtc_bitcoin::{Block, BlockHash, BlockHeader, Network};
-
-/// A header accepted into the tree, with its derived chain position.
-#[derive(Clone, Copy, Debug)]
-pub struct StoredHeader {
-    /// The header itself.
-    pub header: BlockHeader,
-    /// Height above the genesis block.
-    pub height: u64,
-    /// Total work from genesis to this header inclusive.
-    pub chain_work: Work,
-}
+use icbtc_bitcoin::pow::{self, HeaderError};
+use icbtc_bitcoin::{Block, BlockHash, BlockHeader, HeaderTree, Network, StoredHeader};
 
 /// Why a header or block was rejected.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -62,27 +51,17 @@ impl std::error::Error for ValidationError {}
 #[derive(Clone, Debug)]
 pub struct ChainStore {
     network: Network,
-    headers: HashMap<BlockHash, StoredHeader>,
-    children: HashMap<BlockHash, Vec<BlockHash>>,
+    tree: HeaderTree,
     blocks: HashMap<BlockHash, Block>,
-    tip: BlockHash,
 }
 
 impl ChainStore {
     /// Creates a store seeded with the network's genesis block.
     pub fn new(network: Network) -> ChainStore {
         let genesis = network.genesis_block().clone();
-        let hash = genesis.block_hash();
-        let stored = StoredHeader {
-            header: genesis.header,
-            height: 0,
-            chain_work: genesis.header.work(),
-        };
-        let mut headers = HashMap::new();
-        headers.insert(hash, stored);
-        let mut blocks = HashMap::new();
-        blocks.insert(hash, genesis);
-        ChainStore { network, headers, children: HashMap::new(), blocks, tip: hash }
+        let tree = HeaderTree::new(genesis.header);
+        let blocks = HashMap::from([(genesis.block_hash(), genesis)]);
+        ChainStore { network, tree, blocks }
     }
 
     /// The network this chain belongs to.
@@ -92,22 +71,22 @@ impl ChainStore {
 
     /// Hash of the best (most-work) tip.
     pub fn tip_hash(&self) -> BlockHash {
-        self.tip
+        self.tree.tip_hash()
     }
 
     /// Height of the best tip.
     pub fn tip_height(&self) -> u64 {
-        self.headers[&self.tip].height
+        self.tree.tip().height
     }
 
     /// The stored entry for the best tip.
     pub fn tip(&self) -> &StoredHeader {
-        &self.headers[&self.tip]
+        self.tree.tip()
     }
 
     /// Looks up a stored header.
     pub fn header(&self, hash: &BlockHash) -> Option<&StoredHeader> {
-        self.headers.get(hash)
+        self.tree.get(hash)
     }
 
     /// Looks up a stored block.
@@ -122,20 +101,17 @@ impl ChainStore {
 
     /// Number of headers in the tree (including genesis).
     pub fn header_count(&self) -> usize {
-        self.headers.len()
+        self.tree.len()
     }
 
     /// Direct children of a header in the tree.
     pub fn children(&self, hash: &BlockHash) -> &[BlockHash] {
-        self.children.get(hash).map(Vec::as_slice).unwrap_or(&[])
+        self.tree.children(hash)
     }
 
     /// The headers from `hash` (inclusive) back to genesis, newest first.
     pub fn ancestors(&self, hash: &BlockHash) -> impl Iterator<Item = BlockHeader> + Clone + '_ {
-        std::iter::successors(self.headers.get(hash), |stored| {
-            self.headers.get(&stored.header.prev_blockhash)
-        })
-        .map(|stored| stored.header)
+        self.tree.ancestors(hash)
     }
 
     /// Validates a header against the tree: a known parent, then
@@ -152,7 +128,7 @@ impl ChainStore {
         now_unix: u32,
     ) -> Result<(), ValidationError> {
         let prev = header.prev_blockhash;
-        let parent = self.headers.get(&prev).ok_or(ValidationError::OrphanHeader(prev))?;
+        let parent = self.tree.get(&prev).ok_or(ValidationError::OrphanHeader(prev))?;
         pow::validate_header(
             &self.network.params(),
             header,
@@ -164,8 +140,9 @@ impl ChainStore {
         .map_err(ValidationError::Header)
     }
 
-    /// Accepts a validated header into the tree, updating the best tip by
-    /// accumulated work. Returns `true` if the header was new.
+    /// Accepts a validated header into the tree, which moves the best tip
+    /// to it if it has strictly more accumulated work. Returns `true` if
+    /// the header was new.
     ///
     /// # Errors
     ///
@@ -176,22 +153,11 @@ impl ChainStore {
         now_unix: u32,
     ) -> Result<bool, ValidationError> {
         let hash = header.block_hash();
-        if self.headers.contains_key(&hash) {
+        if self.tree.contains(&hash) {
             return Ok(false);
         }
         self.validate_header(&header, now_unix)?;
-        let parent = self.headers[&header.prev_blockhash];
-        let stored = StoredHeader {
-            header,
-            height: parent.height + 1,
-            chain_work: parent.chain_work + header.work(),
-        };
-        self.headers.insert(hash, stored);
-        self.children.entry(header.prev_blockhash).or_default().push(hash);
-        if stored.chain_work > self.headers[&self.tip].chain_work {
-            self.tip = hash;
-        }
-        Ok(true)
+        self.tree.insert_hashed(hash, header).map_err(ValidationError::OrphanHeader)
     }
 
     /// Accepts a full block: its header must validate (or already be
@@ -213,30 +179,14 @@ impl ChainStore {
 
     /// Walks the best chain from the tip back to genesis, newest first.
     pub fn best_chain_hashes(&self) -> Vec<BlockHash> {
-        let mut out = Vec::with_capacity(self.tip_height() as usize + 1);
-        let mut cursor = self.tip;
-        loop {
-            out.push(cursor);
-            let stored = &self.headers[&cursor];
-            if stored.height == 0 {
-                break;
-            }
-            cursor = stored.header.prev_blockhash;
-        }
-        out
+        let mut chain = self.tree.best_chain();
+        chain.reverse();
+        chain
     }
 
     /// Returns the hash at `height` on the best chain, if within range.
     pub fn best_chain_hash_at(&self, height: u64) -> Option<BlockHash> {
-        let tip_height = self.tip_height();
-        if height > tip_height {
-            return None;
-        }
-        let mut cursor = self.tip;
-        for _ in 0..(tip_height - height) {
-            cursor = self.headers[&cursor].header.prev_blockhash;
-        }
-        Some(cursor)
+        self.tree.ancestor_at(&self.tree.tip_hash(), height)
     }
 
     /// Builds a block-locator (exponentially spaced hashes from the tip),
@@ -259,14 +209,9 @@ impl ChainStore {
     /// Answers a `getheaders` request: up to `max` headers on the best
     /// chain after the first locator hash found on it.
     pub fn headers_after(&self, locator: &[BlockHash], max: usize) -> Vec<BlockHeader> {
-        let best: Vec<BlockHash> = {
-            let mut chain = self.best_chain_hashes();
-            chain.reverse(); // genesis first
-            chain
-        };
+        let best = self.tree.best_chain(); // genesis first
         let position = |hash: &BlockHash| -> Option<usize> {
-            let stored = self.headers.get(hash)?;
-            let idx = stored.height as usize;
+            let idx = self.tree.height(hash)? as usize;
             (best.get(idx) == Some(hash)).then_some(idx)
         };
         let start = locator
@@ -277,7 +222,7 @@ impl ChainStore {
         best[start.min(best.len())..]
             .iter()
             .take(max)
-            .map(|h| self.headers[h].header)
+            .filter_map(|h| self.tree.header(h))
             .collect()
     }
 }

@@ -42,7 +42,7 @@ pub mod miner;
 pub mod network;
 pub mod node;
 
-pub use chain::{ChainStore, StoredHeader, ValidationError};
+pub use chain::{ChainStore, ValidationError};
 pub use faults::{Churn, Crash, FaultPlan, LinkFaults, Misbehavior, Partition, CHAOS_NODES};
 pub use messages::{ConnId, Inventory, Message, NodeId, PeerRef};
 pub use network::{BtcNetwork, NetworkConfig};

@@ -11,6 +11,7 @@ use std::collections::BTreeSet;
 
 use icbtc_bitcoin::encode::Decodable;
 use icbtc_bitcoin::{Address, Amount, BlockHash, OutPoint, Transaction, Txid};
+use icbtc_core::stability;
 use icbtc_ic::Meter;
 
 use crate::metering;
@@ -244,7 +245,7 @@ impl BitcoinCanisterState {
         };
         for (i, hash) in best.iter().enumerate().skip(1) {
             if min_confirmations > 0
-                && !tree.is_confirmation_stable(hash, min_confirmations as u64)
+                && !stability::is_confirmation_stable(tree, hash, min_confirmations as u64)
             {
                 break;
             }

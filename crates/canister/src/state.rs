@@ -14,8 +14,8 @@ use std::collections::BTreeMap;
 use icbtc_bitcoin::encode::{Decodable, Encodable};
 use icbtc_bitcoin::hash::{sha256, Sha256};
 use icbtc_bitcoin::pow::{self, HeaderError};
-use icbtc_bitcoin::{Block, BlockHash, BlockHeader, Transaction, Txid};
-use icbtc_core::stability::HeaderTree;
+use icbtc_bitcoin::{Block, BlockHash, BlockHeader, HeaderTree, Transaction, Txid};
+use icbtc_core::stability;
 use icbtc_core::{GetSuccessorsRequest, GetSuccessorsResponse, IntegrationParams};
 use icbtc_ic::Meter;
 
@@ -177,16 +177,10 @@ impl BitcoinCanisterState {
     /// Builds the periodic request to the adapter: the anchor `β*`, the
     /// processed set `A`, and the outbound transactions `T` (drained).
     pub fn make_request(&mut self) -> GetSuccessorsRequest {
-        let processed = self
-            .tree
-            .hashes()
-            .filter(|h| **h != self.tree.root() && self.blocks.contains_key(h))
-            .copied()
-            .collect();
         GetSuccessorsRequest {
             anchor: self.anchor(),
             anchor_height: self.anchor_height(),
-            processed,
+            processed: self.blocks.keys().copied().collect(),
             transactions: std::mem::take(&mut self.outbound),
         }
     }
@@ -197,16 +191,14 @@ impl BitcoinCanisterState {
         if height <= self.anchor_height() {
             return self.stable_headers.get(height as usize).copied();
         }
-        let best = self.tree.best_chain();
-        let offset = (height - self.anchor_height()) as usize;
-        best.get(offset).and_then(|h| self.tree.header(h))
+        let hash = self.tree.ancestor_at(&self.tree.tip_hash(), height)?;
+        self.tree.header(&hash)
     }
 
-    /// The tip of the current best chain (the chain maximizing `d_w`).
+    /// The tip of the current best chain: the most cumulative work, and
+    /// of equal-work tips the one whose header arrived first.
     pub fn best_tip(&self) -> (BlockHash, u64) {
-        let best = self.tree.best_chain();
-        let tip = *best.last().expect("anchor always present"); // icbtc-lint: allow(no-panic) -- invariant: best_chain always contains at least the tree root (the anchor)
-        (tip, self.anchor_height() + best.len() as u64 - 1)
+        (self.tree.tip_hash(), self.tree.tip().height)
     }
 
     /// The deepest height on the best chain for which the block body is
@@ -214,15 +206,8 @@ impl BitcoinCanisterState {
     /// [`BitcoinCanisterState::best_tip`] by at most τ while synced.
     pub fn available_tip_height(&self) -> u64 {
         let best = self.tree.best_chain();
-        let mut height = self.anchor_height();
-        for (i, hash) in best.iter().enumerate().skip(1) {
-            if self.blocks.contains_key(hash) {
-                height = self.anchor_height() + i as u64;
-            } else {
-                break;
-            }
-        }
-        height
+        let with_bodies = best[1..].iter().take_while(|h| self.blocks.contains_key(h)).count();
+        self.anchor_height() + with_bodies as u64
     }
 
     // -----------------------------------------------------------------
@@ -230,9 +215,9 @@ impl BitcoinCanisterState {
     // -----------------------------------------------------------------
 
     /// A known parent in the unstable tree, then Bitcoin's header rules
-    /// ([`pow::validate_header`]) over a walk that crosses from the tree
-    /// into the stable chain. Each header the walk yields is charged
-    /// [`metering::HEADER_WALK`].
+    /// ([`pow::validate_header`]) over a walk from the parent up the
+    /// unstable tree to the anchor, then down the stable chain below it.
+    /// Each header the walk yields is charged [`metering::HEADER_WALK`].
     fn validate_header(
         &self,
         header: &BlockHeader,
@@ -240,32 +225,23 @@ impl BitcoinCanisterState {
         meter: &mut Meter,
     ) -> Result<(), RejectReason> {
         let prev = header.prev_blockhash;
-        let (Some(parent), Some(parent_height)) = (self.tree.header(&prev), self.tree.height(&prev))
-        else {
+        let Some(parent) = self.tree.get(&prev) else {
             return Err(RejectReason::Orphan(prev));
         };
+        let below_anchor = self.stable_headers[..self.anchor_height() as usize].iter().rev();
         let walked = Cell::new(0u64);
-        let ancestors = self.ancestors(&prev).inspect(|_| walked.set(walked.get() + 1));
+        let ancestors = (self.tree.ancestors(&prev).chain(below_anchor.copied()))
+            .inspect(|_| walked.set(walked.get() + 1));
         let verdict = pow::validate_header(
             &self.params.network.params(),
             header,
-            &parent,
-            parent_height,
+            &parent.header,
+            parent.height,
             ancestors,
             now_unix,
         );
         meter.charge(walked.get() * metering::HEADER_WALK);
         verdict.map_err(RejectReason::Header)
-    }
-
-    /// The headers from `hash` (inclusive) back to genesis, newest
-    /// first: up the unstable tree to the anchor, then down the stable
-    /// chain below it.
-    fn ancestors(&self, hash: &BlockHash) -> impl Iterator<Item = BlockHeader> + Clone + '_ {
-        let in_tree =
-            std::iter::successors(self.tree.header(hash), |h| self.tree.header(&h.prev_blockhash));
-        let below_anchor = self.stable_headers[..self.anchor_height() as usize].iter().rev().copied();
-        in_tree.chain(below_anchor)
     }
 
     fn block_valid(&self, block: &Block) -> Result<(), RejectReason> {
@@ -364,7 +340,7 @@ impl BitcoinCanisterState {
             let decode = meter.frame("tx_decode");
             meter.charge(block.txdata.len() as u64 * metering::TX_DECODE);
             meter.frame_end(decode);
-            let _ = self.tree.insert(block.header);
+            let _ = self.tree.insert_hashed(hash, block.header);
             if self.blocks.insert(hash, block).is_none() {
                 report.blocks_accepted += 1;
             }
@@ -381,7 +357,7 @@ impl BitcoinCanisterState {
             }
             match self.validate_header(&header, now_unix, meter) {
                 Ok(()) => {
-                    let _ = self.tree.insert(header);
+                    let _ = self.tree.insert_hashed(hash, header);
                     report.headers_accepted += 1;
                 }
                 Err(reason) => report.rejected.push(reason),
@@ -399,33 +375,29 @@ impl BitcoinCanisterState {
         report
     }
 
-    /// Advances the anchor while the work-heaviest child with an
-    /// available body is difficulty-based δ-stable with respect to the
-    /// current anchor's work.
+    /// Advances the anchor while its child on the best chain has an
+    /// available body and is difficulty-based δ-stable with respect to
+    /// the current anchor's work. No other child can be: a δ-stable child
+    /// outweighs every sibling by `δ·w(b*) > 0`, so the tip is under it.
     fn advance_anchor(&mut self, report: &mut IngestReport, meter: &mut Meter) {
         loop {
-            let anchor_hash = self.tree.root();
-            let anchor_work = self.tree.header(&anchor_hash).expect("anchor in tree").work(); // icbtc-lint: allow(no-panic) -- invariant: the root hash is by construction a member of the tree
-            // Among children with available bodies, the d_w-maximal one.
-            let candidate = self
-                .tree
-                .children(&anchor_hash)
-                .iter()
-                .filter(|h| self.blocks.contains_key(h))
-                .max_by(|a, b| {
-                    let da = self.tree.depth_work(a).expect("in tree"); // icbtc-lint: allow(no-panic) -- invariant: children() only yields members of the tree
-                    let db = self.tree.depth_work(b).expect("in tree");
-                    da.cmp(&db)
-                })
-                .copied();
-            let Some(next_hash) = candidate else { return };
-            if !self.tree.is_difficulty_stable(&next_hash, self.params.stability_delta, anchor_work)
-            {
+            let anchor_work = self.anchor().work();
+            let Some(next_hash) =
+                self.tree.ancestor_at(&self.tree.tip_hash(), self.tree.root_height() + 1)
+            else {
+                return;
+            };
+            if !stability::is_difficulty_stable(
+                &self.tree,
+                &next_hash,
+                self.params.stability_delta,
+                anchor_work,
+            ) {
                 return;
             }
             // Fold the stabilized block into the UTXO set and discard its
             // body; keep exactly its header at this height.
-            let block = self.blocks.remove(&next_hash).expect("candidate has body"); // icbtc-lint: allow(no-panic) -- invariant: candidate was filtered on blocks.contains_key four lines up
+            let Some(block) = self.blocks.remove(&next_hash) else { return };
             let height = self.anchor_height() + 1;
             let ingest = meter.frame("ingest_block");
             self.utxos.ingest_block(&block.txdata, height, meter);
@@ -441,16 +413,13 @@ impl BitcoinCanisterState {
     }
 
     fn update_synced(&mut self) {
-        let max_header_height = self.anchor_height() + (self.tree.max_height() - self.tree.root_height());
         let max_block_height = self
-            .tree
-            .hashes()
-            .filter(|h| **h == self.tree.root() || self.blocks.contains_key(h))
+            .blocks
+            .keys()
             .filter_map(|h| self.tree.height(h))
             .max()
-            .unwrap_or(self.tree.root_height());
-        let max_block_height = self.anchor_height() + (max_block_height - self.tree.root_height());
-        self.synced = max_header_height.saturating_sub(max_block_height) <= self.params.tau;
+            .unwrap_or(self.anchor_height());
+        self.synced = self.tree.max_height().saturating_sub(max_block_height) <= self.params.tau;
     }
 
     /// Marks the canister out of sync manually (downtime experiments).
@@ -527,21 +496,12 @@ impl BitcoinCanisterState {
             sink(&header.encode_to_vec());
         }
         // Unstable headers, excluding the root (the anchor is already the
-        // last stable header), sorted by (height, hash) so parents
-        // precede children and a restore can reinsert in stream order.
-        let mut unstable: Vec<(u64, BlockHash)> = self
-            .tree
-            .hashes()
-            .filter(|h| **h != self.tree.root())
-            .map(|h| {
-                let height = self.tree.height(h).expect("hash from tree"); // icbtc-lint: allow(no-panic) -- invariant: h was just yielded by tree.hashes()
-                (height, *h)
-            })
-            .collect();
-        unstable.sort();
-        sink(&(unstable.len() as u64).to_be_bytes());
-        for (_, hash) in &unstable {
-            let header = self.tree.header(hash).expect("hash from tree"); // icbtc-lint: allow(no-panic) -- invariant: hash was collected from tree.hashes() above
+        // last stable header), in arrival order: parents precede children,
+        // and a restore that reinserts in stream order keeps the
+        // first-seen tip of an equal-work fork.
+        let unstable = self.tree.insertion_order();
+        sink(&(unstable.len() as u64 - 1).to_be_bytes());
+        for header in unstable[1..].iter().filter_map(|h| self.tree.header(h)) {
             sink(&header.encode_to_vec());
         }
         sink(&(self.blocks.len() as u64).to_be_bytes());
@@ -586,9 +546,11 @@ impl BitcoinCanisterState {
     /// (`len ‖ snapshot bytes`) replaced by the set's 32-byte
     /// [`UtxoSet::state_hash`], which is memoized until the anchor next
     /// advances. While the anchor is still, a call costs only the
-    /// unstable sections. Two states are behaviorally identical for
-    /// every replicated API iff their hashes match, which is what the
-    /// shadow-replica divergence detector compares every round.
+    /// unstable sections. The unstable headers enter in arrival order,
+    /// which decides the tip of an equal-work fork, so two states with
+    /// equal hashes follow the same best chain and answer every
+    /// replicated API alike: what the shadow-replica divergence
+    /// detector compares every round.
     pub fn state_hash(&self) -> [u8; 32] {
         let mut hasher = Sha256::new();
         self.snapshot_into(UtxoSection::Hash, &mut |bytes| hasher.update(bytes));
@@ -602,8 +564,8 @@ impl BitcoinCanisterState {
     ///
     /// [`StorageError::Corrupt`] on a bad magic/version/network tag, a
     /// stable chain that is empty, does not link, or disagrees with the
-    /// UTXO set's height, an unstable header without its parent, a block
-    /// body without its header, or trailing bytes.
+    /// UTXO set's height, an unstable header without its parent or seen
+    /// twice, a block body without its header, or trailing bytes.
     pub fn deserialize(bytes: &[u8]) -> Result<BitcoinCanisterState, StorageError> {
         let mut cursor = SnapshotReader { bytes, pos: 0 };
         if cursor.take(8)? != STATE_MAGIC {
@@ -651,8 +613,10 @@ impl BitcoinCanisterState {
         for _ in 0..unstable_count {
             let header = BlockHeader::decode_exact(cursor.take(80)?)
                 .map_err(|_| StorageError::Corrupt("bad unstable header"))?;
-            if tree.insert(header).is_err() {
-                return Err(StorageError::Corrupt("orphan unstable header"));
+            match tree.insert(header) {
+                Ok(true) => {}
+                Ok(false) => return Err(StorageError::Corrupt("duplicate unstable header")),
+                Err(_) => return Err(StorageError::Corrupt("orphan unstable header")),
             }
         }
         let block_count = cursor.u64()? as usize;
@@ -845,7 +809,7 @@ mod tests {
         let mut state = BitcoinCanisterState::new(params());
         state.process_response(respond_with(&main), NOW, &mut Meter::new());
         assert!(state.anchor_height() >= 3);
-        let tree_before: Vec<BlockHash> = state.tree().hashes().copied().collect();
+        let tree_before = state.tree().insertion_order();
 
         // A fork off height 1, which is now below the anchor.
         let mut fork_chain = ChainStore::new(Network::Regtest);
@@ -854,7 +818,7 @@ mod tests {
         let report = state.process_response(respond_with(&fork), NOW, &mut Meter::new());
         assert_eq!(report.rejected, vec![RejectReason::Orphan(main[0].block_hash())]);
         assert_eq!(report.blocks_accepted, 0);
-        let tree_after: Vec<BlockHash> = state.tree().hashes().copied().collect();
+        let tree_after = state.tree().insertion_order();
         assert_eq!(tree_after, tree_before);
     }
 
@@ -1159,6 +1123,43 @@ mod tests {
         original.process_response(respond_with(&blocks[5..]), NOW, &mut meter);
         restored.process_response(respond_with(&blocks[5..]), NOW, &mut meter);
         assert_eq!(original.state_hash(), restored.state_hash());
+    }
+
+    /// Two one-block branches off genesis with equal work.
+    fn equal_work_fork() -> (Block, Block) {
+        let a = mine_chain(&mut ChainStore::new(Network::Regtest), 1, 0).remove(0);
+        let b = mine_chain(&mut ChainStore::new(Network::Regtest), 1, 100).remove(0);
+        assert_eq!(a.header.work(), b.header.work());
+        (a, b)
+    }
+
+    #[test]
+    fn equal_work_fork_tip_is_the_first_seen_in_chain_store_and_canister() {
+        let (a, b) = equal_work_fork();
+        for (first, second) in [(&a, &b), (&b, &a)] {
+            let mut chain = ChainStore::new(Network::Regtest);
+            let mut state = BitcoinCanisterState::new(params());
+            for block in [first, second] {
+                chain.accept_block(block.clone(), NOW).unwrap();
+                let response = respond_with(std::slice::from_ref(block));
+                state.process_response(response, NOW, &mut Meter::new());
+            }
+            assert_eq!(chain.tip_hash(), first.block_hash());
+            assert_eq!(state.best_tip(), (first.block_hash(), 1));
+        }
+    }
+
+    #[test]
+    fn restore_keeps_the_first_seen_tip_of_an_equal_work_fork() {
+        let (a, b) = equal_work_fork();
+        for order in [[&a, &b], [&b, &a]] {
+            let mut state = BitcoinCanisterState::new(params());
+            let blocks: Vec<Block> = order.into_iter().cloned().collect();
+            state.process_response(respond_with(&blocks), NOW, &mut Meter::new());
+            let restored = BitcoinCanisterState::deserialize(&state.serialize()).unwrap();
+            assert_eq!(state.best_tip().0, order[0].block_hash());
+            assert_eq!(restored.best_tip(), state.best_tip());
+        }
     }
 
     #[test]

@@ -3,10 +3,11 @@
 //! This crate holds the paper's primary conceptual contribution and the
 //! contract between its two architectural components:
 //!
-//! * [`stability`] — δ-stability (Definition II.1) over block-header
-//!   trees, in both its confirmation-based (`d_c`) and difficulty-based
-//!   (`d_w`) instantiations. This is what reconciles Bitcoin's
-//!   probabilistic finality with the IC's deterministic finalization.
+//! * [`stability`] — δ-stability (Definition II.1) over the shared
+//!   block-header tree (`icbtc_bitcoin::HeaderTree`), in both its
+//!   confirmation-based (`d_c`) and difficulty-based (`d_w`)
+//!   instantiations. This is what reconciles Bitcoin's probabilistic
+//!   finality with the IC's deterministic finalization.
 //! * [`protocol`] — the `GetSuccessors` request/response shapes exchanged
 //!   between the Bitcoin canister and the Bitcoin adapter (Algorithms 1
 //!   and 2 operate on these), plus the production [`IntegrationParams`]
@@ -20,12 +21,12 @@
 //! # Examples
 //!
 //! ```
-//! use icbtc_core::stability::HeaderTree;
-//! use icbtc_bitcoin::Network;
+//! use icbtc_bitcoin::{HeaderTree, Network};
+//! use icbtc_core::stability;
 //!
 //! let genesis = Network::Regtest.genesis_block().header;
 //! let tree = HeaderTree::new(genesis);
-//! assert_eq!(tree.confirmation_stability(&tree.root()), Some(1));
+//! assert_eq!(stability::confirmation_stability(&tree, &tree.root()), Some(1));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -38,4 +39,3 @@ pub use protocol::{
     GetSuccessorsRequest, GetSuccessorsResponse, IntegrationParams, MAX_NEXT_HEADERS,
     MAX_RESPONSE_BLOCK_BYTES,
 };
-pub use stability::HeaderTree;

@@ -14,265 +14,62 @@
 //! forks) and `d_w` (per-block hash work — *difficulty-based* stability,
 //! which the Bitcoin canister uses to advance its anchor, normalized by
 //! the work `w(b*)` of a reference block).
+//!
+//! Both depths are read off the one [`HeaderTree`] that btcnet's chain
+//! store and the canister share; this module adds only the stability
+//! conditions.
 
-use std::collections::BTreeMap;
+use icbtc_bitcoin::{BlockHash, HeaderTree, Work};
 
-use icbtc_bitcoin::{BlockHash, BlockHeader, Work};
-
-/// A node in the header tree.
-#[derive(Clone, Copy, Debug)]
-struct TreeNode {
-    header: BlockHeader,
-    height: u64,
+/// Confirmation-based stability of a block: the largest δ for which
+/// Definition II.1 holds under `d_c`, which may be negative for blocks
+/// on losing forks (as in the paper's Figure 3).
+pub fn confirmation_stability(tree: &HeaderTree, hash: &BlockHash) -> Option<i64> {
+    let height = tree.height(hash)?;
+    let own_depth = tree.depth_count(hash)? as i64;
+    let mut stability = own_depth; // condition (1): d(b) ≥ δ
+    for other in tree.at_height(height) {
+        if other == hash {
+            continue;
+        }
+        let other_depth = tree.depth_count(other)? as i64;
+        stability = stability.min(own_depth - other_depth); // condition (2)
+    }
+    Some(stability)
 }
 
-/// A directed tree of block headers rooted at an anchor/genesis header,
-/// with the depth and stability queries of §II-B/§II-C.
-///
-/// # Examples
-///
-/// ```
-/// use icbtc_core::stability::HeaderTree;
-/// use icbtc_bitcoin::Network;
-///
-/// let genesis = Network::Regtest.genesis_block().header;
-/// let tree = HeaderTree::new(genesis);
-/// // A lone root is its own tip: depth 1, no competitors.
-/// assert_eq!(tree.confirmation_stability(&genesis.block_hash()), Some(1));
-/// ```
-#[derive(Clone, Debug)]
-pub struct HeaderTree {
-    nodes: BTreeMap<BlockHash, TreeNode>,
-    children: BTreeMap<BlockHash, Vec<BlockHash>>,
-    by_height: BTreeMap<u64, Vec<BlockHash>>,
-    root: BlockHash,
-    root_height: u64,
+/// Whether `hash` is confirmation-based δ-stable.
+pub fn is_confirmation_stable(tree: &HeaderTree, hash: &BlockHash, delta: u64) -> bool {
+    assert!(delta > 0, "delta-stability requires delta > 0");
+    confirmation_stability(tree, hash).is_some_and(|s| s >= delta as i64)
 }
 
-impl HeaderTree {
-    /// Creates a tree whose root is `root` at height 0.
-    pub fn new(root: BlockHeader) -> HeaderTree {
-        HeaderTree::with_root_height(root, 0)
-    }
-
-    /// Creates a tree whose root sits at an absolute chain height (the
-    /// canister's anchor is rarely genesis).
-    pub fn with_root_height(root: BlockHeader, height: u64) -> HeaderTree {
-        let hash = root.block_hash();
-        let mut nodes = BTreeMap::new();
-        nodes.insert(hash, TreeNode { header: root, height });
-        let mut by_height = BTreeMap::new();
-        by_height.insert(height, vec![hash]);
-        HeaderTree { nodes, children: BTreeMap::new(), by_height, root: hash, root_height: height }
-    }
-
-    /// The root hash.
-    pub fn root(&self) -> BlockHash {
-        self.root
-    }
-
-    /// The root's absolute height.
-    pub fn root_height(&self) -> u64 {
-        self.root_height
-    }
-
-    /// Number of headers in the tree.
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Returns `true` if only the root is present.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.len() == 1
-    }
-
-    /// Returns `true` if `hash` is in the tree.
-    pub fn contains(&self, hash: &BlockHash) -> bool {
-        self.nodes.contains_key(hash)
-    }
-
-    /// The header stored under `hash`.
-    pub fn header(&self, hash: &BlockHash) -> Option<BlockHeader> {
-        self.nodes.get(hash).map(|n| n.header)
-    }
-
-    /// Absolute height of `hash`.
-    pub fn height(&self, hash: &BlockHash) -> Option<u64> {
-        self.nodes.get(hash).map(|n| n.height)
-    }
-
-    /// Children of `hash`.
-    pub fn children(&self, hash: &BlockHash) -> &[BlockHash] {
-        self.children.get(hash).map(Vec::as_slice).unwrap_or(&[])
-    }
-
-    /// All headers at an absolute height.
-    pub fn at_height(&self, height: u64) -> &[BlockHash] {
-        self.by_height.get(&height).map(Vec::as_slice).unwrap_or(&[])
-    }
-
-    /// The greatest height present.
-    pub fn max_height(&self) -> u64 {
-        self.nodes.values().map(|n| n.height).max().unwrap_or(self.root_height)
-    }
-
-    /// All header hashes, in no particular order.
-    pub fn hashes(&self) -> impl Iterator<Item = &BlockHash> {
-        self.nodes.keys()
-    }
-
-    /// Inserts a header whose parent is already present. Returns `false`
-    /// if it was already present.
-    ///
-    /// # Errors
-    ///
-    /// Returns the unknown parent hash if the header does not connect.
-    pub fn insert(&mut self, header: BlockHeader) -> Result<bool, BlockHash> {
-        let hash = header.block_hash();
-        if self.nodes.contains_key(&hash) {
-            return Ok(false);
-        }
-        let parent = header.prev_blockhash;
-        let parent_height = self.nodes.get(&parent).map(|n| n.height).ok_or(parent)?;
-        let height = parent_height + 1;
-        self.nodes.insert(hash, TreeNode { header, height });
-        self.children.entry(parent).or_default().push(hash);
-        self.by_height.entry(height).or_default().push(hash);
-        Ok(true)
-    }
-
-    /// Generic depth (maximum cumulative cost from `hash` to any reachable
-    /// tip), per the definition in §II-B, summed exactly in `T`.
-    fn depth_with<T, C>(&self, hash: &BlockHash, cost: &C) -> Option<T>
-    where
-        T: Copy + Ord + std::ops::Add<Output = T>,
-        C: Fn(&BlockHeader) -> T,
-    {
-        let own = cost(&self.nodes.get(hash)?.header);
-        let best_child = self.children(hash).iter().filter_map(|c| self.depth_with(c, cost)).max();
-        Some(best_child.map_or(own, |best| own + best))
-    }
-
-    /// `d_c(b)`: depth counting each block once — the basis of
-    /// confirmation-based stability. A tip has `d_c = 1`.
-    pub fn depth_count(&self, hash: &BlockHash) -> Option<u64> {
-        self.depth_with(hash, &|_| 1u64)
-    }
-
-    /// `d_w(b)`: depth accumulating hash work — the basis of
-    /// difficulty-based stability.
-    pub fn depth_work(&self, hash: &BlockHash) -> Option<Work> {
-        self.depth_with(hash, &BlockHeader::work)
-    }
-
-    /// Confirmation-based stability of a block: the largest δ for which
-    /// Definition II.1 holds under `d_c`, which may be negative for blocks
-    /// on losing forks (as in the paper's Figure 3).
-    pub fn confirmation_stability(&self, hash: &BlockHash) -> Option<i64> {
-        let node = self.nodes.get(hash)?;
-        let own_depth = self.depth_count(hash)? as i64;
-        let mut stability = own_depth; // condition (1): d(b) ≥ δ
-        for other in self.at_height(node.height) {
-            if other == hash {
-                continue;
-            }
-            let other_depth = self.depth_count(other)? as i64;
-            stability = stability.min(own_depth - other_depth); // condition (2)
-        }
-        Some(stability)
-    }
-
-    /// Whether `hash` is confirmation-based δ-stable.
-    pub fn is_confirmation_stable(&self, hash: &BlockHash, delta: u64) -> bool {
-        assert!(delta > 0, "delta-stability requires delta > 0");
-        self.confirmation_stability(hash)
-            .map(|s| s >= delta as i64)
-            .unwrap_or(false)
-    }
-
-    /// Whether `hash` is difficulty-based δ-stable with respect to a
-    /// reference block of work `reference_work` (§II-C): with
-    /// `m = δ·w(b*)`, `d_w(b) ≥ m` and `d_w(b) ≥ d_w(b′) + m` for every
-    /// other `b′` at the same height. Decided in exact integer work.
-    pub fn is_difficulty_stable(
-        &self,
-        hash: &BlockHash,
-        delta: u64,
-        reference_work: Work,
-    ) -> bool {
-        assert!(delta > 0, "delta-stability requires delta > 0");
-        let (Some(node), Some(own)) = (self.nodes.get(hash), self.depth_work(hash)) else {
-            return false;
-        };
-        let margin = reference_work * delta;
-        own >= margin
-            && self.at_height(node.height).iter().filter(|other| *other != hash).all(|other| {
-                self.depth_work(other).is_some_and(|depth| own >= depth + margin)
-            })
-    }
-
-    /// The current blockchain per §II-B: the path from the root to a tip
-    /// maximizing cumulative work, root first.
-    pub fn best_chain(&self) -> Vec<BlockHash> {
-        let mut chain = vec![self.root];
-        let mut cursor = self.root;
-        loop {
-            let next = self
-                .children(&cursor)
-                .iter()
-                .max_by_key(|c| self.depth_work(c).unwrap_or(Work::ZERO));
-            match next {
-                Some(child) => {
-                    chain.push(*child);
-                    cursor = *child;
-                }
-                None => return chain,
-            }
-        }
-    }
-
-    /// Prunes every branch that does not pass through `new_root`, making
-    /// it the tree's root — the canister's anchor advance. Returns the
-    /// removed hashes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `new_root` is not in the tree.
-    pub fn reroot(&mut self, new_root: BlockHash) -> Vec<BlockHash> {
-        assert!(self.nodes.contains_key(&new_root), "new root must exist");
-        // Collect the keep-set: new_root and its descendants.
-        let mut keep = vec![new_root];
-        let mut stack = vec![new_root];
-        while let Some(cur) = stack.pop() {
-            for child in self.children(&cur) {
-                keep.push(*child);
-                stack.push(*child);
-            }
-        }
-        let keep_set: std::collections::BTreeSet<BlockHash> = keep.into_iter().collect();
-        let removed: Vec<BlockHash> =
-            self.nodes.keys().filter(|h| !keep_set.contains(h)).copied().collect();
-        for hash in &removed {
-            let node = self.nodes.remove(hash).expect("listed for removal"); // icbtc-lint: allow(no-panic) -- invariant: `removed` was collected from self.nodes.keys() two lines up and nothing mutates nodes in between
-            self.children.remove(hash);
-            if let Some(level) = self.by_height.get_mut(&node.height) {
-                level.retain(|h| h != hash);
-            }
-        }
-        for children in self.children.values_mut() {
-            children.retain(|c| keep_set.contains(c));
-        }
-        self.root = new_root;
-        self.root_height = self.nodes[&new_root].height;
-        removed
-    }
+/// Whether `hash` is difficulty-based δ-stable with respect to a
+/// reference block of work `reference_work` (§II-C): with
+/// `m = δ·w(b*)`, `d_w(b) ≥ m` and `d_w(b) ≥ d_w(b′) + m` for every
+/// other `b′` at the same height. Decided in exact integer work.
+pub fn is_difficulty_stable(
+    tree: &HeaderTree,
+    hash: &BlockHash,
+    delta: u64,
+    reference_work: Work,
+) -> bool {
+    assert!(delta > 0, "delta-stability requires delta > 0");
+    let (Some(height), Some(own)) = (tree.height(hash), tree.depth_work(hash)) else {
+        return false;
+    };
+    let margin = reference_work * delta;
+    own >= margin
+        && tree.at_height(height).filter(|other| *other != hash).all(|other| {
+            tree.depth_work(other).is_some_and(|depth| own >= depth + margin)
+        })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use icbtc_bitcoin::pow::CompactTarget;
-    use icbtc_bitcoin::{MerkleRoot, Network};
+    use icbtc_bitcoin::{BlockHeader, MerkleRoot, Network};
 
     /// Builds a synthetic child header (unchecked PoW — the tree itself
     /// does not validate, as validation lives in the adapter/canister).
@@ -336,7 +133,7 @@ mod tests {
         }
         // Stability equals depth without competitors.
         for (i, hash) in hashes.iter().enumerate() {
-            assert_eq!(tree.confirmation_stability(hash), Some(5 - i as i64));
+            assert_eq!(confirmation_stability(&tree, hash), Some(5 - i as i64));
         }
     }
 
@@ -345,17 +142,17 @@ mod tests {
         let (tree, main, fork) = figure3();
         // Main chain blocks compete with the fork at heights 2 and 3.
         // a1 has no competitor: stability = depth = 5.
-        assert_eq!(tree.confirmation_stability(&main[0]), Some(5));
+        assert_eq!(confirmation_stability(&tree, &main[0]), Some(5));
         // a2: depth 4, fork b2 depth 2 ⇒ min(4, 4-2) = 2.
-        assert_eq!(tree.confirmation_stability(&main[1]), Some(2));
+        assert_eq!(confirmation_stability(&tree, &main[1]), Some(2));
         // a3: depth 3, fork b3 depth 1 ⇒ min(3, 3-1) = 2.
-        assert_eq!(tree.confirmation_stability(&main[2]), Some(2));
+        assert_eq!(confirmation_stability(&tree, &main[2]), Some(2));
         // a4, a5 unopposed: stability = depth.
-        assert_eq!(tree.confirmation_stability(&main[3]), Some(2));
-        assert_eq!(tree.confirmation_stability(&main[4]), Some(1));
+        assert_eq!(confirmation_stability(&tree, &main[3]), Some(2));
+        assert_eq!(confirmation_stability(&tree, &main[4]), Some(1));
         // Fork blocks have negative stability (they lose).
-        assert_eq!(tree.confirmation_stability(&fork[0]), Some(2 - 4));
-        assert_eq!(tree.confirmation_stability(&fork[1]), Some(1 - 3));
+        assert_eq!(confirmation_stability(&tree, &fork[0]), Some(2 - 4));
+        assert_eq!(confirmation_stability(&tree, &fork[1]), Some(1 - 3));
     }
 
     #[test]
@@ -370,7 +167,7 @@ mod tests {
         tree.insert(b1).unwrap();
         let mut a_parent = a1;
         let mut b_parent = b1;
-        let mut last_stability = tree.confirmation_stability(&a1.block_hash()).unwrap();
+        let mut last_stability = confirmation_stability(&tree, &a1.block_hash()).unwrap();
         for i in 0..5 {
             let a_next = child_of(&a_parent, 10 + i);
             let b_next = child_of(&b_parent, 20 + i);
@@ -378,7 +175,7 @@ mod tests {
             tree.insert(b_next).unwrap();
             a_parent = a_next;
             b_parent = b_next;
-            let stability = tree.confirmation_stability(&a1.block_hash()).unwrap();
+            let stability = confirmation_stability(&tree, &a1.block_hash()).unwrap();
             assert_eq!(stability, last_stability, "equal-rate forks freeze stability");
             last_stability = stability;
             // Depth keeps growing though.
@@ -392,12 +189,12 @@ mod tests {
         let (tree, main, fork) = figure3();
         // At height 2 (a2 vs b2) only a2 can be δ-stable for δ=1..3.
         for delta in 1..=3u64 {
-            let stable_a = tree.is_confirmation_stable(&main[1], delta);
-            let stable_b = tree.is_confirmation_stable(&fork[0], delta);
+            let stable_a = is_confirmation_stable(&tree, &main[1], delta);
+            let stable_b = is_confirmation_stable(&tree, &fork[0], delta);
             assert!(!(stable_a && stable_b), "two stable blocks at one height");
         }
-        assert!(tree.is_confirmation_stable(&main[1], 2));
-        assert!(!tree.is_confirmation_stable(&main[1], 3));
+        assert!(is_confirmation_stable(&tree, &main[1], 2));
+        assert!(!is_confirmation_stable(&tree, &main[1], 3));
     }
 
     #[test]
@@ -406,9 +203,9 @@ mod tests {
         let (tree, main, _) = figure3();
         for hash in &main {
             for delta in 1..=6u64 {
-                if tree.is_confirmation_stable(hash, delta) {
+                if is_confirmation_stable(&tree, hash, delta) {
                     for smaller in 1..delta {
-                        assert!(tree.is_confirmation_stable(hash, smaller));
+                        assert!(is_confirmation_stable(&tree, hash, smaller));
                     }
                 }
             }
@@ -423,8 +220,8 @@ mod tests {
         for hash in main.iter().chain(&fork) {
             for delta in 1..=6u64 {
                 assert_eq!(
-                    tree.is_difficulty_stable(hash, delta, reference),
-                    tree.is_confirmation_stable(hash, delta),
+                    is_difficulty_stable(&tree, hash, delta, reference),
+                    is_confirmation_stable(&tree, hash, delta),
                     "delta {delta}"
                 );
             }
@@ -454,13 +251,13 @@ mod tests {
         }
         let delta = 6;
         let reference = anchor.work();
-        let sibling = tree.at_height(1).iter().find(|h| **h != candidate.block_hash()).unwrap();
+        let sibling = tree.at_height(1).find(|h| **h != candidate.block_hash()).unwrap();
         assert_eq!(
             tree.depth_work(&candidate.block_hash()).unwrap(),
             tree.depth_work(sibling).unwrap() + reference * delta
         );
-        assert!(tree.is_difficulty_stable(&candidate.block_hash(), delta, reference));
-        assert!(!tree.is_difficulty_stable(&candidate.block_hash(), delta + 1, reference));
+        assert!(is_difficulty_stable(&tree, &candidate.block_hash(), delta, reference));
+        assert!(!is_difficulty_stable(&tree, &candidate.block_hash(), delta + 1, reference));
     }
 
     #[test]
@@ -518,55 +315,85 @@ mod tests {
         assert!(tree.contains(&main[4]));
         assert_eq!(tree.len(), 4);
         // Stability queries still work on the re-rooted tree.
-        assert_eq!(tree.confirmation_stability(&main[1]), Some(4));
+        assert_eq!(confirmation_stability(&tree, &main[1]), Some(4));
     }
 
     #[test]
-    fn insert_rejects_orphans_and_duplicates() {
+    fn deep_linear_tree_needs_no_recursion() {
+        // Deeper than any recursive depth walk survives on a 2 MiB test
+        // thread: honest catch-up can grow the unstable tree this far.
+        const DEPTH: u64 = 30_000;
         let g = root();
         let mut tree = HeaderTree::new(g);
-        let child = child_of(&g, 1);
-        let orphan = child_of(&child, 2);
-        assert_eq!(tree.insert(orphan), Err(child.block_hash()));
-        assert_eq!(tree.insert(child), Ok(true));
-        assert_eq!(tree.insert(child), Ok(false));
-        assert_eq!(tree.insert(orphan), Ok(true));
-    }
-
-    #[test]
-    fn with_root_height_offsets_heights() {
-        let g = root();
-        let tree = HeaderTree::with_root_height(g, 1000);
-        assert_eq!(tree.root_height(), 1000);
-        assert_eq!(tree.height(&g.block_hash()), Some(1000));
-        assert_eq!(tree.at_height(1000).len(), 1);
+        let mut parent = g;
+        for i in 0..DEPTH {
+            let h = child_of(&parent, i as u32);
+            tree.insert(h).unwrap();
+            parent = h;
+        }
+        let w = g.work();
+        assert_eq!(tree.depth_count(&tree.root()), Some(DEPTH + 1));
+        assert_eq!(tree.depth_work(&tree.root()), Some(w * (DEPTH + 1)));
+        let best = tree.best_chain();
+        assert_eq!(best.len() as u64, DEPTH + 1);
+        assert_eq!(*best.last().unwrap(), parent.block_hash());
+        assert!(is_difficulty_stable(&tree, &best[1], DEPTH, w));
+        assert!(!is_difficulty_stable(&tree, &best[1], DEPTH + 1, w));
     }
 
     #[test]
     #[should_panic]
     fn zero_delta_panics() {
         let tree = HeaderTree::new(root());
-        let _ = tree.is_confirmation_stable(&tree.root(), 0);
+        let _ = is_confirmation_stable(&tree, &tree.root(), 0);
     }
 
     mod properties {
         use super::*;
         use icbtc_sim::testkit;
+        use std::collections::BTreeMap;
 
         /// Builds a random tree by attaching each new header to a random
-        /// existing node.
+        /// existing node, with one of three per-block works so that
+        /// equal-work branches with different shapes occur. Returns the
+        /// hashes in insertion order.
         fn random_tree(choices: &[u8]) -> (HeaderTree, Vec<BlockHash>) {
+            const BITS: [u32; 3] = [0x207f_ffff, 0x203f_ffff, 0x201f_ffff];
             let g = root();
             let mut tree = HeaderTree::new(g);
             let mut hashes = vec![g.block_hash()];
             for (i, &choice) in choices.iter().enumerate() {
                 let parent_hash = hashes[choice as usize % hashes.len()];
                 let parent = tree.header(&parent_hash).unwrap();
-                let header = child_of(&parent, 1000 + i as u32);
+                let mut header = child_of(&parent, 1000 + i as u32);
+                header.bits = CompactTarget::from_consensus(BITS[choice as usize / 86]);
                 tree.insert(header).unwrap();
                 hashes.push(header.block_hash());
             }
             (tree, hashes)
+        }
+
+        /// Reference depths by brute force: for every root-to-tip path,
+        /// the count and the work from each block on it to the tip; each
+        /// block keeps its maximum over the paths through it.
+        fn brute_force_depths(
+            tree: &HeaderTree,
+            hashes: &[BlockHash],
+        ) -> BTreeMap<BlockHash, (u64, Work)> {
+            let mut depths: BTreeMap<BlockHash, (u64, Work)> = BTreeMap::new();
+            for tip in hashes.iter().filter(|h| tree.children(h).is_empty()) {
+                let (mut count, mut work) = (0, Work::ZERO);
+                let mut cursor = Some(*tip);
+                while let Some(hash) = cursor {
+                    let header = tree.header(&hash).unwrap();
+                    count += 1;
+                    work += header.work();
+                    let best = depths.entry(hash).or_insert((0, Work::ZERO));
+                    *best = (best.0.max(count), best.1.max(work));
+                    cursor = (hash != tree.root()).then_some(header.prev_blockhash);
+                }
+            }
+            depths
         }
 
         /// At most one block per height is δ-stable, for every δ ≥ 1.
@@ -579,8 +406,7 @@ mod tests {
                     for delta in 1..4u64 {
                         let stable: Vec<_> = tree
                             .at_height(height)
-                            .iter()
-                            .filter(|h| tree.is_confirmation_stable(h, delta))
+                            .filter(|h| is_confirmation_stable(&tree, h, delta))
                             .collect();
                         assert!(stable.len() <= 1);
                     }
@@ -597,30 +423,40 @@ mod tests {
                 let (tree, hashes) = random_tree(&choices);
                 for hash in &hashes {
                     let depth = tree.depth_count(hash).unwrap() as i64;
-                    let stability = tree.confirmation_stability(hash).unwrap();
+                    let stability = confirmation_stability(&tree, hash).unwrap();
                     assert!(stability <= depth);
                     let height = tree.height(hash).unwrap();
-                    if tree.at_height(height).len() == 1 {
+                    if tree.at_height(height).count() == 1 {
                         assert_eq!(stability, depth);
                     }
                 }
             });
         }
 
-        /// The best chain is connected, starts at the root, and ends
-        /// at a tip.
+        /// The best chain is connected, starts at the root, and ends at
+        /// the first-inserted tip of maximal chain work; both depths equal
+        /// the brute-force maximum over root-to-tip paths.
         #[test]
-        fn best_chain_well_formed() {
+        fn best_chain_and_depths_match_brute_force() {
             testkit::check(0x57_0003, testkit::DEFAULT_CASES, |rng| {
                 let choices = testkit::bytes(rng, 1..40);
-                let (tree, _) = random_tree(&choices);
+                let (tree, hashes) = random_tree(&choices);
                 let chain = tree.best_chain();
                 assert_eq!(chain[0], tree.root());
                 for pair in chain.windows(2) {
                     let child_header = tree.header(&pair[1]).unwrap();
                     assert_eq!(child_header.prev_blockhash, pair[0]);
                 }
-                assert!(tree.children(chain.last().unwrap()).is_empty());
+                let depths = brute_force_depths(&tree, &hashes);
+                let path_work =
+                    |hash: &BlockHash| -> Work { tree.ancestors(hash).map(|h| h.work()).sum() };
+                let most = hashes.iter().map(path_work).max().unwrap();
+                let first_most = hashes.iter().find(|h| path_work(h) == most).unwrap();
+                assert_eq!(chain.last(), Some(first_most));
+                for hash in &hashes {
+                    assert_eq!(tree.depth_count(hash), Some(depths[hash].0));
+                    assert_eq!(tree.depth_work(hash), Some(depths[hash].1));
+                }
             });
         }
     }
