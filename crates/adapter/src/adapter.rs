@@ -213,11 +213,6 @@ impl BitcoinAdapter {
         self.seen_inv.len()
     }
 
-    /// Number of outstanding block fetches.
-    pub fn inflight_len(&self) -> usize {
-        self.inflight_blocks.len()
-    }
-
     /// Read access to the per-peer misbehaviour scores.
     pub fn peer_scorer(&self) -> &PeerScorer {
         &self.scorer
@@ -273,12 +268,12 @@ impl BitcoinAdapter {
         const MAX_INFLIGHT: usize = 24;
         if self.inflight_blocks.len() < MAX_INFLIGHT {
             let mut wanted = Vec::new();
-            for hash in self.store.best_chain_hashes().into_iter().rev() {
+            for hash in self.store.best_chain() {
                 if self.inflight_blocks.len() + wanted.len() >= MAX_INFLIGHT {
                     break;
                 }
-                if !self.store.has_block(&hash) && !self.inflight_blocks.contains_key(&hash) {
-                    wanted.push(hash);
+                if !self.store.has_block(hash) && !self.inflight_blocks.contains_key(hash) {
+                    wanted.push(*hash);
                 }
             }
             for hash in wanted {

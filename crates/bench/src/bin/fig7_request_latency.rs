@@ -13,7 +13,7 @@
 
 use icbtc::canister::{BitcoinCanister, CanisterCall};
 use icbtc::ic::consensus::ConsensusConfig;
-use icbtc::ic::Subnet;
+use icbtc::ic::{StateMachine, Subnet};
 use std::num::NonZeroUsize;
 
 use icbtc::sim::metrics::{exact_quantile_permille, Series};
@@ -61,19 +61,15 @@ fn main() {
                     meter,
                 )
             },
-            |_| 16,
+            BitcoinCanister::output_bytes,
         );
         query_balance.push(latency.as_nanos());
-        let (outcome, _, latency) = subnet.query(
+        let (_, _, latency) = subnet.query(
             |canister, meter| {
                 canister.query(&CanisterCall::GetUtxos { address: *address, filter: None }, meter)
             },
-            |outcome| match &outcome.reply {
-                Ok(icbtc::canister::CanisterReply::Utxos(r)) => 64 + r.utxos.len() * 48,
-                _ => 32,
-            },
+            BitcoinCanister::output_bytes,
         );
-        let _ = outcome;
         query_utxos.push(latency.as_nanos());
         latency_vs_count.push(*count as f64, latency.as_secs_f64());
     }

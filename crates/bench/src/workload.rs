@@ -20,24 +20,6 @@ use icbtc::sim::SimRng;
 pub const PAPER_BUCKETS: [(usize, usize, usize); 4] =
     [(517, 1, 49), (159, 50, 199), (113, 200, 999), (211, 1000, 10_500)];
 
-/// Draws the 1000 per-address UTXO counts of the paper's workload
-/// (optionally scaled down by `scale` for quick runs).
-pub fn paper_utxo_counts(rng: &mut SimRng, scale: usize) -> Vec<usize> {
-    assert!(scale >= 1, "scale must be at least 1");
-    let mut counts = Vec::with_capacity(1000);
-    for (how_many, lo, hi) in PAPER_BUCKETS {
-        for _ in 0..how_many {
-            // Log-uniform within the bucket, matching heavy-tailed reality.
-            let lo_f = lo as f64;
-            let hi_f = hi as f64;
-            let log_sample = lo_f.ln() + rng.unit() * (hi_f.ln() - lo_f.ln());
-            let count = (log_sample.exp().round() as usize).clamp(lo, hi);
-            counts.push((count / scale).max(1));
-        }
-    }
-    counts
-}
-
 /// Seals `txdata` into a regtest block on `prev`: its Merkle root, a
 /// timestamp 600 s past the median time past of `recent_times` (which
 /// then records it), the genesis bits, and the first nonce from zero
@@ -87,37 +69,28 @@ fn source_outpoint(height: u64, index: u64) -> OutPoint {
     OutPoint::new(Txid(txid), 0)
 }
 
-/// Builds the workload: the stable share of each address's UTXOs is
-/// loaded through [`BitcoinCanisterState::install_snapshot`], then a run
-/// of real (mined, validated) unstable blocks carries the rest.
-///
-/// `scale` divides every UTXO count (1 = the paper's full workload).
-pub fn build_query_workload(seed: u64, scale: usize) -> QueryWorkload {
-    let mut rng = SimRng::seed_from(seed);
-    let counts = paper_utxo_counts(&mut rng, scale);
-
-    // δ large enough that the unstable suffix never stabilizes under the
-    // blocks we feed.
-    let params = IntegrationParams::for_network(Network::Regtest).with_stability_delta(40);
+/// Loads a stable population into a fresh canister state through
+/// [`BitcoinCanisterState::install_snapshot`]: address `i` (its stable
+/// [`address`]) receives `counts[i]` outputs, dealt round-robin over
+/// heights `1..=heights` in 1000-output transactions, under a synthetic
+/// header chain of that length. Returns the state and the chain.
+fn install_stable_population(
+    params: IntegrationParams,
+    counts: &[u32],
+    heights: u64,
+) -> (BitcoinCanisterState, Vec<BlockHeader>) {
     let genesis = Network::Regtest.genesis_block().header;
-
-    // --- Stable part: 900 of the 1000 addresses. ------------------------
-    let stable_counts = &counts[..900];
     let mut utxos = UtxoSet::new(Network::Regtest);
     let mut meter = Meter::new();
     utxos.ingest_block(&[], 0, &mut meter); // empty genesis
 
-    const STABLE_HEIGHTS: u64 = 120;
-    let mut stable_addresses = Vec::with_capacity(stable_counts.len());
-    // Assemble per-height transaction batches round-robin over addresses.
-    let mut per_height: Vec<Vec<TxOut>> = vec![Vec::new(); STABLE_HEIGHTS as usize];
-    for (i, &count) in stable_counts.iter().enumerate() {
-        let addr = address(i as u64, true);
-        stable_addresses.push((addr, count));
-        for k in 0..count {
-            let height_slot = (i + k * 7) % STABLE_HEIGHTS as usize;
-            per_height[height_slot]
-                .push(TxOut::new(Amount::from_sat(600 + k as u64), addr.script_pubkey()));
+    let mut per_height: Vec<Vec<TxOut>> = vec![Vec::new(); heights as usize];
+    for (i, &count) in counts.iter().enumerate() {
+        let script = address(i as u64, true).script_pubkey();
+        for k in 0..count as usize {
+            let height_slot = (i + k * 7) % heights as usize;
+            let output = TxOut::new(Amount::from_sat(600 + k as u64), script.clone());
+            per_height[height_slot].push(output);
         }
     }
     for (slot, outputs) in per_height.into_iter().enumerate() {
@@ -138,7 +111,7 @@ pub fn build_query_workload(seed: u64, scale: usize) -> QueryWorkload {
     // Matching stable header chain (linkage + timestamps only; proof of
     // work is required of *new* blocks, not installed history).
     let mut stable_headers = vec![genesis];
-    for height in 1..=STABLE_HEIGHTS {
+    for height in 1..=heights {
         let prev = *stable_headers.last().expect("non-empty");
         stable_headers.push(BlockHeader {
             version: 2,
@@ -149,9 +122,30 @@ pub fn build_query_workload(seed: u64, scale: usize) -> QueryWorkload {
             nonce: 0,
         });
     }
-
     let mut state = BitcoinCanisterState::new(params);
     state.install_snapshot(utxos, stable_headers.clone());
+    (state, stable_headers)
+}
+
+/// Builds the workload: the stable share of each address's UTXOs is
+/// loaded through [`BitcoinCanisterState::install_snapshot`], then a run
+/// of real (mined, validated) unstable blocks carries the rest.
+///
+/// `scale` divides every UTXO count (1 = the paper's full workload).
+pub fn build_query_workload(seed: u64, scale: usize) -> QueryWorkload {
+    let mut rng = SimRng::seed_from(seed);
+    let counts = soak_utxo_counts(&mut rng, 1000, scale);
+
+    // δ large enough that the unstable suffix never stabilizes under the
+    // blocks we feed.
+    let params = IntegrationParams::for_network(Network::Regtest).with_stability_delta(40);
+
+    // --- Stable part: 900 of the 1000 addresses. ------------------------
+    let stable_counts = &counts[..900];
+    let (mut state, stable_headers) = install_stable_population(params, stable_counts, 120);
+    let stable_addresses = (stable_counts.iter().enumerate())
+        .map(|(i, &count)| (address(i as u64, true), count as usize))
+        .collect();
 
     // --- Unstable part: the remaining 100 addresses. --------------------
     let unstable_counts = &counts[900..];
@@ -162,7 +156,7 @@ pub fn build_query_workload(seed: u64, scale: usize) -> QueryWorkload {
         let addr = address(i as u64, false);
         // Unstable blocks are bounded; cap the per-address count so the
         // blocks stay mineable quickly.
-        let count = count.min(400);
+        let count = (count as usize).min(400);
         unstable_addresses.push((addr, count));
         for k in 0..count {
             per_block[(i + k) % UNSTABLE_BLOCKS]
@@ -266,53 +260,10 @@ pub fn build_soak_workload(
     // nothing stabilizes mid-soak.
     let delta = (SOAK_UNSTABLE_BLOCKS + num_ingest + 20) as u64;
     let params = IntegrationParams::for_network(Network::Regtest).with_stability_delta(delta);
-    let genesis = Network::Regtest.genesis_block().header;
-
-    // --- Stable population, spread round-robin over SOAK_HEIGHTS. -------
-    let mut utxos = UtxoSet::new(Network::Regtest);
-    let mut meter = Meter::new();
-    utxos.ingest_block(&[], 0, &mut meter);
-
-    let mut addresses = Vec::with_capacity(num_addresses);
-    let mut per_height: Vec<Vec<TxOut>> = vec![Vec::new(); SOAK_HEIGHTS as usize];
-    for (i, &count) in counts.iter().enumerate() {
-        let addr = address(i as u64, true);
-        addresses.push((addr, count));
-        for k in 0..count as usize {
-            let height_slot = (i + k * 7) % SOAK_HEIGHTS as usize;
-            per_height[height_slot]
-                .push(TxOut::new(Amount::from_sat(600 + k as u64), addr.script_pubkey()));
-        }
-    }
-    for (slot, outputs) in per_height.into_iter().enumerate() {
-        let height = slot as u64 + 1;
-        let txs: Vec<Transaction> = outputs
-            .chunks(1000)
-            .enumerate()
-            .map(|(i, chunk)| Transaction {
-                version: 2,
-                inputs: vec![TxIn::new(source_outpoint(height, i as u64))],
-                outputs: chunk.to_vec(),
-                lock_time: 0,
-            })
-            .collect();
-        utxos.ingest_block(&txs, height, &mut meter);
-    }
-
-    let mut stable_headers = vec![genesis];
-    for height in 1..=SOAK_HEIGHTS {
-        let prev = *stable_headers.last().expect("non-empty");
-        stable_headers.push(BlockHeader {
-            version: 2,
-            prev_blockhash: prev.block_hash(),
-            merkle_root: icbtc::bitcoin::MerkleRoot([height as u8; 32]),
-            time: genesis.time + height as u32 * 600,
-            bits: genesis.bits,
-            nonce: 0,
-        });
-    }
-    let mut state = BitcoinCanisterState::new(params);
-    state.install_snapshot(utxos, stable_headers.clone());
+    let (mut state, stable_headers) = install_stable_population(params, &counts, SOAK_HEIGHTS);
+    let addresses: Vec<(Address, u32)> = (counts.iter().enumerate())
+        .map(|(i, &count)| (address(i as u64, true), count))
+        .collect();
 
     // --- Unstable suffix + ingest reserve: mined PoW blocks paying the
     // hot prefix of the population. -------------------------------------
@@ -372,7 +323,7 @@ mod tests {
     #[test]
     fn bucket_counts_match_the_paper() {
         let mut rng = SimRng::seed_from(3);
-        let counts = paper_utxo_counts(&mut rng, 1);
+        let counts = soak_utxo_counts(&mut rng, 1000, 1);
         assert_eq!(counts.len(), 1000);
         let below_50 = counts.iter().filter(|&&c| c < 50).count();
         let in_50_199 = counts.iter().filter(|&&c| (50..200).contains(&c)).count();

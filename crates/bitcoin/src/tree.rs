@@ -3,12 +3,13 @@
 //! Every header seen above a root is kept, forks included, and the tree
 //! tracks its *tip*: the greatest cumulative work, and of equal-work tips
 //! the one that arrived first (Bitcoin Core's `nChainWork`, then
-//! `nSequenceId`). The current chain is the path from the root to it.
+//! `nSequenceId`). The current chain, the path from the root to that tip,
+//! is stored as a height-indexed vector (Bitcoin Core's `CChain`) that is
+//! re-pointed only when the tip moves.
 //! btcnet's chain store and the canister's unstable region are both this
 //! tree; validity is [`crate::pow::validate_header`]'s job.
 
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use crate::block::BlockHeader;
 use crate::hash::BlockHash;
@@ -45,8 +46,8 @@ pub struct StoredHeader {
 pub struct HeaderTree {
     nodes: BTreeMap<BlockHash, StoredHeader>,
     children: BTreeMap<BlockHash, Vec<BlockHash>>,
-    root: BlockHash,
-    tip: BlockHash,
+    /// The current chain, root first: `chain[i]` sits at root height + i.
+    chain: Vec<BlockHash>,
     next_seq: u64,
 }
 
@@ -64,30 +65,29 @@ impl HeaderTree {
         HeaderTree {
             nodes: BTreeMap::from([(hash, node)]),
             children: BTreeMap::new(),
-            root: hash,
-            tip: hash,
+            chain: vec![hash],
             next_seq: 1,
         }
     }
 
     /// The root hash.
     pub fn root(&self) -> BlockHash {
-        self.root
+        self.chain[0]
     }
 
     /// The root's absolute height.
     pub fn root_height(&self) -> u64 {
-        self.nodes[&self.root].height
+        self.nodes[&self.root()].height
     }
 
     /// Hash of the tip: the most cumulative work, first seen on a tie.
     pub fn tip_hash(&self) -> BlockHash {
-        self.tip
+        self.chain[self.chain.len() - 1]
     }
 
     /// The stored entry for the tip.
     pub fn tip(&self) -> &StoredHeader {
-        &self.nodes[&self.tip]
+        &self.nodes[&self.tip_hash()]
     }
 
     /// Number of headers in the tree.
@@ -151,18 +151,6 @@ impl HeaderTree {
         std::iter::successors(self.nodes.get(hash), parent).map(|node| node.header)
     }
 
-    /// The ancestor of `hash` at absolute `height` (`hash` itself at its
-    /// own height), or `None` if `height` is above it or below the root.
-    pub fn ancestor_at(&self, hash: &BlockHash, height: u64) -> Option<BlockHash> {
-        let mut cursor = *hash;
-        let mut node = self.nodes.get(hash)?;
-        while node.height > height {
-            cursor = node.header.prev_blockhash;
-            node = self.nodes.get(&cursor)?;
-        }
-        (node.height == height).then_some(cursor)
-    }
-
     /// Inserts a header whose parent is already present, moving the tip
     /// to it if it has strictly more cumulative work. Returns `false` if
     /// it was already present.
@@ -195,23 +183,37 @@ impl HeaderTree {
             seq: self.next_seq,
         };
         self.next_seq += 1;
-        if node.chain_work > self.tip().chain_work {
-            self.tip = hash;
-        }
+        let more_work = node.chain_work > self.tip().chain_work;
         self.nodes.insert(hash, node);
         self.children.entry(parent_hash).or_default().push(hash);
+        if more_work {
+            // Re-point the chain: walk the new branch back to the fork
+            // point on the current chain (the parent, when it extends the
+            // tip), cut there and append the branch.
+            let mut branch = vec![hash];
+            let mut cursor = parent_hash;
+            while self.best_at(self.nodes[&cursor].height) != Some(cursor) {
+                branch.push(cursor);
+                cursor = self.nodes[&cursor].header.prev_blockhash;
+            }
+            let fork_len = self.nodes[&cursor].height - self.root_height() + 1;
+            self.chain.truncate(fork_len as usize);
+            self.chain.extend(branch.into_iter().rev());
+        }
         Ok(true)
     }
 
     /// The current chain per §II-B: the path from the root to the tip,
     /// root first.
-    pub fn best_chain(&self) -> Vec<BlockHash> {
-        let mut chain: Vec<BlockHash> = std::iter::successors(Some(self.tip), |hash| {
-            (*hash != self.root).then(|| self.nodes[hash].header.prev_blockhash)
-        })
-        .collect();
-        chain.reverse();
-        chain
+    pub fn best_chain(&self) -> &[BlockHash] {
+        &self.chain
+    }
+
+    /// The header at absolute `height` on the current chain, or `None`
+    /// if `height` is below the root or above the tip.
+    pub fn best_at(&self, height: u64) -> Option<BlockHash> {
+        let index = height.checked_sub(self.root_height())?;
+        self.chain.get(usize::try_from(index).ok()?).copied()
     }
 
     /// The greatest height and the greatest cumulative work in the subtree
@@ -244,37 +246,25 @@ impl HeaderTree {
         self.subtree_max(hash).map(|(node, _, work)| work - node.chain_work + node.header.work())
     }
 
-    /// Prunes every branch that does not pass through `new_root`, making
-    /// it the tree's root — the canister's anchor advance. Returns the
-    /// removed hashes. If the tip is pruned, the tip becomes the most-work
-    /// survivor, first seen on a tie.
+    /// Moves the root one header along the current chain — the
+    /// canister's anchor advance — and prunes the old root with every
+    /// branch that does not pass through the new one. The tip is under
+    /// the new root, so it stays. Returns the removed hashes.
     ///
     /// # Panics
     ///
-    /// Panics if `new_root` is not in the tree.
-    pub fn reroot(&mut self, new_root: BlockHash) -> Vec<BlockHash> {
-        assert!(self.nodes.contains_key(&new_root), "new root must exist");
-        let mut keep = BTreeSet::from([new_root]);
-        let mut stack = vec![new_root];
-        while let Some(cursor) = stack.pop() {
-            for child in self.children(&cursor) {
-                keep.insert(*child);
-                stack.push(*child);
-            }
-        }
-        let removed: Vec<BlockHash> =
-            self.nodes.keys().filter(|h| !keep.contains(h)).copied().collect();
-        for hash in &removed {
-            self.nodes.remove(hash);
-            self.children.remove(hash);
-        }
-        self.root = new_root;
-        if !keep.contains(&self.tip) {
-            self.tip = self
-                .nodes
-                .iter()
-                .max_by_key(|(_, node)| (node.chain_work, Reverse(node.seq)))
-                .map_or(new_root, |(hash, _)| *hash);
+    /// Panics if the root is the tip.
+    pub fn advance_root(&mut self) -> Vec<BlockHash> {
+        assert!(self.chain.len() > 1, "the root is the tip");
+        let old_root = self.chain.remove(0);
+        let new_root = self.chain[0];
+        let mut removed = Vec::new();
+        let mut stack = vec![old_root];
+        while let Some(hash) = stack.pop() {
+            self.nodes.remove(&hash);
+            let children = self.children.remove(&hash).unwrap_or_default();
+            stack.extend(children.into_iter().filter(|child| *child != new_root));
+            removed.push(hash);
         }
         removed
     }
@@ -312,7 +302,7 @@ mod tests {
             tree.insert(first).unwrap();
             tree.insert(second).unwrap();
             assert_eq!(tree.tip_hash(), first.block_hash());
-            assert_eq!(tree.best_chain(), vec![g.block_hash(), first.block_hash()]);
+            assert_eq!(tree.best_chain(), [g.block_hash(), first.block_hash()]);
             // Strictly more work moves the tip.
             let next = child_of(&second, 3);
             tree.insert(next).unwrap();
@@ -321,31 +311,41 @@ mod tests {
     }
 
     #[test]
-    fn reroot_keeps_arrival_order_and_recomputes_a_pruned_tip() {
-        // g - a1 - a2 and g - b1 - b2 - b3: rerooting at a1 prunes the tip.
+    fn advance_root_keeps_arrival_order_and_the_tip() {
+        // g - a1 - a2, a1 - a2_twin (equal work) and g - b1.
         let g = root();
         let mut tree = HeaderTree::new(g);
         let a1 = child_of(&g, 1);
         let b1 = child_of(&g, 2);
         let a2 = child_of(&a1, 3);
         let a2_twin = child_of(&a1, 4);
-        let b2 = child_of(&b1, 5);
-        let b3 = child_of(&b2, 6);
-        for header in [a1, b1, a2, a2_twin, b2, b3] {
+        for header in [a1, b1, a2, a2_twin] {
             tree.insert(header).unwrap();
         }
-        assert_eq!(tree.tip_hash(), b3.block_hash());
-        let removed = tree.reroot(a1.block_hash());
-        assert_eq!(removed.len(), 4);
+        let removed = tree.advance_root();
+        assert_eq!(removed.len(), 2);
+        assert_eq!(tree.root(), a1.block_hash());
         assert_eq!(tree.root_height(), 1);
         assert_eq!(tree.max_height(), 2);
         assert_eq!(tree.at_height(0).count(), 0);
-        // Equal work at height 2: the first seen survivor is the tip.
-        assert_eq!(tree.tip_hash(), a2.block_hash());
+        // The first seen of the equal-work pair stays the tip.
+        assert_eq!(tree.best_chain(), [a1.block_hash(), a2.block_hash()]);
+        assert_eq!(tree.best_at(0), None);
+        assert_eq!(tree.best_at(2), Some(a2.block_hash()));
+        assert_eq!(tree.best_at(3), None);
         assert_eq!(
             tree.insertion_order(),
             vec![a1.block_hash(), a2.block_hash(), a2_twin.block_hash()]
         );
+        // Extending the twin reorganizes onto it; the next advance
+        // follows the new chain and prunes the old tip.
+        let c = child_of(&a2_twin, 5);
+        tree.insert(c).unwrap();
+        assert_eq!(tree.best_chain(), [a1.block_hash(), a2_twin.block_hash(), c.block_hash()]);
+        let removed = tree.advance_root();
+        assert_eq!(removed.len(), 2);
+        assert!(!tree.contains(&a2.block_hash()));
+        assert_eq!(tree.best_chain(), [a2_twin.block_hash(), c.block_hash()]);
     }
 
     #[test]

@@ -177,39 +177,38 @@ impl ChainStore {
         Ok(self.blocks.insert(hash, block).is_none())
     }
 
-    /// Walks the best chain from the tip back to genesis, newest first.
-    pub fn best_chain_hashes(&self) -> Vec<BlockHash> {
-        let mut chain = self.tree.best_chain();
-        chain.reverse();
-        chain
+    /// The best chain, genesis first: the hash at index `h` is at height `h`.
+    pub fn best_chain(&self) -> &[BlockHash] {
+        self.tree.best_chain()
     }
 
     /// Returns the hash at `height` on the best chain, if within range.
     pub fn best_chain_hash_at(&self, height: u64) -> Option<BlockHash> {
-        self.tree.ancestor_at(&self.tree.tip_hash(), height)
+        self.tree.best_at(height)
     }
 
     /// Builds a block-locator (exponentially spaced hashes from the tip),
     /// as used in `getheaders`.
     pub fn locator(&self) -> Vec<BlockHash> {
+        let best = self.best_chain();
         let mut out = Vec::new();
-        let mut step = 1u64;
-        let mut height = self.tip_height() as i64;
+        let mut step = 1;
+        let mut height = best.len() - 1;
         while height > 0 {
-            out.push(self.best_chain_hash_at(height as u64).expect("height in range"));
+            out.push(best[height]);
             if out.len() >= 10 {
                 step *= 2;
             }
-            height -= step as i64;
+            height = height.saturating_sub(step);
         }
-        out.push(self.network.genesis_hash());
+        out.push(best[0]);
         out
     }
 
     /// Answers a `getheaders` request: up to `max` headers on the best
     /// chain after the first locator hash found on it.
     pub fn headers_after(&self, locator: &[BlockHash], max: usize) -> Vec<BlockHeader> {
-        let best = self.tree.best_chain(); // genesis first
+        let best = self.best_chain();
         let position = |hash: &BlockHash| -> Option<usize> {
             let idx = self.tree.height(hash)? as usize;
             (best.get(idx) == Some(hash)).then_some(idx)
@@ -280,6 +279,20 @@ mod tests {
         let fork2 = extend(&mut chain, fork[1], 2, 2000);
         assert_eq!(chain.tip_hash(), fork2[1]);
         assert_eq!(chain.tip_height(), 4);
+        // Height lookups, the locator and served headers follow the new
+        // branch.
+        let branch: Vec<BlockHash> = [genesis].into_iter().chain(fork).chain(fork2).collect();
+        assert_eq!(chain.best_chain(), branch.as_slice());
+        for (height, hash) in branch.iter().enumerate() {
+            assert_eq!(chain.best_chain_hash_at(height as u64), Some(*hash));
+        }
+        assert_eq!(chain.locator(), branch.iter().rev().copied().collect::<Vec<_>>());
+        let served_after = |locator: &[BlockHash]| -> Vec<BlockHash> {
+            chain.headers_after(locator, 2000).iter().map(BlockHeader::block_hash).collect()
+        };
+        // A peer still on the old chain shares only genesis.
+        assert_eq!(served_after(&[main[2], main[1], main[0], genesis]), branch[1..]);
+        assert_eq!(served_after(&[branch[2], genesis]), branch[3..]);
         // Both forks' headers remain in the tree.
         assert!(chain.header(&main[2]).is_some());
         assert_eq!(chain.children(&genesis).len(), 2);
@@ -395,9 +408,7 @@ mod tests {
         // A peer at height 10 asks with its locator.
         let mut behind = ChainStore::new(Network::Regtest);
         // Replay first 10 blocks from the main chain.
-        let mut hashes = chain.best_chain_hashes();
-        hashes.reverse();
-        for hash in &hashes[1..11] {
+        for hash in &chain.best_chain()[1..11] {
             let block = chain.block(hash).unwrap().clone();
             let now = block.header.time;
             behind.accept_block(block, now).unwrap();

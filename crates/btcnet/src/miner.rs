@@ -34,6 +34,28 @@ pub fn mine_block_on(
     payout_script: Script,
     extra_nonce: u64,
 ) -> Block {
+    let parent_time = chain.header(&prev).expect("mining on unknown parent").header.time;
+    let time = parent_time.saturating_add(1);
+    mine_block_at(chain, prev, transactions, payout_script, extra_nonce, time)
+}
+
+/// Mines a block at a caller-supplied timestamp (used by the network
+/// driver, which knows the simulated wall clock).
+///
+/// The timestamp is clamped into the valid window above the parent's
+/// median time past.
+///
+/// # Panics
+///
+/// Panics if `prev` is not in `chain`.
+pub fn mine_block_at(
+    chain: &ChainStore,
+    prev: BlockHash,
+    transactions: Vec<Transaction>,
+    payout_script: Script,
+    extra_nonce: u64,
+    unix_time: u32,
+) -> Block {
     let parent = chain.header(&prev).expect("mining on unknown parent");
     let params = chain.network().params();
     let height = parent.height + 1;
@@ -54,8 +76,7 @@ pub fn mine_block_on(
     }
 
     let merkle = icbtc_bitcoin::merkle_root(&txdata.iter().map(|t| t.txid()).collect::<Vec<_>>());
-    let mtp = walk_median_time_past(chain.ancestors(&prev));
-    let time = mtp.max(parent.header.time).saturating_add(1);
+    let time = unix_time.max(walk_median_time_past(chain.ancestors(&prev)) + 1);
     let bits = next_bits(&params, &parent.header, parent.height, chain.ancestors(&prev));
 
     let mut header = BlockHeader {
@@ -77,36 +98,6 @@ pub fn mine_block_on(
             header.time += 1;
         }
     }
-}
-
-/// Mines a block at a caller-supplied timestamp (used by the network
-/// driver, which knows the simulated wall clock).
-///
-/// The timestamp is clamped into the valid window above the parent's
-/// median time past.
-///
-/// # Panics
-///
-/// Panics if `prev` is not in `chain`.
-pub fn mine_block_at(
-    chain: &ChainStore,
-    prev: BlockHash,
-    transactions: Vec<Transaction>,
-    payout_script: Script,
-    extra_nonce: u64,
-    unix_time: u32,
-) -> Block {
-    let mut block = mine_block_on(chain, prev, transactions, payout_script, extra_nonce);
-    let mtp = walk_median_time_past(chain.ancestors(&prev));
-    let clamped = unix_time.max(mtp + 1);
-    if clamped != block.header.time {
-        block.header.time = clamped;
-        block.header.nonce = 0;
-        while !block.header.meets_pow_target() {
-            block.header.nonce = block.header.nonce.wrapping_add(1);
-        }
-    }
-    block
 }
 
 #[cfg(test)]

@@ -215,15 +215,6 @@ impl BtcNetwork {
         &self.nodes[id.0 as usize]
     }
 
-    /// Mutable access to a node (adversary orchestration, tests).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is out of range.
-    pub fn node_mut(&mut self, id: NodeId) -> &mut FullNode {
-        &mut self.nodes[id.0 as usize]
-    }
-
     /// Best height across honest nodes.
     pub fn best_height(&self) -> u64 {
         self.nodes
@@ -389,11 +380,6 @@ impl BtcNetwork {
             ],
         );
         self.faults = plan;
-    }
-
-    /// The installed fault schedule.
-    pub fn fault_plan(&self) -> &FaultPlan {
-        &self.faults
     }
 
     /// Nodes currently crashed.
@@ -785,7 +771,7 @@ impl BtcNetwork {
         }
         let unix = self.unix_time(self.now);
         let limit = self.config.template_tx_limit;
-        let (block, outgoing) = {
+        let outgoing = {
             let node = &mut self.nodes[winner.0 as usize];
             let txs = node.take_template_transactions(limit);
             let block = crate::miner::mine_block_at(
@@ -796,10 +782,8 @@ impl BtcNetwork {
                 self.rng.next_u64(),
                 unix,
             );
-            let outgoing = node.accept_local_block(block.clone(), unix);
-            (block, outgoing)
+            node.accept_local_block(block, unix)
         };
-        let _ = block;
         self.blocks_mined += 1;
         self.record_block_mined(winner);
         self.route_all(PeerRef::Node(winner), outgoing);
@@ -884,7 +868,7 @@ mod tests {
         // The tx must appear in some block on the best chain of node 0.
         let chain = net.node(NodeId(0)).chain();
         let mined = chain
-            .best_chain_hashes()
+            .best_chain()
             .iter()
             .filter_map(|h| chain.block(h))
             .any(|b| b.txdata.iter().any(|t| t.txid() == txid));

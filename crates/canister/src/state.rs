@@ -191,7 +191,7 @@ impl BitcoinCanisterState {
         if height <= self.anchor_height() {
             return self.stable_headers.get(height as usize).copied();
         }
-        let hash = self.tree.ancestor_at(&self.tree.tip_hash(), height)?;
+        let hash = self.tree.best_at(height)?;
         self.tree.header(&hash)
     }
 
@@ -382,9 +382,7 @@ impl BitcoinCanisterState {
     fn advance_anchor(&mut self, report: &mut IngestReport, meter: &mut Meter) {
         loop {
             let anchor_work = self.anchor().work();
-            let Some(next_hash) =
-                self.tree.ancestor_at(&self.tree.tip_hash(), self.tree.root_height() + 1)
-            else {
+            let Some(next_hash) = self.tree.best_at(self.tree.root_height() + 1) else {
                 return;
             };
             if !stability::is_difficulty_stable(
@@ -406,7 +404,7 @@ impl BitcoinCanisterState {
             self.blocks_stabilized += 1;
             report.stabilized.push(next_hash);
             // Prune every branch not passing through the new anchor.
-            for removed in self.tree.reroot(next_hash) {
+            for removed in self.tree.advance_root() {
                 self.blocks.remove(&removed);
             }
         }

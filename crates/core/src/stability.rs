@@ -302,10 +302,11 @@ mod tests {
     }
 
     #[test]
-    fn reroot_prunes_losing_forks() {
+    fn advance_root_prunes_losing_forks() {
         let (mut tree, main, fork) = figure3();
         assert_eq!(tree.len(), 8);
-        let removed = tree.reroot(main[1]);
+        let mut removed = tree.advance_root();
+        removed.extend(tree.advance_root());
         assert_eq!(tree.root(), main[1]);
         assert_eq!(tree.root_height(), 2);
         // Removed: genesis, a1, b2, b3.
@@ -353,24 +354,57 @@ mod tests {
         use icbtc_sim::testkit;
         use std::collections::BTreeMap;
 
+        /// Per-block works 1, 2 and 4 (in units of the weakest).
+        const BITS: [u32; 3] = [0x207f_ffff, 0x203f_ffff, 0x201f_ffff];
+
+        /// Inserts a child of `parent` with work `BITS[work]`.
+        fn insert_child(
+            tree: &mut HeaderTree,
+            parent: &BlockHash,
+            salt: u32,
+            work: usize,
+        ) -> BlockHash {
+            let mut header = child_of(&tree.header(parent).unwrap(), salt);
+            header.bits = CompactTarget::from_consensus(BITS[work]);
+            tree.insert(header).unwrap();
+            header.block_hash()
+        }
+
         /// Builds a random tree by attaching each new header to a random
         /// existing node, with one of three per-block works so that
         /// equal-work branches with different shapes occur. Returns the
         /// hashes in insertion order.
         fn random_tree(choices: &[u8]) -> (HeaderTree, Vec<BlockHash>) {
-            const BITS: [u32; 3] = [0x207f_ffff, 0x203f_ffff, 0x201f_ffff];
-            let g = root();
-            let mut tree = HeaderTree::new(g);
-            let mut hashes = vec![g.block_hash()];
+            let mut tree = HeaderTree::new(root());
+            let mut hashes = vec![tree.root()];
             for (i, &choice) in choices.iter().enumerate() {
-                let parent_hash = hashes[choice as usize % hashes.len()];
-                let parent = tree.header(&parent_hash).unwrap();
-                let mut header = child_of(&parent, 1000 + i as u32);
-                header.bits = CompactTarget::from_consensus(BITS[choice as usize / 86]);
-                tree.insert(header).unwrap();
-                hashes.push(header.block_hash());
+                let parent = hashes[choice as usize % hashes.len()];
+                let work = choice as usize / 86;
+                hashes.push(insert_child(&mut tree, &parent, 1000 + i as u32, work));
             }
             (tree, hashes)
+        }
+
+        /// The stored chain equals a parent walk from the tip to the root,
+        /// `best_at` agrees with it at every height (and is `None` just
+        /// outside it), and its tip is the first-inserted header of
+        /// maximal path work.
+        fn assert_stored_chain(tree: &HeaderTree) {
+            let mut walked: Vec<BlockHash> =
+                tree.ancestors(&tree.tip_hash()).map(|h| h.block_hash()).collect();
+            walked.reverse();
+            assert_eq!(tree.best_chain(), walked.as_slice());
+            let base = tree.root_height();
+            for (i, hash) in walked.iter().enumerate() {
+                assert_eq!(tree.best_at(base + i as u64), Some(*hash));
+            }
+            assert_eq!(tree.best_at(base + walked.len() as u64), None);
+            assert_eq!(base.checked_sub(1).and_then(|h| tree.best_at(h)), None);
+            let path_work =
+                |hash: &BlockHash| -> Work { tree.ancestors(hash).map(|h| h.work()).sum() };
+            let order = tree.insertion_order();
+            let most = order.iter().map(path_work).max().unwrap();
+            assert_eq!(order.iter().find(|h| path_work(h) == most), Some(&tree.tip_hash()));
         }
 
         /// Reference depths by brute force: for every root-to-tip path,
@@ -394,6 +428,44 @@ mod tests {
                 }
             }
             depths
+        }
+
+        /// The stored chain matches a parent walk after every insert and
+        /// every root advance: random attachments with mixed works (so
+        /// equal-work ties and reorgs occur), then a heavier branch grown
+        /// late from an old header until it takes the tip.
+        #[test]
+        fn stored_chain_matches_a_parent_walk_at_every_step() {
+            testkit::check(0x57_0004, testkit::DEFAULT_CASES, |rng| {
+                let choices = testkit::bytes(rng, 1..60);
+                let mut tree = HeaderTree::new(root());
+                let mut hashes = vec![tree.root()];
+                for (i, &choice) in choices.iter().enumerate() {
+                    if choice % 7 == 0 && tree.best_chain().len() > 1 {
+                        let removed = tree.advance_root();
+                        hashes.retain(|hash| !removed.contains(hash));
+                        assert_eq!(hashes.len(), tree.len());
+                    } else {
+                        let parent = hashes[choice as usize % hashes.len()];
+                        let work = choice as usize / 86;
+                        hashes.push(insert_child(&mut tree, &parent, 1000 + i as u32, work));
+                    }
+                    assert_stored_chain(&tree);
+                }
+                let mut parent = hashes[testkit::usize_in(rng, 0..hashes.len())];
+                for salt in 5000.. {
+                    parent = insert_child(&mut tree, &parent, salt, 2);
+                    assert_stored_chain(&tree);
+                    if tree.tip_hash() == parent {
+                        break;
+                    }
+                }
+                while tree.best_chain().len() > 1 {
+                    tree.advance_root();
+                    assert_stored_chain(&tree);
+                }
+                assert_eq!(tree.len(), 1);
+            });
         }
 
         /// At most one block per height is δ-stable, for every δ ≥ 1.
@@ -433,26 +505,14 @@ mod tests {
             });
         }
 
-        /// The best chain is connected, starts at the root, and ends at
-        /// the first-inserted tip of maximal chain work; both depths equal
-        /// the brute-force maximum over root-to-tip paths.
+        /// Both depths equal the brute-force maximum over root-to-tip
+        /// paths.
         #[test]
-        fn best_chain_and_depths_match_brute_force() {
+        fn depths_match_brute_force() {
             testkit::check(0x57_0003, testkit::DEFAULT_CASES, |rng| {
                 let choices = testkit::bytes(rng, 1..40);
                 let (tree, hashes) = random_tree(&choices);
-                let chain = tree.best_chain();
-                assert_eq!(chain[0], tree.root());
-                for pair in chain.windows(2) {
-                    let child_header = tree.header(&pair[1]).unwrap();
-                    assert_eq!(child_header.prev_blockhash, pair[0]);
-                }
                 let depths = brute_force_depths(&tree, &hashes);
-                let path_work =
-                    |hash: &BlockHash| -> Work { tree.ancestors(hash).map(|h| h.work()).sum() };
-                let most = hashes.iter().map(path_work).max().unwrap();
-                let first_most = hashes.iter().find(|h| path_work(h) == most).unwrap();
-                assert_eq!(chain.last(), Some(first_most));
                 for hash in &hashes {
                     assert_eq!(tree.depth_count(hash), Some(depths[hash].0));
                     assert_eq!(tree.depth_work(hash), Some(depths[hash].1));

@@ -323,11 +323,6 @@ impl<S: StateMachine> Subnet<S> {
         self.query_config = config;
     }
 
-    /// The query-plane configuration in force.
-    pub fn query_plane(&self) -> QueryPlaneConfig {
-        self.query_config
-    }
-
     /// Read access to the subnet's observability endpoint.
     pub fn obs(&self) -> &Obs {
         &self.obs
@@ -336,11 +331,6 @@ impl<S: StateMachine> Subnet<S> {
     /// Mutable access to the subnet's observability endpoint.
     pub fn obs_mut(&mut self) -> &mut Obs {
         &mut self.obs
-    }
-
-    /// Replaces the latency model (calibration experiments).
-    pub fn set_latency_model(&mut self, model: LatencyModel) {
-        self.latency = model;
     }
 
     /// The latency model in force.
@@ -383,11 +373,6 @@ impl<S: StateMachine> Subnet<S> {
     /// Total completed batched queries.
     pub fn completed_queries(&self) -> u64 {
         self.completed_queries
-    }
-
-    /// Queries still waiting in the query queue.
-    pub fn query_queue_depth(&self) -> usize {
-        self.query_pool.len()
     }
 
     /// Submits an update call at the current time; it becomes includable

@@ -15,7 +15,7 @@ use icbtc_btcnet::network::{BtcNetwork, NetworkConfig};
 use icbtc_canister::{BitcoinCanister, CallOutcome, CanisterCall};
 use icbtc_core::{GetSuccessorsResponse, IntegrationParams};
 use icbtc_ic::consensus::ConsensusConfig;
-use icbtc_ic::subnet::Subnet;
+use icbtc_ic::subnet::{StateMachine, Subnet};
 use icbtc_ic::LifecyclePlan;
 use icbtc_sim::obs::FieldValue;
 use icbtc_sim::{SimDuration, SimRng, SimTime};
@@ -388,11 +388,6 @@ impl System {
         self.plan = plan;
     }
 
-    /// The lifecycle plan in force.
-    pub fn lifecycle_plan(&self) -> &LifecyclePlan {
-        &self.plan
-    }
-
     /// Counters over every lifecycle event injected so far.
     // icbtc-lint: node-local -- recovery statistics are harness diagnostics, never read back into replicated execution
     pub fn recovery_stats(&self) -> &RecoveryStats {
@@ -589,7 +584,7 @@ impl System {
     pub fn query(&mut self, call: CanisterCall) -> QueryOutcome {
         let (outcome, instructions, latency) = self.subnet.query(
             |canister, meter| canister.query(&call, meter),
-            estimate_response_bytes,
+            BitcoinCanister::output_bytes,
         );
         QueryOutcome { outcome, latency, instructions }
     }
@@ -600,7 +595,7 @@ impl System {
     pub fn query_cached(&mut self, call: CanisterCall) -> QueryOutcome {
         let (outcome, instructions, latency) = self.subnet.query_mut(
             |canister, meter| canister.query_cached(&call, meter),
-            estimate_response_bytes,
+            BitcoinCanister::output_bytes,
         );
         QueryOutcome { outcome, latency, instructions }
     }
@@ -638,10 +633,10 @@ impl System {
                 );
             }
             let chain = self.btc.node(icbtc_btcnet::NodeId(0)).chain();
-            for hash in chain.best_chain_hashes() {
-                let Some(block) = chain.block(&hash) else { continue };
+            for (height, hash) in chain.best_chain().iter().enumerate().rev() {
+                let Some(block) = chain.block(hash) else { continue };
                 if block.txdata.iter().any(|t| t.txid() == txid) {
-                    return chain.header(&hash).map(|s| s.height);
+                    return Some(height as u64);
                 }
             }
         }
@@ -696,16 +691,6 @@ fn corruption_transaction(round: u64) -> Transaction {
         inputs: vec![TxIn::new(OutPoint::new(Txid([0xC0; 32]), round as u32))],
         outputs: vec![TxOut::new(Amount::from_sat(1), Script::new_op_return(b"corrupt"))],
         lock_time: round as u32,
-    }
-}
-
-/// Rough serialized size of a canister reply, for the query latency
-/// model's transfer term.
-fn estimate_response_bytes(outcome: &CallOutcome) -> usize {
-    // Single source of truth with the query cache's per-byte accounting.
-    match &outcome.reply {
-        Ok(reply) => reply.serialized_size() as usize,
-        Err(_) => 32,
     }
 }
 

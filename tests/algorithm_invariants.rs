@@ -142,11 +142,9 @@ fn deep_reorg_recovery_via_canister_upgrade() {
     // chain and reinstall. In production this is the canister-upgrade
     // path with state recomputed off-chain.
     let authoritative = net.node(NodeId(0)).chain().clone();
-    let mut hashes = authoritative.best_chain_hashes();
-    hashes.reverse(); // genesis first
     let mut utxos = UtxoSet::new(Network::Regtest);
     let mut headers = Vec::new();
-    for (height, hash) in hashes.iter().enumerate() {
+    for (height, hash) in authoritative.best_chain().iter().enumerate() {
         let block = authoritative.block(hash).expect("full node holds bodies");
         utxos.ingest_block(&block.txdata, height as u64, &mut Meter::new());
         headers.push(block.header);

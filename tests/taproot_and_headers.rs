@@ -58,7 +58,7 @@ fn taproot_signatures_verify_as_bip341_key_spends() {
     system.await_transaction_mined(txid, 800).expect("mined");
     let chain = system.btc().node(NodeId(0)).chain().clone();
     let tx = chain
-        .best_chain_hashes()
+        .best_chain()
         .iter()
         .filter_map(|h| chain.block(h))
         .flat_map(|b| b.txdata.iter())
