@@ -24,7 +24,7 @@
 //! the production 650 B/UTXO model — the gap is production overhead
 //! (replication, allocator slack) our leaner layout omits.
 
-use icbtc::bitcoin::Network;
+use icbtc::bitcoin::{txids, Network};
 use icbtc::canister::{StorageConfig, UtxoSet};
 use icbtc::ic::Meter;
 use icbtc::sim::metrics::{humanize, Series};
@@ -115,7 +115,7 @@ fn main() {
     let mut bytes_series = Series::new("state_bytes_vs_block(sim_scale)");
     for height in 0..args.blocks {
         let (txs, _) = generator.next_block();
-        if let Err(error) = set.try_ingest_block(&txs, height, &mut meter) {
+        if let Err(error) = set.try_ingest_block(&txs, &txids(&txs), height, &mut meter) {
             eprintln!("error: storage budget exhausted at height {height}: {error}");
             std::process::exit(3);
         }

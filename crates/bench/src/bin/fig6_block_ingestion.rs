@@ -16,7 +16,7 @@
 //! meter's profile: every insertion and removal is one `output_insertion`
 //! / `input_removal` frame.
 
-use icbtc::bitcoin::Network;
+use icbtc::bitcoin::{txids, Network};
 use icbtc::canister::UtxoSet;
 use icbtc::ic::Meter;
 use icbtc::sim::metrics::{humanize, Series};
@@ -47,7 +47,7 @@ fn main() {
     for height in 0..BLOCKS {
         let (txs, _) = generator.next_block();
         let mut meter = Meter::new();
-        set.ingest_block(&txs, height, &mut meter);
+        set.ingest_block(&txs, &txids(&txs), height, &mut meter);
         let total = meter.instructions();
         ground_truth += total;
         let insertion = meter.profile().total_named("output_insertion");

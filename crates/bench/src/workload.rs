@@ -4,8 +4,8 @@
 
 use icbtc::bitcoin::pow::median_time_past;
 use icbtc::bitcoin::{
-    merkle_root, Address, AddressKind, Amount, Block, BlockHeader, Network, OutPoint, Script,
-    Transaction, TxIn, TxOut, Txid,
+    merkle_root, txids, Address, AddressKind, Amount, Block, BlockHeader, Network, OutPoint,
+    Script, Transaction, TxIn, TxOut, Txid,
 };
 use icbtc::canister::{BitcoinCanisterState, UtxoSet};
 use icbtc::core::{GetSuccessorsResponse, IntegrationParams};
@@ -32,7 +32,7 @@ pub fn seal_regtest_block(
     let mut header = BlockHeader {
         version: 2,
         prev_blockhash: prev.block_hash(),
-        merkle_root: merkle_root(&txdata.iter().map(|t| t.txid()).collect::<Vec<_>>()),
+        merkle_root: merkle_root(&txids(&txdata)),
         time: median_time_past(recent_times) + 600,
         bits: Network::Regtest.genesis_block().header.bits,
         nonce: 0,
@@ -82,7 +82,7 @@ fn install_stable_population(
     let genesis = Network::Regtest.genesis_block().header;
     let mut utxos = UtxoSet::new(Network::Regtest);
     let mut meter = Meter::new();
-    utxos.ingest_block(&[], 0, &mut meter); // empty genesis
+    utxos.ingest_block(&[], &[], 0, &mut meter); // empty genesis
 
     let mut per_height: Vec<Vec<TxOut>> = vec![Vec::new(); heights as usize];
     for (i, &count) in counts.iter().enumerate() {
@@ -105,7 +105,7 @@ fn install_stable_population(
                 lock_time: 0,
             })
             .collect();
-        utxos.ingest_block(&txs, height, &mut meter);
+        utxos.ingest_block(&txs, &txids(&txs), height, &mut meter);
     }
 
     // Matching stable header chain (linkage + timestamps only; proof of

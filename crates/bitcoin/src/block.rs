@@ -3,9 +3,9 @@
 use std::fmt;
 
 use crate::encode::{decode_list, encode_list, Decodable, DecodeError, Encodable, Reader};
-use crate::hash::{sha256d, BlockHash, MerkleRoot};
+use crate::hash::{sha256d, BlockHash, MerkleRoot, Txid};
 use crate::pow::{CompactTarget, Work};
-use crate::tx::Transaction;
+use crate::tx::{txids, Transaction};
 use crate::u256::U256;
 
 /// The 80-byte Bitcoin block header.
@@ -95,7 +95,7 @@ impl fmt::Display for BlockHeader {
 /// Follows Bitcoin's rule of duplicating the last node at odd levels; the
 /// root over an empty list is defined as all-zero (only used for sanity
 /// checks — real blocks always have a coinbase).
-pub fn merkle_root(txids: &[crate::hash::Txid]) -> MerkleRoot {
+pub fn merkle_root(txids: &[Txid]) -> MerkleRoot {
     if txids.is_empty() {
         return MerkleRoot::ZERO;
     }
@@ -132,28 +132,29 @@ impl Block {
 
     /// Recomputes the Merkle root over `txdata`.
     pub fn compute_merkle_root(&self) -> MerkleRoot {
-        let txids: Vec<_> = self.txdata.iter().map(|t| t.txid()).collect();
-        merkle_root(&txids)
+        merkle_root(&txids(&self.txdata))
     }
 
-    /// Returns `true` if the header's Merkle root matches the transactions.
-    pub fn check_merkle_root(&self) -> bool {
-        self.header.merkle_root == self.compute_merkle_root()
+    /// The structural check, returning the txids it hashed: at least one
+    /// transaction, the first (and only the first) is a coinbase, and the
+    /// header's Merkle root is the root over those txids. `None` if any
+    /// rule fails. A caller that keeps the block can keep the txids with
+    /// it and never hash its transactions again.
+    pub fn checked_txids(&self) -> Option<Vec<Txid>> {
+        let (coinbase, rest) = self.txdata.split_first()?;
+        if !coinbase.is_coinbase() || rest.iter().any(Transaction::is_coinbase) {
+            return None;
+        }
+        let txids = txids(&self.txdata);
+        (merkle_root(&txids) == self.header.merkle_root).then_some(txids)
     }
 
-    /// Structural well-formedness: at least one transaction, the first (and
-    /// only the first) is a coinbase, and the Merkle root matches. This is
-    /// the block-validity check both the adapter and the canister perform
-    /// (§III-B / §III-C); transaction *spend* validity is deliberately not
-    /// checked, as in the paper.
+    /// Structural well-formedness ([`Block::checked_txids`] succeeds).
+    /// This is the block-validity check both the adapter and the canister
+    /// perform (§III-B / §III-C); transaction *spend* validity is
+    /// deliberately not checked, as in the paper.
     pub fn is_well_formed(&self) -> bool {
-        if self.txdata.is_empty() || !self.txdata[0].is_coinbase() {
-            return false;
-        }
-        if self.txdata[1..].iter().any(Transaction::is_coinbase) {
-            return false;
-        }
-        self.check_merkle_root()
+        self.checked_txids().is_some()
     }
 
     /// Total serialized size in bytes.
@@ -178,7 +179,6 @@ impl Decodable for Block {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hash::Txid;
     use crate::network::Network;
     use crate::tx::{OutPoint, TxIn};
 
@@ -236,6 +236,7 @@ mod tests {
     fn block_well_formedness() {
         let genesis = Network::Regtest.genesis_block();
         assert!(genesis.is_well_formed());
+        assert_eq!(genesis.checked_txids(), Some(vec![genesis.txdata[0].txid()]));
 
         // Tampering with the merkle root breaks it.
         let mut bad = genesis.clone();

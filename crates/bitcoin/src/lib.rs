@@ -60,5 +60,5 @@ pub use network::{Network, Params};
 pub use pow::{CompactTarget, Work};
 pub use script::{Script, ScriptKind};
 pub use tree::{HeaderTree, StoredHeader};
-pub use tx::{Amount, OutPoint, Transaction, TxIn, TxOut};
+pub use tx::{txids, Amount, OutPoint, Transaction, TxIn, TxOut};
 pub use u256::U256;

@@ -268,6 +268,12 @@ impl Default for Transaction {
     }
 }
 
+/// The txid of each transaction, in order: what a block's Merkle root
+/// and a UTXO set's outpoints are built from.
+pub fn txids(transactions: &[Transaction]) -> Vec<Txid> {
+    transactions.iter().map(Transaction::txid).collect()
+}
+
 impl Transaction {
     /// Returns `true` if this is a coinbase transaction (single input
     /// spending the null outpoint).

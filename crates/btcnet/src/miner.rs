@@ -75,7 +75,7 @@ pub fn mine_block_at(
         txdata.push(tx);
     }
 
-    let merkle = icbtc_bitcoin::merkle_root(&txdata.iter().map(|t| t.txid()).collect::<Vec<_>>());
+    let merkle = icbtc_bitcoin::merkle_root(&icbtc_bitcoin::txids(&txdata));
     let time = unix_time.max(walk_median_time_past(chain.ancestors(&prev)) + 1);
     let bits = next_bits(&params, &parent.header, parent.height, chain.ancestors(&prev));
 

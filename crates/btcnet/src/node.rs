@@ -200,7 +200,7 @@ impl FullNode {
                     let confirmed: Vec<Txid> = self
                         .chain
                         .block(&hash)
-                        .map(|b| b.txdata.iter().map(|t| t.txid()).collect())
+                        .map(|b| icbtc_bitcoin::txids(&b.txdata))
                         .unwrap_or_default();
                     for txid in confirmed {
                         self.mempool.remove(&txid);

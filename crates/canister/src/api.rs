@@ -219,7 +219,8 @@ struct UnstableOverlay {
 impl BitcoinCanisterState {
     /// Builds the [`UnstableOverlay`] of `address` by walking the best
     /// chain above the anchor, stopping at the first block that misses
-    /// the confirmation requirement (or whose body is absent).
+    /// the confirmation requirement (or whose body is absent). The
+    /// bodies carry their txids, so nothing here hashes.
     fn unstable_overlay(
         &self,
         address: &Address,
@@ -236,24 +237,21 @@ impl BitcoinCanisterState {
 
         let script = address.script_pubkey();
         let tree = self.tree();
-        let best = tree.best_chain();
+        let considered = match min_confirmations {
+            0 => usize::MAX,
+            c => stability::confirmation_stable_prefix(tree, u64::from(c)),
+        };
         let mut overlay = UnstableOverlay {
             created: Vec::new(),
             spent: BTreeSet::new(),
             tip_hash: tree.root(),
             tip_height: self.anchor_height(),
         };
-        for (i, hash) in best.iter().enumerate().skip(1) {
-            if min_confirmations > 0
-                && !stability::is_confirmation_stable(tree, hash, min_confirmations as u64)
-            {
-                break;
-            }
-            let Some(block) = self.block(hash) else { break };
+        for (i, hash) in tree.best_chain().iter().enumerate().skip(1).take(considered) {
+            let Some(body) = self.block(hash) else { break };
             meter.charge(metering::UNSTABLE_BLOCK_SCAN);
             let height = self.anchor_height() + i as u64;
-            for tx in &block.txdata {
-                let txid = tx.txid();
+            for (tx, txid) in body.transactions() {
                 if !tx.is_coinbase() {
                     for input in &tx.inputs {
                         overlay.spent.insert(input.previous_output);
@@ -503,9 +501,9 @@ impl BitcoinCanisterState {
         let best = tree.best_chain();
         let mut rates: Vec<u64> = Vec::new();
         for hash in best.iter().skip(1).rev().take(6) {
-            let Some(block) = self.block(hash) else { continue };
+            let Some(body) = self.block(hash) else { continue };
             meter.charge(metering::UNSTABLE_BLOCK_SCAN);
-            for tx in block.txdata.iter().filter(|t| !t.is_coinbase()) {
+            for tx in body.block().txdata.iter().filter(|t| !t.is_coinbase()) {
                 if let Some(fee) = self.resolve_fee(tx, meter) {
                     let vsize = tx.vsize().max(1) as u64;
                     rates.push(fee.to_sat() * 1000 / vsize);
@@ -540,11 +538,11 @@ impl BitcoinCanisterState {
 
     fn lookup_unstable_output(&self, outpoint: &OutPoint, meter: &mut Meter) -> Option<Amount> {
         for hash in self.tree().best_chain().iter().skip(1) {
-            let block = self.block(hash)?;
+            let body = self.block(hash)?;
             meter.charge(metering::UNSTABLE_BLOCK_SCAN);
-            for tx in &block.txdata {
+            for (tx, txid) in body.transactions() {
                 meter.charge(metering::UNSTABLE_UTXO_FETCH);
-                if tx.txid() == outpoint.txid {
+                if txid == outpoint.txid {
                     return tx.outputs.get(outpoint.vout as usize).map(|o| o.value);
                 }
             }

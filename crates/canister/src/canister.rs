@@ -800,14 +800,18 @@ mod tests {
         );
     }
 
-    /// The memoized UTXO-set hash never goes stale: after every step of a
-    /// chain with stabilizations, a pre-BIP34 duplicate-txid re-insert and
-    /// a reorg next to the anchor, the live hashes equal those of a
-    /// restored copy, whose memo starts empty.
+    /// The memoized UTXO-set hash and the stored txids never go stale:
+    /// after every step of a chain with stabilizations, a pre-BIP34
+    /// duplicate-txid re-insert, an equal-work fork that then wins a
+    /// reorg next to the anchor, and a switch to a restored copy, the
+    /// live hashes equal those of a restored copy (whose memo starts
+    /// empty), every held body's txids equal its transactions hashed
+    /// fresh, and the restored copy answers every read alike, at equal
+    /// metered cost.
     #[test]
     fn state_hash_memo_matches_a_restored_copy_after_every_step() {
         use crate::utxoset::UtxoSet;
-        use icbtc_bitcoin::{Amount, Block, OutPoint, Transaction, TxIn, TxOut, Txid};
+        use icbtc_bitcoin::{txids, Amount, Block, OutPoint, Transaction, TxIn, TxOut, Txid};
         use icbtc_btcnet::miner::mine_block_on;
         use icbtc_btcnet::ChainStore;
 
@@ -818,6 +822,23 @@ mod tests {
         let state = c.state();
         let mut previous = (state.anchor_height(), state.state_hash(), state.utxos().state_hash());
         let mut round = 0;
+        let reads: Vec<CanisterCall> = [0, 1, 2, 3, 4, 5, 6, 50, 51, 52, 60, 61]
+            .into_iter()
+            .flat_map(|n| {
+                let address = addr(n);
+                let utxos = |filter| CanisterCall::GetUtxos { address, filter };
+                let balance = |c| CanisterCall::GetBalance { address, min_confirmations: c };
+                [
+                    utxos(None),
+                    utxos(Some(UtxosFilter::MinConfirmations(1))),
+                    utxos(Some(UtxosFilter::MinConfirmations(2))),
+                    balance(0),
+                    balance(1),
+                    balance(2),
+                ]
+            })
+            .chain([CanisterCall::GetFeePercentiles])
+            .collect();
         let mut step = |c: &mut BitcoinCanister, block: &Block| {
             round += 1;
             let mut meter = Meter::new();
@@ -838,6 +859,23 @@ mod tests {
                 assert_ne!(live.2, previous.2, "round {round}: anchor advanced");
             }
             previous = (anchor, live.1, live.2);
+
+            for copy in [&*c, &restored] {
+                let state = copy.state();
+                let held = state.tree().insertion_order();
+                let bodies: Vec<_> = held.iter().filter_map(|hash| state.block(hash)).collect();
+                assert_eq!(bodies.len(), state.unstable_block_count(), "round {round}");
+                for body in bodies {
+                    assert_eq!(body.txids(), txids(&body.block().txdata), "round {round}");
+                }
+            }
+            for call in &reads {
+                let (mut live_meter, mut restored_meter) = (Meter::new(), Meter::new());
+                let live_reply = c.query(call, &mut live_meter).reply;
+                assert_eq!(live_reply, restored.query(call, &mut restored_meter).reply);
+                assert_eq!(live_meter.instructions(), restored_meter.instructions(), "{call:?}");
+            }
+            restored
         };
 
         // Stabilizations, with the same non-coinbase transaction in two
@@ -854,24 +892,48 @@ mod tests {
             let txs = if i == 3 || i == 4 { vec![duplicate.clone()] } else { Vec::new() };
             let block = mine_block_on(&main, main.tip_hash(), txs, addr(i).script_pubkey(), 0);
             main.accept_block(block.clone(), NOW).unwrap();
-            step(&mut c, &block);
+            let restored = step(&mut c, &block);
+            if i == 4 {
+                // Carry on from a restored copy.
+                c = restored;
+            }
             mined.push(block);
         }
         let stable = c.state().utxos();
         assert!(stable.get(&OutPoint::new(duplicate.txid(), 0)).is_some_and(|u| u.height == 5));
 
-        // Reorg next to the anchor: a heavier fork replaces the unstable
-        // tip block.
+        // An equal-work fork of the unstable tip block, which keeps the
+        // first-seen tip, then wins by a block: a reorg next to the
+        // anchor. Its second block spends an output of its first, so the
+        // fee lookup resolves through an unstable body.
         let tip = mined[6].block_hash();
         let mut fork = ChainStore::new(Network::Regtest);
         for block in &mined[..6] {
             fork.accept_block(block.clone(), NOW).unwrap();
         }
-        for i in 0..3u8 {
-            let payout = addr(50 + i).script_pubkey();
-            let block = mine_block_on(&fork, fork.tip_hash(), Vec::new(), payout, 1);
+        let pay = Transaction {
+            version: 2,
+            inputs: vec![TxIn::new(OutPoint::new(Txid([0xcd; 32]), 0))],
+            outputs: vec![TxOut::new(Amount::from_sat(50_000), addr(60).script_pubkey())],
+            lock_time: 0,
+        };
+        let spend = Transaction {
+            version: 2,
+            inputs: vec![TxIn::new(OutPoint::new(pay.txid(), 0))],
+            outputs: vec![TxOut::new(Amount::from_sat(40_000), addr(61).script_pubkey())],
+            lock_time: 0,
+        };
+        for (i, txs) in [vec![pay], vec![spend], Vec::new()].into_iter().enumerate() {
+            let payout = addr(50 + i as u8).script_pubkey();
+            let block = mine_block_on(&fork, fork.tip_hash(), txs, payout, 1);
             fork.accept_block(block.clone(), NOW).unwrap();
             step(&mut c, &block);
+            if i == 0 {
+                assert_eq!(c.state().best_tip().0, tip, "the first-seen tip holds the tie");
+            } else if i == 1 {
+                let fees = c.query(&CanisterCall::GetFeePercentiles, &mut Meter::new()).reply;
+                assert!(matches!(fees, Ok(CanisterReply::FeePercentiles(p)) if !p.is_empty()));
+            }
         }
         assert!(c.state().header_at_height(7).is_some_and(|h| h.block_hash() != tip));
         assert!(c.state().anchor_height() >= 7, "the fork stabilized past the reorg");

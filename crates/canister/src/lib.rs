@@ -38,6 +38,6 @@ pub use api::{
 };
 pub use canister::{BitcoinCanister, CallOutcome, CanisterCall, CanisterReply};
 pub use qcache::{CacheKey, QueryCache, DEFAULT_QUERY_CACHE_CAPACITY};
-pub use state::{BitcoinCanisterState, IngestReport, RejectReason};
+pub use state::{BitcoinCanisterState, IngestReport, RejectReason, UnstableBlock};
 pub use storage::{StorageConfig, StorageError, StorageStats};
 pub use utxoset::{Utxo, UtxoSet};

@@ -11,7 +11,9 @@
 //!   ingests an adapter response ([`crate::BitcoinCanister::ingest_response`]) —
 //!   ingestion is the only operation that can change any query's answer;
 //! * eviction is least-recently-used with a deterministic logical clock,
-//!   so same-seed runs hit, miss and evict identically.
+//!   so same-seed runs hit, miss and evict identically; a recency index
+//!   ordered by that clock finds the victim in O(log n) instead of a scan
+//!   over every entry on each miss at capacity.
 //!
 //! Only *first* pages are cached: continuation pages carry a cursor that
 //! makes them effectively unique, and the production traffic skew puts
@@ -75,6 +77,9 @@ struct CacheEntry {
 #[derive(Debug, Clone)]
 pub struct QueryCache {
     entries: BTreeMap<CacheKey, CacheEntry>,
+    /// Every entry's key under its `last_used` tick, oldest first. Each
+    /// tick is handed out once, so the first key here is the LRU victim.
+    recency: BTreeMap<u64, CacheKey>,
     capacity: usize,
     clock: u64,
 }
@@ -90,7 +95,7 @@ impl QueryCache {
     /// of 0 disables caching entirely (every lookup misses, inserts are
     /// dropped) — the cache-off baseline for A/B runs.
     pub fn with_capacity(capacity: usize) -> QueryCache {
-        QueryCache { entries: BTreeMap::new(), capacity, clock: 0 }
+        QueryCache { entries: BTreeMap::new(), recency: BTreeMap::new(), capacity, clock: 0 }
     }
 
     /// The cache key for `call` at `tip`, or `None` if the call is not
@@ -127,6 +132,9 @@ impl QueryCache {
     pub fn get(&mut self, key: &CacheKey) -> Option<(CanisterReply, u64)> {
         self.clock += 1;
         let entry = self.entries.get_mut(key)?;
+        if let Some(touched) = self.recency.remove(&entry.last_used) {
+            self.recency.insert(self.clock, touched);
+        }
         entry.last_used = self.clock;
         Some((entry.reply.clone(), entry.serialized_bytes))
     }
@@ -142,18 +150,16 @@ impl QueryCache {
         }
         self.clock += 1;
         let mut evicted = 0;
-        if self.entries.len() >= self.capacity && !self.entries.contains_key(&key) {
-            let victim = self
-                .entries
-                .iter()
-                .min_by_key(|(_, entry)| entry.last_used)
-                .map(|(key, _)| key.clone());
-            if let Some(victim) = victim {
+        if let Some(entry) = self.entries.get(&key) {
+            self.recency.remove(&entry.last_used);
+        } else if self.entries.len() >= self.capacity {
+            if let Some((_, victim)) = self.recency.pop_first() {
                 self.entries.remove(&victim);
                 evicted = 1;
             }
         }
         let serialized_bytes = reply.serialized_size();
+        self.recency.insert(self.clock, key.clone());
         self.entries.insert(key, CacheEntry { reply, serialized_bytes, last_used: self.clock });
         evicted
     }
@@ -163,6 +169,7 @@ impl QueryCache {
     pub fn invalidate(&mut self) -> u64 {
         let dropped = self.entries.len() as u64;
         self.entries.clear();
+        self.recency.clear();
         dropped
     }
 
@@ -184,6 +191,7 @@ mod tests {
     use super::*;
     use crate::api::GetBalanceResponse;
     use icbtc_bitcoin::{AddressKind, Amount, Network};
+    use icbtc_sim::testkit;
 
     fn addr(n: u8) -> Address {
         Address::new(Network::Regtest, AddressKind::P2wpkh([n; 20]))
@@ -239,6 +247,56 @@ mod tests {
         assert!(cache.get(&key(2, 0)).is_none(), "LRU entry evicted");
         assert!(cache.get(&key(1, 0)).is_some());
         assert!(cache.get(&key(3, 0)).is_some());
+    }
+
+    /// The recency index picks the same victims as a scan for the
+    /// smallest `last_used`, over random gets, inserts, re-inserts and
+    /// invalidations.
+    #[test]
+    fn recency_index_evicts_what_a_full_scan_would() {
+        testkit::check(0x9C_0001, testkit::DEFAULT_CASES, |rng| {
+            let capacity = testkit::usize_in(rng, 1..9);
+            let mut cache = QueryCache::with_capacity(capacity);
+            // Model: key → tick of its last use; gets and inserts each
+            // take one tick, as in the cache.
+            let mut model: BTreeMap<CacheKey, u64> = BTreeMap::new();
+            let mut clock = 0u64;
+            for _ in 0..testkit::usize_in(rng, 1..200) {
+                let k = key(testkit::u64_in(rng, 0..12) as u8, 0);
+                match testkit::u64_in(rng, 0..20) {
+                    0 => {
+                        assert_eq!(cache.invalidate(), model.len() as u64);
+                        model.clear();
+                    }
+                    1..=9 => {
+                        clock += 1;
+                        assert_eq!(cache.get(&k).is_some(), model.contains_key(&k));
+                        if let Some(last_used) = model.get_mut(&k) {
+                            *last_used = clock;
+                        }
+                    }
+                    _ => {
+                        clock += 1;
+                        let mut expected = 0;
+                        if !model.contains_key(&k) && model.len() >= capacity {
+                            let oldest = model.iter().min_by_key(|(_, tick)| **tick);
+                            let victim = oldest.map(|(victim, _)| victim.clone());
+                            model.remove(&victim.expect("a full cache has a victim"));
+                            expected = 1;
+                        }
+                        model.insert(k.clone(), clock);
+                        assert_eq!(cache.insert(k, reply(1)), expected);
+                    }
+                }
+                let held: BTreeMap<CacheKey, u64> =
+                    cache.entries.iter().map(|(k, e)| (k.clone(), e.last_used)).collect();
+                assert_eq!(held, model);
+                let indexed: BTreeMap<CacheKey, u64> =
+                    cache.recency.iter().map(|(tick, k)| (k.clone(), *tick)).collect();
+                assert_eq!(indexed, model);
+                assert_eq!(cache.recency.len(), model.len(), "one tick per entry");
+            }
+        });
     }
 
     #[test]

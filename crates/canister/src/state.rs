@@ -14,7 +14,7 @@ use std::collections::BTreeMap;
 use icbtc_bitcoin::encode::{Decodable, Encodable};
 use icbtc_bitcoin::hash::{sha256, Sha256};
 use icbtc_bitcoin::pow::{self, HeaderError};
-use icbtc_bitcoin::{Block, BlockHash, BlockHeader, HeaderTree, Transaction, Txid};
+use icbtc_bitcoin::{txids, Block, BlockHash, BlockHeader, HeaderTree, Transaction, Txid};
 use icbtc_core::stability;
 use icbtc_core::{GetSuccessorsRequest, GetSuccessorsResponse, IntegrationParams};
 use icbtc_ic::Meter;
@@ -80,8 +80,8 @@ pub struct BitcoinCanisterState {
     /// Header tree rooted at the anchor (the anchor plus all unstable
     /// headers).
     tree: HeaderTree,
-    /// Bodies of unstable blocks, keyed by header hash.
-    blocks: BTreeMap<BlockHash, Block>,
+    /// Bodies of unstable blocks with their txids, keyed by header hash.
+    blocks: BTreeMap<BlockHash, UnstableBlock>,
     /// Outbound transactions awaiting the next adapter request.
     outbound: Vec<Transaction>,
     synced: bool,
@@ -94,13 +94,47 @@ pub struct BitcoinCanisterState {
     last_response_fingerprint: Option<(BlockHash, [u8; 32])>,
 }
 
+/// An unstable block body with the txid of each of its transactions, as
+/// its acceptance check ([`Block::checked_txids`]) computed them: the
+/// overlay, fee lookups and stabilization read these instead of hashing
+/// the transactions again.
+#[derive(Debug, Clone)]
+pub struct UnstableBlock {
+    block: Block,
+    txids: Vec<Txid>,
+}
+
+impl UnstableBlock {
+    /// Runs the structural and Merkle check over `block`, keeping the
+    /// txids it computed; `None` if the block is malformed.
+    fn check(block: Block) -> Option<UnstableBlock> {
+        let txids = block.checked_txids()?;
+        Some(UnstableBlock { block, txids })
+    }
+
+    /// The block itself.
+    pub fn block(&self) -> &Block {
+        &self.block
+    }
+
+    /// `txids()[i]` is the txid of `block().txdata[i]`.
+    pub fn txids(&self) -> &[Txid] {
+        &self.txids
+    }
+
+    /// Each transaction with its txid, in block order.
+    pub fn transactions(&self) -> impl Iterator<Item = (&Transaction, Txid)> {
+        self.block.txdata.iter().zip(self.txids.iter().copied())
+    }
+}
+
 impl BitcoinCanisterState {
     /// Creates the state anchored at the network's genesis block, whose
     /// outputs seed the stable UTXO set.
     pub fn new(params: IntegrationParams) -> BitcoinCanisterState {
         let genesis = params.network.genesis_block().clone();
         let mut utxos = UtxoSet::new(params.network);
-        utxos.ingest_block(&genesis.txdata, 0, &mut Meter::new());
+        utxos.ingest_block(&genesis.txdata, &txids(&genesis.txdata), 0, &mut Meter::new());
         BitcoinCanisterState {
             params,
             utxos,
@@ -139,8 +173,8 @@ impl BitcoinCanisterState {
         &self.tree
     }
 
-    /// The unstable block body for `hash`, if held.
-    pub fn block(&self, hash: &BlockHash) -> Option<&Block> {
+    /// The unstable block body for `hash` with its txids, if held.
+    pub fn block(&self, hash: &BlockHash) -> Option<&UnstableBlock> {
         self.blocks.get(hash)
     }
 
@@ -244,16 +278,17 @@ impl BitcoinCanisterState {
         verdict.map_err(RejectReason::Header)
     }
 
-    fn block_valid(&self, block: &Block) -> Result<(), RejectReason> {
-        if !block.is_well_formed() {
-            return Err(RejectReason::MalformedBlock);
-        }
-        let prev = block.header.prev_blockhash;
+    /// The body rules ([`UnstableBlock::check`]), then an available
+    /// predecessor body. Returns the body with the txids the check
+    /// hashed, ready to store.
+    fn block_valid(&self, block: Block) -> Result<UnstableBlock, RejectReason> {
+        let body = UnstableBlock::check(block).ok_or(RejectReason::MalformedBlock)?;
+        let prev = body.block.header.prev_blockhash;
         let prev_available = prev == self.tree.root() || self.blocks.contains_key(&prev);
         if !prev_available {
             return Err(RejectReason::MissingPredecessorBlock(prev));
         }
-        Ok(())
+        Ok(body)
     }
 
     // -----------------------------------------------------------------
@@ -327,21 +362,25 @@ impl BitcoinCanisterState {
                 }
             }
             meter.frame_end(validate);
-            if let Err(reason) = self.block_valid(&block) {
-                report.rejected.push(reason);
-                continue;
-            }
+            let body = match self.block_valid(block) {
+                Ok(body) => body,
+                Err(reason) => {
+                    report.rejected.push(reason);
+                    continue;
+                }
+            };
             // PARSE_TX = TX_HASHING + TX_DECODE, charged at the same site
             // as the old flat per-transaction constant, split into the two
             // frames so the profiler can attribute the parts.
+            let tx_count = body.txids.len() as u64;
             let hashing = meter.frame("hashing");
-            meter.charge(block.txdata.len() as u64 * metering::TX_HASHING);
+            meter.charge(tx_count * metering::TX_HASHING);
             meter.frame_end(hashing);
             let decode = meter.frame("tx_decode");
-            meter.charge(block.txdata.len() as u64 * metering::TX_DECODE);
+            meter.charge(tx_count * metering::TX_DECODE);
             meter.frame_end(decode);
-            let _ = self.tree.insert_hashed(hash, block.header);
-            if self.blocks.insert(hash, block).is_none() {
+            let _ = self.tree.insert_hashed(hash, body.block.header);
+            if self.blocks.insert(hash, body).is_none() {
                 report.blocks_accepted += 1;
             }
             self.advance_anchor(&mut report, meter);
@@ -395,12 +434,12 @@ impl BitcoinCanisterState {
             }
             // Fold the stabilized block into the UTXO set and discard its
             // body; keep exactly its header at this height.
-            let Some(block) = self.blocks.remove(&next_hash) else { return };
+            let Some(body) = self.blocks.remove(&next_hash) else { return };
             let height = self.anchor_height() + 1;
             let ingest = meter.frame("ingest_block");
-            self.utxos.ingest_block(&block.txdata, height, meter);
+            self.utxos.ingest_block(&body.block.txdata, &body.txids, height, meter);
             meter.frame_end(ingest);
-            self.stable_headers.push(block.header);
+            self.stable_headers.push(body.block.header);
             self.blocks_stabilized += 1;
             report.stabilized.push(next_hash);
             // Prune every branch not passing through the new anchor.
@@ -503,8 +542,8 @@ impl BitcoinCanisterState {
             sink(&header.encode_to_vec());
         }
         sink(&(self.blocks.len() as u64).to_be_bytes());
-        for block in self.blocks.values() {
-            let bytes = block.encode_to_vec();
+        for body in self.blocks.values() {
+            let bytes = body.block.encode_to_vec();
             sink(&(bytes.len() as u64).to_be_bytes());
             sink(&bytes);
         }
@@ -563,7 +602,9 @@ impl BitcoinCanisterState {
     /// [`StorageError::Corrupt`] on a bad magic/version/network tag, a
     /// stable chain that is empty, does not link, or disagrees with the
     /// UTXO set's height, an unstable header without its parent or seen
-    /// twice, a block body without its header, or trailing bytes.
+    /// twice, a block body without its header or failing the coinbase
+    /// and Merkle rules ingest applies, or trailing bytes. The bodies'
+    /// txids are recomputed here, never read from `bytes`.
     pub fn deserialize(bytes: &[u8]) -> Result<BitcoinCanisterState, StorageError> {
         let mut cursor = SnapshotReader { bytes, pos: 0 };
         if cursor.take(8)? != STATE_MAGIC {
@@ -627,7 +668,9 @@ impl BitcoinCanisterState {
             if !tree.contains(&hash) || hash == tree.root() {
                 return Err(StorageError::Corrupt("block body without unstable header"));
             }
-            blocks.insert(hash, block);
+            let body = UnstableBlock::check(block)
+                .ok_or(StorageError::Corrupt("malformed unstable block"))?;
+            blocks.insert(hash, body);
         }
         let outbound_count = cursor.u64()? as usize;
         let mut outbound: Vec<Transaction> = Vec::new();
@@ -690,7 +733,7 @@ const STATE_VERSION: u16 = 2;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use icbtc_bitcoin::{Network, Script};
+    use icbtc_bitcoin::{Amount, Network, Script};
     use icbtc_btcnet::miner::mine_block_on;
     use icbtc_btcnet::{ChainStore, ValidationError};
 
@@ -1182,6 +1225,29 @@ mod tests {
         assert!(BitcoinCanisterState::deserialize(&trailing).is_err());
 
         assert!(BitcoinCanisterState::deserialize(&[]).is_err());
+    }
+
+    #[test]
+    fn restore_rejects_an_unstable_body_whose_transaction_changed() {
+        // One output-value byte of the tip's coinbase, changed in place:
+        // the header and every length stay as they were, so only the
+        // Merkle check can tell.
+        let state = populated_state();
+        let good = state.serialize();
+        let body = state.block(&state.best_tip().0).expect("the tip body is held").block();
+        let mut tampered = body.clone();
+        let output = &mut tampered.txdata[0].outputs[0];
+        output.value = Amount::from_sat(output.value.to_sat() ^ 1);
+        let (original, changed) = (body.encode_to_vec(), tampered.encode_to_vec());
+        assert_eq!(original.len(), changed.len());
+        assert_eq!(original.iter().zip(&changed).filter(|(a, b)| a != b).count(), 1);
+        let at = good.windows(original.len()).position(|w| w == original).unwrap();
+        let mut bad = good.clone();
+        bad[at..at + changed.len()].copy_from_slice(&changed);
+        assert_eq!(
+            BitcoinCanisterState::deserialize(&bad).err(),
+            Some(StorageError::Corrupt("malformed unstable block"))
+        );
     }
 
     #[test]

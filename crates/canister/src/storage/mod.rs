@@ -100,6 +100,13 @@ pub enum StorageError {
         /// The height the caller tried to ingest.
         got: u64,
     },
+    /// A block's txid list is not one txid per transaction.
+    TxidCountMismatch {
+        /// Transactions in the block.
+        transactions: usize,
+        /// Txids supplied with them.
+        txids: usize,
+    },
 }
 
 impl fmt::Display for StorageError {
@@ -122,6 +129,9 @@ impl fmt::Display for StorageError {
                     "stable blocks must be ingested in order: expected height {expected}, \
                      got {got}"
                 )
+            }
+            StorageError::TxidCountMismatch { transactions, txids } => {
+                write!(f, "{txids} txids supplied for {transactions} transactions")
             }
         }
     }

@@ -17,7 +17,7 @@
 use std::cell::OnceCell;
 
 use icbtc_bitcoin::hash::{sha256, Sha256};
-use icbtc_bitcoin::{Address, Amount, Network, OutPoint, Script, Transaction, TxOut};
+use icbtc_bitcoin::{Address, Amount, Network, OutPoint, Script, Transaction, TxOut, Txid};
 use icbtc_ic::Meter;
 
 use crate::metering;
@@ -150,9 +150,11 @@ impl UtxoSet {
 
     /// Ingests all transactions of a block at `height` into the set:
     /// inputs are removed, outputs inserted, with instruction charges per
-    /// operation recorded in `meter`. Each removal and insertion is one
-    /// `input_removal` / `output_insertion` profiler frame on `meter`, so
-    /// Figure 6's split is read from [`Meter::profile`].
+    /// operation recorded in `meter`. `txids[i]` is `transactions[i]`'s
+    /// txid, as the block's acceptance check computed it, so the set
+    /// never hashes a transaction itself. Each removal and insertion is
+    /// one `input_removal` / `output_insertion` profiler frame on `meter`,
+    /// so Figure 6's split is read from [`Meter::profile`].
     ///
     /// Transaction *spend validity* is intentionally not checked (§III-C:
     /// the canister relies on Bitcoin's proof of work and block vetting).
@@ -160,35 +162,38 @@ impl UtxoSet {
     /// # Panics
     ///
     /// Panics if `height` is not the expected next height — stable blocks
-    /// are ingested strictly in order — or if the storage budget is
-    /// exhausted mid-block. Callers that want to handle budget exhaustion
-    /// use [`UtxoSet::try_ingest_block`].
+    /// are ingested strictly in order —, if `txids` is not one txid per
+    /// transaction, or if the storage budget is exhausted mid-block.
+    /// Callers that want to handle these use [`UtxoSet::try_ingest_block`].
     pub fn ingest_block(
         &mut self,
         transactions: &[Transaction],
+        txids: &[Txid],
         height: u64,
         meter: &mut Meter,
     ) {
-        if let Err(error) = self.try_ingest_block(transactions, height, meter) {
+        if let Err(error) = self.try_ingest_block(transactions, txids, height, meter) {
             panic!("stable UTXO storage failed ingesting height {height}: {error}"); // icbtc-lint: allow(no-panic) -- the budget must fail loudly: continuing past it would silently diverge replicated state
         }
     }
 
     /// Fallible ingest: like [`UtxoSet::ingest_block`] but returns the
-    /// storage error instead of panicking when the byte budget (or the
-    /// per-entry cell cap) is hit.
+    /// storage error instead of panicking.
     ///
     /// # Errors
     ///
     /// [`StorageError::OutOfOrderIngestion`] if `height` is not the
-    /// expected next height (rejected before touching any state), or
-    /// [`StorageError::BudgetExhausted`] / [`StorageError::EntryTooLarge`]
-    /// mid-block. After a mid-block error the block is only partially
-    /// applied, so the set must be treated as poisoned and discarded —
-    /// fail loudly, never continue past the budget.
+    /// expected next height, or [`StorageError::TxidCountMismatch`] if
+    /// `txids` and `transactions` differ in length (both rejected before
+    /// touching any state), or [`StorageError::BudgetExhausted`] /
+    /// [`StorageError::EntryTooLarge`] mid-block. After a mid-block error
+    /// the block is only partially applied, so the set must be treated as
+    /// poisoned and discarded — fail loudly, never continue past the
+    /// budget.
     pub fn try_ingest_block(
         &mut self,
         transactions: &[Transaction],
+        txids: &[Txid],
         height: u64,
         meter: &mut Meter,
     ) -> Result<(), StorageError> {
@@ -198,11 +203,18 @@ impl UtxoSet {
                 got: height,
             });
         }
+        if txids.len() != transactions.len() {
+            return Err(StorageError::TxidCountMismatch {
+                transactions: transactions.len(),
+                txids: txids.len(),
+            });
+        }
         self.hash_memo.take();
-        for tx in transactions {
+        for (tx, &txid) in transactions.iter().zip(txids) {
+            // The model still prices hashing each transaction here, as
+            // the production canister does; the host reuses `txid`.
             let hashing = meter.frame("hashing");
             meter.charge(metering::TX_HASHING);
-            let txid = tx.txid();
             meter.frame_end(hashing);
             let decode = meter.frame("tx_decode");
             meter.charge(metering::TX_DECODE);
@@ -535,7 +547,7 @@ impl<'a> SnapshotReader<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use icbtc_bitcoin::{AddressKind, Script, TxIn, Txid};
+    use icbtc_bitcoin::{txids, AddressKind, Script, TxIn};
 
     fn addr(n: u8) -> Address {
         Address::new(Network::Regtest, AddressKind::P2wpkh([n; 20]))
@@ -557,6 +569,20 @@ mod tests {
         }
     }
 
+    /// Ingests `txs` with their txids hashed fresh.
+    fn ingest(set: &mut UtxoSet, txs: &[Transaction], height: u64, meter: &mut Meter) {
+        set.ingest_block(txs, &txids(txs), height, meter);
+    }
+
+    fn try_ingest(
+        set: &mut UtxoSet,
+        txs: &[Transaction],
+        height: u64,
+        meter: &mut Meter,
+    ) -> Result<(), StorageError> {
+        set.try_ingest_block(txs, &txids(txs), height, meter)
+    }
+
     fn fresh() -> (UtxoSet, Meter) {
         (UtxoSet::new(Network::Regtest), Meter::new())
     }
@@ -570,7 +596,7 @@ mod tests {
     fn ingest_coinbase_creates_utxos() {
         let (mut set, mut meter) = fresh();
         let coinbase = pay_tx(None, &[(1, 5000)]);
-        set.ingest_block(std::slice::from_ref(&coinbase), 0, &mut meter);
+        ingest(&mut set, std::slice::from_ref(&coinbase), 0, &mut meter);
         assert_eq!(set.len(), 1);
         assert_eq!(set.next_height(), 1);
         assert_eq!(set.balance(&addr(1), &mut Meter::new()), Amount::from_sat(5000));
@@ -586,9 +612,9 @@ mod tests {
     fn spend_moves_value_between_addresses() {
         let (mut set, mut meter) = fresh();
         let coinbase = pay_tx(None, &[(1, 5000)]);
-        set.ingest_block(std::slice::from_ref(&coinbase), 0, &mut meter);
+        ingest(&mut set, std::slice::from_ref(&coinbase), 0, &mut meter);
         let spend = pay_tx(Some(OutPoint::new(coinbase.txid(), 0)), &[(2, 3000), (1, 1900)]);
-        set.ingest_block(&[spend], 1, &mut meter);
+        ingest(&mut set, &[spend], 1, &mut meter);
         assert_eq!(set.len(), 2);
         assert_eq!(set.balance(&addr(2), &mut Meter::new()), Amount::from_sat(3000));
         assert_eq!(set.balance(&addr(1), &mut Meter::new()), Amount::from_sat(1900));
@@ -600,7 +626,7 @@ mod tests {
         let (mut set, mut meter) = fresh();
         for height in 0..5 {
             let tx = pay_tx(None, &[(7, 100 + height)]);
-            set.ingest_block(&[tx], height, &mut meter);
+            ingest(&mut set, &[tx], height, &mut meter);
         }
         let utxos = set.utxos_of(&addr(7), &mut Meter::new());
         assert_eq!(utxos.len(), 5);
@@ -613,7 +639,7 @@ mod tests {
         let (mut set, mut meter) = fresh();
         for height in 0..6 {
             let tx = pay_tx(None, &[(7, 100 + height)]);
-            set.ingest_block(&[tx], height, &mut meter);
+            ingest(&mut set, &[tx], height, &mut meter);
         }
         let all: Vec<Utxo> = set.utxos_after(&addr(7), None).collect();
         assert_eq!(all.len(), 6);
@@ -632,7 +658,7 @@ mod tests {
     fn balance_charges_per_index_entry_not_per_fetch() {
         let (mut set, mut meter) = fresh();
         let tx = pay_tx(None, &[(7, 10), (7, 20), (7, 30)]);
-        set.ingest_block(&[tx], 0, &mut meter);
+        ingest(&mut set, &[tx], 0, &mut meter);
         let mut balance_meter = Meter::new();
         assert_eq!(set.balance(&addr(7), &mut balance_meter), Amount::from_sat(60));
         assert_eq!(balance_meter.instructions(), 3 * metering::STABLE_BALANCE_ENTRY);
@@ -649,7 +675,7 @@ mod tests {
         let (mut set, mut meter) = fresh();
         let near_max = Amount::MAX_MONEY.to_sat() - 10;
         let tx = pay_tx(None, &[(7, near_max), (7, near_max), (7, 25)]);
-        set.ingest_block(&[tx], 0, &mut meter);
+        ingest(&mut set, &[tx], 0, &mut meter);
         let balance = set.balance(&addr(7), &mut Meter::new());
         assert_eq!(balance, Amount::MAX_MONEY);
     }
@@ -663,9 +689,9 @@ mod tests {
         // balance and pagination.
         let (mut set, mut meter) = fresh();
         let coinbase = pay_tx(None, &[(1, 5000)]);
-        set.ingest_block(std::slice::from_ref(&coinbase), 0, &mut meter);
+        ingest(&mut set, std::slice::from_ref(&coinbase), 0, &mut meter);
         // Identical transaction ⇒ identical txid ⇒ same outpoint.
-        set.ingest_block(std::slice::from_ref(&coinbase), 1, &mut meter);
+        ingest(&mut set, std::slice::from_ref(&coinbase), 1, &mut meter);
 
         assert_eq!(set.len(), 1, "one outpoint, not two");
         assert_eq!(
@@ -678,7 +704,7 @@ mod tests {
         assert_eq!(utxos[0].height, 1, "the re-insert wins");
         // Spending it once empties the whole index.
         let spend = pay_tx(Some(OutPoint::new(coinbase.txid(), 0)), &[(2, 4000)]);
-        set.ingest_block(&[spend], 2, &mut meter);
+        ingest(&mut set, &[spend], 2, &mut meter);
         assert_eq!(set.balance(&addr(1), &mut Meter::new()), Amount::ZERO);
         assert_eq!(set.address_count(), 1);
     }
@@ -688,7 +714,7 @@ mod tests {
         let (mut set, mut meter) = fresh();
         let first = pay_tx(None, &[(1, 5000)]);
         let outpoint = OutPoint::new(first.txid(), 0);
-        set.ingest_block(&[first], 0, &mut meter);
+        ingest(&mut set, &[first], 0, &mut meter);
         // Re-insert the same outpoint paying a different address (txid
         // collisions don't imply identical outputs for the storage
         // layer): the old address must lose its entry.
@@ -704,7 +730,7 @@ mod tests {
         let (mut set, mut meter) = fresh();
         let mut tx = pay_tx(None, &[(1, 100)]);
         tx.outputs.push(TxOut::new(Amount::ZERO, Script::new_op_return(b"data")));
-        set.ingest_block(&[tx], 0, &mut meter);
+        ingest(&mut set, &[tx], 0, &mut meter);
         assert_eq!(set.len(), 1);
     }
 
@@ -713,7 +739,7 @@ mod tests {
         let (mut set, mut meter) = fresh();
         let mut tx = pay_tx(None, &[(1, 100)]);
         tx.outputs.push(TxOut::new(Amount::from_sat(50), Script::from_bytes(vec![0xde, 0xad])));
-        set.ingest_block(&[tx.clone()], 0, &mut meter);
+        ingest(&mut set, &[tx.clone()], 0, &mut meter);
         assert_eq!(set.len(), 2, "held in the outpoint map");
         assert_eq!(set.address_count(), 1, "but not address-indexed");
         assert!(set.get(&OutPoint::new(tx.txid(), 1)).is_some());
@@ -723,7 +749,7 @@ mod tests {
     fn unknown_input_removal_is_charged_but_harmless() {
         let (mut set, mut meter) = fresh();
         let spend = pay_tx(Some(OutPoint::new(Txid([9; 32]), 3)), &[(2, 10)]);
-        set.ingest_block(&[spend], 0, &mut meter);
+        ingest(&mut set, &[spend], 0, &mut meter);
         assert_eq!(set.len(), 1);
         assert_eq!(split(&meter, "input_removal"), metering::REMOVE_INPUT_BASE);
     }
@@ -732,26 +758,47 @@ mod tests {
     #[should_panic(expected = "stable blocks must be ingested in order")]
     fn out_of_order_ingestion_panics() {
         let (mut set, mut meter) = fresh();
-        set.ingest_block(&[pay_tx(None, &[(1, 1)])], 5, &mut meter);
+        ingest(&mut set, &[pay_tx(None, &[(1, 1)])], 5, &mut meter);
     }
 
     #[test]
     fn out_of_order_ingestion_is_a_typed_error() {
         let (mut set, mut meter) = fresh();
-        let err = set
-            .try_ingest_block(&[pay_tx(None, &[(1, 1)])], 5, &mut meter)
+        let err = try_ingest(&mut set, &[pay_tx(None, &[(1, 1)])], 5, &mut meter)
             .unwrap_err();
         assert_eq!(err, StorageError::OutOfOrderIngestion { expected: 0, got: 5 });
         // Rejected before touching any state: the set stays usable.
-        set.ingest_block(&[pay_tx(None, &[(1, 1)])], 0, &mut meter);
+        ingest(&mut set, &[pay_tx(None, &[(1, 1)])], 0, &mut meter);
         assert_eq!(set.next_height(), 1);
+    }
+
+    #[test]
+    fn txid_count_mismatch_is_a_typed_error_before_any_write() {
+        let (mut set, mut meter) = fresh();
+        let txs = [pay_tx(None, &[(1, 1)]), pay_tx(None, &[(2, 2)])];
+        let all = txids(&txs);
+        for short in [&all[..1], &[]] {
+            let err = set.try_ingest_block(&txs, short, 0, &mut meter).unwrap_err();
+            assert_eq!(
+                err,
+                StorageError::TxidCountMismatch { transactions: 2, txids: short.len() }
+            );
+        }
+        let long = [all[0], all[1], all[0]];
+        let err = set.try_ingest_block(&txs, &long, 0, &mut meter).unwrap_err();
+        assert_eq!(err, StorageError::TxidCountMismatch { transactions: 2, txids: 3 });
+        // Nothing was written or charged: the set still takes height 0.
+        assert!(set.is_empty());
+        assert_eq!(meter.instructions(), 0);
+        set.ingest_block(&txs, &all, 0, &mut meter);
+        assert_eq!(set.len(), 2);
     }
 
     #[test]
     fn byte_size_is_pages_actually_allocated() {
         let (mut set, mut meter) = fresh();
         assert_eq!(set.byte_size(), 0, "no pages before the first insert");
-        set.ingest_block(&[pay_tx(None, &[(1, 1), (2, 2), (3, 3)])], 0, &mut meter);
+        ingest(&mut set, &[pay_tx(None, &[(1, 1), (2, 2), (3, 3)])], 0, &mut meter);
         let page_size = set.storage_config().page_size as u64;
         assert_eq!(set.byte_size() % page_size, 0, "whole pages only");
         assert_eq!(set.byte_size(), set.storage_stats().bytes_reserved);
@@ -784,7 +831,7 @@ mod tests {
                         .collect(),
                     lock_time: 0,
                 };
-                set.ingest_block(&[tx], height, &mut meter);
+                ingest(&mut set, &[tx], height, &mut meter);
             }
             set.byte_size()
         };
@@ -806,7 +853,7 @@ mod tests {
         let mut height = 0u64;
         let error = loop {
             let outputs: Vec<(u8, u64)> = (0..30).map(|i| (i as u8, 100)).collect();
-            match set.try_ingest_block(&[pay_tx(None, &outputs)], height, &mut meter) {
+            match try_ingest(&mut set, &[pay_tx(None, &outputs)], height, &mut meter) {
                 Ok(()) => height += 1,
                 Err(error) => break error,
             }
@@ -830,7 +877,7 @@ mod tests {
             let memo = set.state_hash();
             assert_eq!(memo, fresh_hash(&set));
             let outputs: Vec<(u8, u64)> = (0..30).map(|i| (i as u8, 100 + height)).collect();
-            let result = set.try_ingest_block(&[pay_tx(None, &outputs)], height, &mut meter);
+            let result = try_ingest(&mut set, &[pay_tx(None, &outputs)], height, &mut meter);
             // Partly applied or whole, the block moved the content.
             assert_ne!(fresh_hash(&set), memo, "height {height}");
             assert_eq!(set.state_hash(), fresh_hash(&set), "height {height}");
@@ -848,7 +895,7 @@ mod tests {
         assert_eq!(set.snapshot_len(), set.serialize().len() as u64);
         let mut tx = pay_tx(None, &[(1, 100), (2, 200)]);
         tx.outputs.push(TxOut::new(Amount::from_sat(50), Script::from_bytes(vec![0xde; 300])));
-        set.ingest_block(&[tx], 0, &mut meter);
+        ingest(&mut set, &[tx], 0, &mut meter);
         assert_eq!(set.snapshot_len(), set.serialize().len() as u64);
     }
 
@@ -862,7 +909,7 @@ mod tests {
         let mut meter = Meter::new();
         for height in 0..1000u64 {
             let outputs: Vec<(u8, u64)> = (0..30).map(|i| (i as u8, 100)).collect();
-            set.ingest_block(&[pay_tx(None, &outputs)], height, &mut meter);
+            ingest(&mut set, &[pay_tx(None, &outputs)], height, &mut meter);
         }
     }
 
@@ -871,7 +918,7 @@ mod tests {
         let (mut set, mut meter) = fresh();
         for height in 0..30u64 {
             let tx = pay_tx(None, &[((height % 5) as u8, 100 + height), (9, 7)]);
-            set.ingest_block(&[tx], height, &mut meter);
+            ingest(&mut set, &[tx], height, &mut meter);
         }
         let bytes = set.serialize();
         assert_eq!(bytes, set.serialize(), "serialization is deterministic");
@@ -896,7 +943,7 @@ mod tests {
     #[test]
     fn deserialize_rejects_corrupt_snapshots() {
         let (mut set, mut meter) = fresh();
-        set.ingest_block(&[pay_tx(None, &[(1, 5)])], 0, &mut meter);
+        ingest(&mut set, &[pay_tx(None, &[(1, 5)])], 0, &mut meter);
         let good = set.serialize();
 
         let mut bad_magic = good.clone();
@@ -919,7 +966,7 @@ mod tests {
     #[test]
     fn deserialize_accepts_only_the_canonical_encoding() {
         let (mut set, mut meter) = fresh();
-        set.ingest_block(&[pay_tx(None, &[(1, 5), (2, 6)])], 0, &mut meter);
+        ingest(&mut set, &[pay_tx(None, &[(1, 5), (2, 6)])], 0, &mut meter);
         let good = set.serialize();
         let corrupt = |bytes: &[u8]| UtxoSet::deserialize(bytes).err();
 
@@ -951,7 +998,7 @@ mod tests {
         // Block 0: create 50 outputs.
         let creators: Vec<Transaction> =
             (0..50).map(|i| pay_tx(None, &[(i as u8, 100)])).collect();
-        set.ingest_block(&creators, 0, &mut meter);
+        ingest(&mut set, &creators, 0, &mut meter);
         // Block 1: spend all 50, creating 50 new ones.
         let spends: Vec<Transaction> = creators
             .iter()
@@ -959,7 +1006,7 @@ mod tests {
             .map(|(i, c)| pay_tx(Some(OutPoint::new(c.txid(), 0)), &[(200 - i as u8, 90)]))
             .collect();
         let mut block1 = Meter::new();
-        set.ingest_block(&spends, 1, &mut block1);
+        ingest(&mut set, &spends, 1, &mut block1);
         let insert = split(&block1, "output_insertion") as f64;
         let remove = split(&block1, "input_removal") as f64;
         let share = insert / (insert + remove);
@@ -970,10 +1017,10 @@ mod tests {
     fn split_frames_wrap_the_leaf_frames_at_zero_self_cost() {
         let (mut set, mut meter) = fresh();
         let coinbase = pay_tx(None, &[(1, 5000)]);
-        set.ingest_block(std::slice::from_ref(&coinbase), 0, &mut meter);
+        ingest(&mut set, std::slice::from_ref(&coinbase), 0, &mut meter);
         let spend = pay_tx(Some(OutPoint::new(coinbase.txid(), 0)), &[(2, 3000), (1, 1900)]);
         let mut block1 = Meter::new();
-        set.ingest_block(&[spend], 1, &mut block1);
+        ingest(&mut set, &[spend], 1, &mut block1);
         // The same three leaf frames nest under each split frame, which
         // keeps no cost of its own.
         let frames = block1.profile().frames();
@@ -1004,7 +1051,7 @@ mod tests {
                     .enumerate()
                     .map(|(i, v)| pay_tx(None, &[((i % 250) as u8, *v)]))
                     .collect();
-                set.ingest_block(&creators, 0, &mut meter);
+                ingest(&mut set, &creators, 0, &mut meter);
                 assert_eq!(set.len(), values.len());
 
                 let spends: Vec<Transaction> = creators
@@ -1015,7 +1062,7 @@ mod tests {
                         tx
                     })
                     .collect();
-                set.ingest_block(&spends, 1, &mut meter);
+                ingest(&mut set, &spends, 1, &mut meter);
                 assert_eq!(set.len(), 0);
                 assert_eq!(set.address_count(), 0);
             });
@@ -1041,7 +1088,7 @@ mod tests {
                         tx
                     })
                     .collect();
-                set.ingest_block(&creators, 0, &mut meter);
+                ingest(&mut set, &creators, 0, &mut meter);
 
                 // Block 1 spends a random subset of known outputs plus
                 // some unknown outpoints, and creates new outputs.
@@ -1056,7 +1103,7 @@ mod tests {
                     block.push(pay_tx(Some(prev), &[(to, testkit::u64_in(rng, 1..10_000))]));
                 }
                 let mut meter = Meter::new();
-                set.ingest_block(&block, 1, &mut meter);
+                ingest(&mut set, &block, 1, &mut meter);
                 let attributed = ["output_insertion", "input_removal", "hashing", "tx_decode"]
                     .iter()
                     .map(|frame| split(&meter, frame))

@@ -19,6 +19,8 @@
 //! store and the canister share; this module adds only the stability
 //! conditions.
 
+use std::collections::BTreeMap;
+
 use icbtc_bitcoin::{BlockHash, HeaderTree, Work};
 
 /// Confirmation-based stability of a block: the largest δ for which
@@ -42,6 +44,38 @@ pub fn confirmation_stability(tree: &HeaderTree, hash: &BlockHash) -> Option<i64
 pub fn is_confirmation_stable(tree: &HeaderTree, hash: &BlockHash, delta: u64) -> bool {
     assert!(delta > 0, "delta-stability requires delta > 0");
     confirmation_stability(tree, hash).is_some_and(|s| s >= delta as i64)
+}
+
+/// How many blocks of the current chain, counted up from the root's
+/// child, are confirmation-based δ-stable before the first one that is
+/// not: the prefix a block-by-block [`is_confirmation_stable`] loop
+/// would accept, found in one pass over the tree instead of one subtree
+/// walk per block. `d_c` of every header is computed children first
+/// (reverse arrival order), and each height keeps the deepest header off
+/// the current chain; a chain block is δ-stable when its own `d_c` is at
+/// least δ above that rival (or at least δ without one).
+pub fn confirmation_stable_prefix(tree: &HeaderTree, delta: u64) -> usize {
+    assert!(delta > 0, "delta-stability requires delta > 0");
+    let chain = tree.best_chain();
+    let base = tree.root_height();
+    let mut depth: BTreeMap<BlockHash, u64> = BTreeMap::new();
+    // rival[i]: the greatest d_c at height base + i off the chain, or 0.
+    let mut rival = vec![0u64; chain.len()];
+    for hash in tree.insertion_order().iter().rev() {
+        let below = tree.children(hash).iter().filter_map(|child| depth.get(child)).max();
+        let own = 1 + below.copied().unwrap_or(0);
+        depth.insert(*hash, own);
+        let index = (tree.height(hash).unwrap_or(base) - base) as usize;
+        if chain.get(index).is_some_and(|on_chain| on_chain != hash) {
+            rival[index] = rival[index].max(own);
+        }
+    }
+    chain
+        .iter()
+        .zip(&rival)
+        .skip(1)
+        .take_while(|(hash, rival)| depth.get(hash).is_some_and(|own| *own >= **rival + delta))
+        .count()
 }
 
 /// Whether `hash` is difficulty-based δ-stable with respect to a
@@ -465,6 +499,32 @@ mod tests {
                     assert_stored_chain(&tree);
                 }
                 assert_eq!(tree.len(), 1);
+            });
+        }
+
+        /// The one-pass prefix equals the block-by-block loop it replaced
+        /// in the canister's overlay, for every c in 1..=δ, on random
+        /// trees with forks and equal-work ties, before and after root
+        /// advances.
+        #[test]
+        fn stable_prefix_matches_the_per_block_loop() {
+            testkit::check(0x57_0005, testkit::DEFAULT_CASES, |rng| {
+                let choices = testkit::bytes(rng, 1..60);
+                let (mut tree, _) = random_tree(&choices);
+                let delta = testkit::u64_in(rng, 1..8);
+                loop {
+                    for c in 1..=delta {
+                        let looped = tree.best_chain()[1..]
+                            .iter()
+                            .take_while(|hash| is_confirmation_stable(&tree, hash, c))
+                            .count();
+                        assert_eq!(confirmation_stable_prefix(&tree, c), looped, "c {c}");
+                    }
+                    if tree.best_chain().len() == 1 || testkit::u64_in(rng, 0..3) == 0 {
+                        break;
+                    }
+                    tree.advance_root();
+                }
             });
         }
 

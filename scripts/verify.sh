@@ -87,6 +87,10 @@ fi
 if cargo clippy --version >/dev/null 2>&1; then
     echo "==> cargo clippy --offline --workspace --all-targets -- -D warnings"
     cargo clippy -q --offline --workspace --all-targets -- -D warnings
+    # perfbench/ compiles against the workspace's public API but is a
+    # workspace of its own, so the step above never lints it.
+    echo "==> cargo clippy --offline --manifest-path perfbench/Cargo.toml --all-targets -- -D warnings"
+    cargo clippy -q --offline --manifest-path perfbench/Cargo.toml --all-targets -- -D warnings
 else
     echo "WARNING: clippy not installed in this toolchain; skipping clippy gate" >&2
 fi

@@ -8,7 +8,7 @@ use icbtc::btcnet::NodeId;
 use icbtc::canister::{BitcoinCanisterState, UtxoSet};
 use icbtc::core::{IntegrationParams, MAX_NEXT_HEADERS};
 use icbtc::ic::Meter;
-use icbtc_bitcoin::{BlockHash, Network};
+use icbtc_bitcoin::{txids, BlockHash, Network};
 use icbtc_sim::{SimDuration, SimRng, SimTime};
 
 const NOW: u32 = 2_100_000_000;
@@ -146,7 +146,7 @@ fn deep_reorg_recovery_via_canister_upgrade() {
     let mut headers = Vec::new();
     for (height, hash) in authoritative.best_chain().iter().enumerate() {
         let block = authoritative.block(hash).expect("full node holds bodies");
-        utxos.ingest_block(&block.txdata, height as u64, &mut Meter::new());
+        utxos.ingest_block(&block.txdata, &txids(&block.txdata), height as u64, &mut Meter::new());
         headers.push(block.header);
     }
     state.install_snapshot(utxos, headers);

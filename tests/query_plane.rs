@@ -15,8 +15,8 @@
 
 use icbtc::bitcoin::pow::median_time_past;
 use icbtc::bitcoin::{
-    merkle_root, Address, AddressKind, Amount, Block, BlockHeader, MerkleRoot, Network, OutPoint,
-    Script, Transaction, TxIn, TxOut, Txid,
+    merkle_root, txids, Address, AddressKind, Amount, Block, BlockHeader, MerkleRoot, Network,
+    OutPoint, Script, Transaction, TxIn, TxOut, Txid,
 };
 use icbtc::canister::{
     BitcoinCanister, BitcoinCanisterState, CanisterCall, CanisterReply, UtxoSet, UtxosFilter,
@@ -69,7 +69,7 @@ fn mine_block(
     let mut header = BlockHeader {
         version: 2,
         prev_blockhash: prev.block_hash(),
-        merkle_root: merkle_root(&txdata.iter().map(|t| t.txid()).collect::<Vec<_>>()),
+        merkle_root: merkle_root(&txids(&txdata)),
         time: mtp + 600,
         bits: Network::Regtest.genesis_block().header.bits,
         nonce: 0,
@@ -93,7 +93,7 @@ fn build_state(seed: u64, num_addresses: usize, max_count: u64) -> (BitcoinCanis
     const HEIGHTS: u64 = 30;
     let mut utxos = UtxoSet::new(Network::Regtest);
     let mut meter = Meter::new();
-    utxos.ingest_block(&[], 0, &mut meter);
+    utxos.ingest_block(&[], &[], 0, &mut meter);
 
     let mut addresses = Vec::with_capacity(num_addresses);
     let mut per_height: Vec<Vec<TxOut>> = vec![Vec::new(); HEIGHTS as usize];
@@ -118,7 +118,7 @@ fn build_state(seed: u64, num_addresses: usize, max_count: u64) -> (BitcoinCanis
                 lock_time: 0,
             })
             .collect();
-        utxos.ingest_block(&txs, height, &mut meter);
+        utxos.ingest_block(&txs, &txids(&txs), height, &mut meter);
     }
 
     let mut headers = vec![genesis];

@@ -15,7 +15,7 @@ use std::collections::BTreeMap;
 use icbtc::canister::{StorageConfig, StorageError, UtxoSet};
 use icbtc::ic::Meter;
 use icbtc_bitcoin::{
-    Address, AddressKind, Amount, Network, OutPoint, Transaction, TxIn, TxOut,
+    txids, Address, AddressKind, Amount, Network, OutPoint, Transaction, TxIn, TxOut,
 };
 use icbtc_sim::{testkit, SimRng};
 
@@ -177,7 +177,7 @@ fn engine_matches_the_in_heap_oracle_on_random_chains() {
         for height in 0..blocks {
             let txs = random_block(rng, &oracle);
             oracle.ingest_block(&txs, height);
-            set.try_ingest_block(&txs, height, &mut meter)
+            set.try_ingest_block(&txs, &txids(&txs), height, &mut meter)
                 .expect("8 MiB budget must fit this workload");
             assert_engine_matches_oracle(&set, &oracle, &format!("height {height}"));
         }
@@ -202,7 +202,7 @@ fn same_seed_runs_serialize_byte_identically() {
             for height in 0..20 {
                 let txs = random_block(&mut rng, &oracle);
                 oracle.ingest_block(&txs, height);
-                set.try_ingest_block(&txs, height, &mut Meter::new())
+                set.try_ingest_block(&txs, &txids(&txs), height, &mut Meter::new())
                     .expect("budget");
             }
             set
@@ -226,7 +226,7 @@ fn budget_bounded_ingest_fails_loudly_and_deterministically() {
             let txs = random_block(&mut rng, &oracle);
             oracle.ingest_block(&txs, height);
             if let Err(error) =
-                set.try_ingest_block(&txs, height, &mut Meter::new())
+                set.try_ingest_block(&txs, &txids(&txs), height, &mut Meter::new())
             {
                 assert!(
                     matches!(error, StorageError::BudgetExhausted { .. }),
@@ -261,7 +261,7 @@ fn duplicate_txid_across_blocks_is_consistent_end_to_end() {
     };
     for height in [0u64, 1] {
         oracle.ingest_block(std::slice::from_ref(&coinbase), height);
-        set.ingest_block(std::slice::from_ref(&coinbase), height, &mut Meter::new());
+        set.ingest_block(std::slice::from_ref(&coinbase), &[coinbase.txid()], height, &mut Meter::new());
     }
     assert_engine_matches_oracle(&set, &oracle, "after duplicate coinbase");
     assert_eq!(set.balance(&addr(3), &mut Meter::new()), Amount::from_sat(50_000));
@@ -273,7 +273,7 @@ fn duplicate_txid_across_blocks_is_consistent_end_to_end() {
         lock_time: 0,
     };
     oracle.ingest_block(std::slice::from_ref(&spend), 2);
-    set.ingest_block(std::slice::from_ref(&spend), 2, &mut Meter::new());
+    set.ingest_block(std::slice::from_ref(&spend), &[spend.txid()], 2, &mut Meter::new());
     assert_engine_matches_oracle(&set, &oracle, "after spending the recreated outpoint");
     assert_eq!(set.balance(&addr(3), &mut Meter::new()), Amount::ZERO);
 }
