@@ -28,7 +28,7 @@ fn state_with_unstable_depth(depth: u64) -> (BitcoinCanisterState, icbtc::bitcoi
     );
 
     let mut utxos = UtxoSet::new(Network::Regtest);
-    utxos.ingest_block(&[], &[], 0, &mut Meter::new());
+    utxos.try_ingest_block(&[], &[], 0, &mut Meter::new()).expect("empty genesis");
     let mut state = BitcoinCanisterState::new(params);
     state.install_snapshot(utxos, vec![genesis]);
 

@@ -47,7 +47,7 @@ fn main() {
     for height in 0..BLOCKS {
         let (txs, _) = generator.next_block();
         let mut meter = Meter::new();
-        set.ingest_block(&txs, &txids(&txs), height, &mut meter);
+        set.try_ingest_block(&txs, &txids(&txs), height, &mut meter).expect("stable ingest");
         let total = meter.instructions();
         ground_truth += total;
         let insertion = meter.profile().total_named("output_insertion");

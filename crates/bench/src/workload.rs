@@ -82,7 +82,7 @@ fn install_stable_population(
     let genesis = Network::Regtest.genesis_block().header;
     let mut utxos = UtxoSet::new(Network::Regtest);
     let mut meter = Meter::new();
-    utxos.ingest_block(&[], &[], 0, &mut meter); // empty genesis
+    utxos.try_ingest_block(&[], &[], 0, &mut meter).expect("empty genesis");
 
     let mut per_height: Vec<Vec<TxOut>> = vec![Vec::new(); heights as usize];
     for (i, &count) in counts.iter().enumerate() {
@@ -105,7 +105,7 @@ fn install_stable_population(
                 lock_time: 0,
             })
             .collect();
-        utxos.ingest_block(&txs, &txids(&txs), height, &mut meter);
+        utxos.try_ingest_block(&txs, &txids(&txs), height, &mut meter).expect("stable ingest");
     }
 
     // Matching stable header chain (linkage + timestamps only; proof of

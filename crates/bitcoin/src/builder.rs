@@ -47,6 +47,9 @@ pub enum BuildError {
     NoInputs,
     /// No outputs were added.
     NoOutputs,
+    /// The added inputs' values sum past [`Amount::MAX_MONEY`], which no
+    /// valid chain holds.
+    InputValueOverflow,
     /// Input value does not cover outputs plus fee.
     InsufficientFunds {
         /// Total value of the added inputs.
@@ -61,6 +64,7 @@ impl fmt::Display for BuildError {
         match self {
             BuildError::NoInputs => write!(f, "transaction has no inputs"),
             BuildError::NoOutputs => write!(f, "transaction has no outputs"),
+            BuildError::InputValueOverflow => write!(f, "input values sum past MAX_MONEY"),
             BuildError::InsufficientFunds { available, required } => {
                 write!(f, "insufficient funds: {available} available, {required} required")
             }
@@ -146,8 +150,9 @@ impl TransactionBuilder {
     ///
     /// # Errors
     ///
-    /// Returns [`BuildError`] if inputs or outputs are missing or the
-    /// inputs do not cover outputs plus fee.
+    /// Returns [`BuildError`] if inputs or outputs are missing, the input
+    /// values sum past [`Amount::MAX_MONEY`], or the inputs do not cover
+    /// outputs plus fee (outputs plus fee past MAX_MONEY never are).
     pub fn build(&self) -> Result<UnsignedTransaction, BuildError> {
         const DUST: u64 = 546;
         if self.inputs.is_empty() {
@@ -156,10 +161,15 @@ impl TransactionBuilder {
         if self.outputs.is_empty() {
             return Err(BuildError::NoOutputs);
         }
-        let available: Amount = self.inputs.iter().map(|(_, v, _)| *v).sum();
-        let payment: Amount = self.outputs.iter().map(|o| o.value).sum();
-        let required = payment
-            .checked_add(self.fee)
+        let available = self
+            .inputs
+            .iter()
+            .try_fold(Amount::ZERO, |sum, (_, value, _)| sum.checked_add(*value))
+            .ok_or(BuildError::InputValueOverflow)?;
+        let required = self
+            .outputs
+            .iter()
+            .try_fold(self.fee, |sum, output| sum.checked_add(output.value))
             .ok_or(BuildError::InsufficientFunds { available, required: Amount::MAX_MONEY })?;
         let surplus = available
             .checked_sub(required)
@@ -264,7 +274,7 @@ mod tests {
         let unsigned = b.build().unwrap();
         assert_eq!(unsigned.tx.outputs.len(), 2);
         assert_eq!(unsigned.tx.outputs[1].value, Amount::from_sat(3_500));
-        assert_eq!(unsigned.tx.output_value(), Amount::from_sat(9_500));
+        assert_eq!(unsigned.tx.output_value(), Some(Amount::from_sat(9_500)));
     }
 
     #[test]
@@ -295,6 +305,28 @@ mod tests {
             other => panic!("unexpected error {other}"),
         }
         assert!(!b.build().unwrap_err().to_string().is_empty());
+    }
+
+    /// Values from an unchecked chain can sum past MAX_MONEY on either
+    /// side; the build refuses them with an error instead of panicking.
+    #[test]
+    fn value_sums_past_max_money_are_errors() {
+        let half = Amount::from_sat(Amount::MAX_MONEY.to_sat() / 2 + 1);
+        let mut b = TransactionBuilder::new();
+        b.add_input(OutPoint::new(Txid([1; 32]), 0), half, wpkh(1));
+        b.add_input(OutPoint::new(Txid([2; 32]), 0), half, wpkh(1));
+        b.add_output(wpkh(2), Amount::from_sat(1_000));
+        assert_eq!(b.build().unwrap_err(), BuildError::InputValueOverflow);
+        assert!(!BuildError::InputValueOverflow.to_string().is_empty());
+
+        let mut b = TransactionBuilder::new();
+        b.add_input(OutPoint::new(Txid([1; 32]), 0), half, wpkh(1));
+        b.add_output(wpkh(2), half);
+        b.add_output(wpkh(3), half);
+        assert_eq!(
+            b.build().unwrap_err(),
+            BuildError::InsufficientFunds { available: half, required: Amount::MAX_MONEY }
+        );
     }
 
     #[test]
@@ -351,7 +383,7 @@ mod tests {
                 b.change_script(wpkh(3));
                 b.fee(Amount::from_sat(fee));
                 if let Ok(unsigned) = b.build() {
-                    let outputs = unsigned.tx.output_value().to_sat();
+                    let outputs = unsigned.tx.output_value().unwrap().to_sat();
                     assert!(outputs + fee <= in_value);
                     // Burned surplus only happens below dust.
                     assert!(in_value - outputs - fee < 546);

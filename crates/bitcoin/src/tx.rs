@@ -80,14 +80,6 @@ impl fmt::Display for Amount {
     }
 }
 
-impl std::iter::Sum for Amount {
-    fn sum<I: Iterator<Item = Amount>>(iter: I) -> Amount {
-        iter.fold(Amount::ZERO, |acc, a| {
-            acc.checked_add(a).expect("amount sum overflow")
-        })
-    }
-}
-
 impl Encodable for Amount {
     fn encode(&self, out: &mut Vec<u8>) {
         self.0.encode(out);
@@ -329,14 +321,11 @@ impl Transaction {
         self.weight().div_ceil(4)
     }
 
-    /// Sum of output values.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the outputs sum past [`Amount::MAX_MONEY`], which cannot
-    /// happen for transactions built through checked arithmetic.
-    pub fn output_value(&self) -> Amount {
-        self.outputs.iter().map(|o| o.value).sum()
+    /// Sum of output values, or `None` if it exceeds
+    /// [`Amount::MAX_MONEY`] — possible for a transaction read from a
+    /// chain whose values nobody checked.
+    pub fn output_value(&self) -> Option<Amount> {
+        self.outputs.iter().try_fold(Amount::ZERO, |sum, o| sum.checked_add(o.value))
     }
 }
 
@@ -462,8 +451,6 @@ mod tests {
             Amount::from_sat(10).checked_sub(Amount::from_sat(4)),
             Some(Amount::from_sat(6))
         );
-        let total: Amount = [Amount::from_sat(1), Amount::from_sat(2)].into_iter().sum();
-        assert_eq!(total, Amount::from_sat(3));
         assert_eq!(Amount::ONE_BTC.to_string(), "1.00000000 BTC");
         assert!((Amount::from_sat(150_000_000).to_btc_f64() - 1.5).abs() < 1e-12);
     }
@@ -516,7 +503,16 @@ mod tests {
     #[test]
     fn output_value_sums() {
         let tx = sample_tx(false);
-        assert_eq!(tx.output_value(), Amount::from_sat(2233));
+        assert_eq!(tx.output_value(), Some(Amount::from_sat(2233)));
+        let half = Amount::from_sat(Amount::MAX_MONEY.to_sat() / 2 + 1);
+        let hostile = Transaction {
+            outputs: vec![
+                TxOut::new(half, Script::new_op_return(b"a")),
+                TxOut::new(half, Script::new_op_return(b"b")),
+            ],
+            ..tx
+        };
+        assert_eq!(hostile.output_value(), None, "outputs past MAX_MONEY have no sum");
     }
 
     #[test]

@@ -521,6 +521,9 @@ impl BitcoinCanisterState {
 
     /// Sums a transaction's input values if every input is resolvable
     /// against the stable set or an unstable block, returning the fee.
+    /// `None` also when the input or output values sum past MAX_MONEY:
+    /// the canister checks no values (§III-C), so a valid-PoW block may
+    /// carry such a transaction.
     fn resolve_fee(&self, tx: &Transaction, meter: &mut Meter) -> Option<Amount> {
         let mut input_total = Amount::ZERO;
         for input in &tx.inputs {
@@ -533,7 +536,7 @@ impl BitcoinCanisterState {
             };
             input_total = input_total.checked_add(value)?;
         }
-        input_total.checked_sub(tx.output_value())
+        input_total.checked_sub(tx.output_value()?)
     }
 
     fn lookup_unstable_output(&self, outpoint: &OutPoint, meter: &mut Meter) -> Option<Amount> {
@@ -894,6 +897,38 @@ mod tests {
         let percentiles = state.get_current_fee_percentiles(&mut Meter::new());
         assert_eq!(percentiles.len(), 100);
         assert!(percentiles.iter().all(|&r| r == expected_rate));
+    }
+
+    /// The canister checks no values (§III-C), so a valid-PoW block can
+    /// spend a coinbase into outputs summing past MAX_MONEY. The fee
+    /// query skips such a transaction instead of panicking.
+    #[test]
+    fn fee_percentiles_skip_a_transaction_whose_outputs_overflow() {
+        let mut chain = ChainStore::new(Network::Regtest);
+        let b1 = mine_block_on(&chain, chain.tip_hash(), Vec::new(), addr(7).script_pubkey(), 0);
+        chain.accept_block(b1.clone(), NOW).unwrap();
+        let fifteen_million_btc = Amount::from_btc_int(15_000_000);
+        let hostile = Transaction {
+            version: 2,
+            inputs: vec![TxIn::new(OutPoint::new(b1.txdata[0].txid(), 0))],
+            outputs: vec![
+                TxOut::new(fifteen_million_btc, addr(8).script_pubkey()),
+                TxOut::new(fifteen_million_btc, addr(9).script_pubkey()),
+            ],
+            lock_time: 0,
+        };
+        let b2 =
+            mine_block_on(&chain, chain.tip_hash(), vec![hostile], Script::new_op_return(b"m"), 1);
+        chain.accept_block(b2.clone(), NOW).expect("the chain store checks no values either");
+
+        let mut state = BitcoinCanisterState::new(params(10));
+        let report = state.process_response(
+            GetSuccessorsResponse { blocks: vec![b1, b2], next: Vec::new() },
+            NOW,
+            &mut Meter::new(),
+        );
+        assert_eq!(report.blocks_accepted, 2, "both blocks are accepted");
+        assert!(state.get_current_fee_percentiles(&mut Meter::new()).is_empty());
     }
 
     #[test]

@@ -85,8 +85,6 @@ pub struct BitcoinCanisterState {
     /// Outbound transactions awaiting the next adapter request.
     outbound: Vec<Transaction>,
     synced: bool,
-    /// Total blocks folded into the stable set.
-    blocks_stabilized: u64,
     /// The best-chain tip after the last non-empty adapter response was
     /// applied, paired with that response's content fingerprint.
     /// Replicated state: every replica must agree on whether a
@@ -134,7 +132,11 @@ impl BitcoinCanisterState {
     pub fn new(params: IntegrationParams) -> BitcoinCanisterState {
         let genesis = params.network.genesis_block().clone();
         let mut utxos = UtxoSet::new(params.network);
-        utxos.ingest_block(&genesis.txdata, &txids(&genesis.txdata), 0, &mut Meter::new());
+        if let Err(error) =
+            utxos.try_ingest_block(&genesis.txdata, &txids(&genesis.txdata), 0, &mut Meter::new())
+        {
+            panic!("stable UTXO storage failed ingesting height 0: {error}"); // icbtc-lint: allow(no-panic) -- the budget must fail loudly: continuing past it would silently diverge replicated state
+        }
         BitcoinCanisterState {
             params,
             utxos,
@@ -143,7 +145,6 @@ impl BitcoinCanisterState {
             blocks: BTreeMap::new(),
             outbound: Vec::new(),
             synced: true,
-            blocks_stabilized: 1,
             last_response_fingerprint: None,
         }
     }
@@ -185,7 +186,7 @@ impl BitcoinCanisterState {
 
     /// Total blocks ever folded into the stable set (including genesis).
     pub fn blocks_stabilized(&self) -> u64 {
-        self.blocks_stabilized
+        self.stable_headers.len() as u64
     }
 
     /// Whether the canister considers itself synced (§III-C: the maximum
@@ -437,10 +438,13 @@ impl BitcoinCanisterState {
             let Some(body) = self.blocks.remove(&next_hash) else { return };
             let height = self.anchor_height() + 1;
             let ingest = meter.frame("ingest_block");
-            self.utxos.ingest_block(&body.block.txdata, &body.txids, height, meter);
+            if let Err(error) =
+                self.utxos.try_ingest_block(&body.block.txdata, &body.txids, height, meter)
+            {
+                panic!("stable UTXO storage failed ingesting height {height}: {error}"); // icbtc-lint: allow(no-panic) -- the budget must fail loudly: continuing past it would silently diverge replicated state
+            }
             meter.frame_end(ingest);
             self.stable_headers.push(body.block.header);
-            self.blocks_stabilized += 1;
             report.stabilized.push(next_hash);
             // Prune every branch not passing through the new anchor.
             for removed in self.tree.advance_root() {
@@ -495,7 +499,6 @@ impl BitcoinCanisterState {
         self.stable_headers = stable_headers;
         self.tree = HeaderTree::with_root_height(anchor, anchor_height);
         self.blocks.clear();
-        self.blocks_stabilized = anchor_height + 1;
         self.synced = true;
     }
 
@@ -554,7 +557,9 @@ impl BitcoinCanisterState {
             sink(&bytes);
         }
         sink(&[self.synced as u8]);
-        sink(&self.blocks_stabilized.to_be_bytes());
+        // Derived from the stable headers, and kept in the envelope so
+        // its layout and every state hash stay as they were.
+        sink(&self.blocks_stabilized().to_be_bytes());
         match &self.last_response_fingerprint {
             None => sink(&[0u8]),
             Some((tip, content)) => {
@@ -685,8 +690,7 @@ impl BitcoinCanisterState {
             1 => true,
             _ => return Err(StorageError::Corrupt("bad synced flag")),
         };
-        let blocks_stabilized = cursor.u64()?;
-        if blocks_stabilized != anchor_height + 1 {
+        if cursor.u64()? != anchor_height + 1 {
             return Err(StorageError::Corrupt("blocks_stabilized disagrees with anchor height"));
         }
         let last_response_fingerprint = match cursor.u8()? {
@@ -711,7 +715,6 @@ impl BitcoinCanisterState {
             blocks,
             outbound,
             synced,
-            blocks_stabilized,
             last_response_fingerprint,
         })
     }
@@ -1033,6 +1036,48 @@ mod tests {
         let frames = meter.profile().frames();
         let insertion = frames.iter().find(|f| f.path == "ingest_block;output_insertion");
         assert!(insertion.is_some_and(|f| f.total_units > 0), "{frames:?}");
+    }
+
+    /// A stabilization that runs the stable set past its byte budget
+    /// must stop the canister, not leave a half-applied block behind.
+    #[test]
+    #[should_panic(expected = "failed ingesting height 1: byte budget exhausted")]
+    fn stabilization_past_the_storage_budget_panics() {
+        use crate::storage::StorageConfig;
+        use icbtc_bitcoin::{OutPoint, TxIn, TxOut};
+
+        let genesis = Network::Regtest.genesis_block().clone();
+        let mut utxos = UtxoSet::with_config(
+            Network::Regtest,
+            StorageConfig { page_size: 512, byte_budget: 2 * 512 },
+        );
+        utxos.try_ingest_block(&genesis.txdata, &txids(&genesis.txdata), 0, &mut Meter::new())
+            .expect("genesis fits");
+        let mut state = BitcoinCanisterState::new(params());
+        state.install_snapshot(utxos, vec![genesis.header]);
+
+        let mut chain = ChainStore::new(Network::Regtest);
+        let mut blocks = Vec::new();
+        for i in 0..4u8 {
+            let fan_out = Transaction {
+                version: 2,
+                inputs: vec![TxIn::new(OutPoint::new(Txid([i; 32]), 0))],
+                outputs: (0..30u8)
+                    .map(|n| TxOut::new(Amount::from_sat(100), Script::new_p2wpkh(&[n; 20])))
+                    .collect(),
+                lock_time: 0,
+            };
+            let block = mine_block_on(
+                &chain,
+                chain.tip_hash(),
+                vec![fan_out],
+                Script::new_op_return(b"b"),
+                u64::from(i),
+            );
+            chain.accept_block(block.clone(), NOW).unwrap();
+            blocks.push(block);
+        }
+        state.process_response(respond_with(&blocks), NOW, &mut Meter::new());
     }
 
     #[test]

@@ -159,33 +159,13 @@ impl UtxoSet {
     /// Transaction *spend validity* is intentionally not checked (§III-C:
     /// the canister relies on Bitcoin's proof of work and block vetting).
     ///
-    /// # Panics
-    ///
-    /// Panics if `height` is not the expected next height — stable blocks
-    /// are ingested strictly in order —, if `txids` is not one txid per
-    /// transaction, or if the storage budget is exhausted mid-block.
-    /// Callers that want to handle these use [`UtxoSet::try_ingest_block`].
-    pub fn ingest_block(
-        &mut self,
-        transactions: &[Transaction],
-        txids: &[Txid],
-        height: u64,
-        meter: &mut Meter,
-    ) {
-        if let Err(error) = self.try_ingest_block(transactions, txids, height, meter) {
-            panic!("stable UTXO storage failed ingesting height {height}: {error}"); // icbtc-lint: allow(no-panic) -- the budget must fail loudly: continuing past it would silently diverge replicated state
-        }
-    }
-
-    /// Fallible ingest: like [`UtxoSet::ingest_block`] but returns the
-    /// storage error instead of panicking.
-    ///
     /// # Errors
     ///
     /// [`StorageError::OutOfOrderIngestion`] if `height` is not the
-    /// expected next height, or [`StorageError::TxidCountMismatch`] if
-    /// `txids` and `transactions` differ in length (both rejected before
-    /// touching any state), or [`StorageError::BudgetExhausted`] /
+    /// expected next height (stable blocks are ingested strictly in
+    /// order), or [`StorageError::TxidCountMismatch`] if `txids` and
+    /// `transactions` differ in length (both rejected before touching
+    /// any state), or [`StorageError::BudgetExhausted`] /
     /// [`StorageError::EntryTooLarge`] mid-block. After a mid-block error
     /// the block is only partially applied, so the set must be treated as
     /// poisoned and discarded — fail loudly, never continue past the
@@ -571,7 +551,7 @@ mod tests {
 
     /// Ingests `txs` with their txids hashed fresh.
     fn ingest(set: &mut UtxoSet, txs: &[Transaction], height: u64, meter: &mut Meter) {
-        set.ingest_block(txs, &txids(txs), height, meter);
+        try_ingest(set, txs, height, meter).expect("ingest");
     }
 
     fn try_ingest(
@@ -755,18 +735,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "stable blocks must be ingested in order")]
-    fn out_of_order_ingestion_panics() {
-        let (mut set, mut meter) = fresh();
-        ingest(&mut set, &[pay_tx(None, &[(1, 1)])], 5, &mut meter);
-    }
-
-    #[test]
     fn out_of_order_ingestion_is_a_typed_error() {
         let (mut set, mut meter) = fresh();
         let err = try_ingest(&mut set, &[pay_tx(None, &[(1, 1)])], 5, &mut meter)
             .unwrap_err();
         assert_eq!(err, StorageError::OutOfOrderIngestion { expected: 0, got: 5 });
+        assert!(err.to_string().contains("stable blocks must be ingested in order"), "{err}");
         // Rejected before touching any state: the set stays usable.
         ingest(&mut set, &[pay_tx(None, &[(1, 1)])], 0, &mut meter);
         assert_eq!(set.next_height(), 1);
@@ -790,7 +764,7 @@ mod tests {
         // Nothing was written or charged: the set still takes height 0.
         assert!(set.is_empty());
         assert_eq!(meter.instructions(), 0);
-        set.ingest_block(&txs, &all, 0, &mut meter);
+        set.try_ingest_block(&txs, &all, 0, &mut meter).expect("ingest");
         assert_eq!(set.len(), 2);
     }
 
@@ -897,20 +871,6 @@ mod tests {
         tx.outputs.push(TxOut::new(Amount::from_sat(50), Script::from_bytes(vec![0xde; 300])));
         ingest(&mut set, &[tx], 0, &mut meter);
         assert_eq!(set.snapshot_len(), set.serialize().len() as u64);
-    }
-
-    #[test]
-    #[should_panic(expected = "budget")]
-    fn infallible_ingest_panics_on_budget_exhaustion() {
-        let mut set = UtxoSet::with_config(
-            Network::Regtest,
-            StorageConfig { page_size: 512, byte_budget: 2 * 512 },
-        );
-        let mut meter = Meter::new();
-        for height in 0..1000u64 {
-            let outputs: Vec<(u8, u64)> = (0..30).map(|i| (i as u8, 100)).collect();
-            ingest(&mut set, &[pay_tx(None, &outputs)], height, &mut meter);
-        }
     }
 
     #[test]

@@ -575,18 +575,10 @@ impl<S: StateMachine> Subnet<S> {
     /// Runs a query against the current state on a single replica,
     /// returning the result, the instructions executed, and the sampled
     /// end-to-end latency for a response of `response_bytes(output)` bytes.
+    /// The state is lent mutably for query paths that keep non-replicated
+    /// node-local state such as a query cache; the call still bypasses
+    /// consensus entirely.
     pub fn query<R>(
-        &mut self,
-        run: impl FnOnce(&S, &mut Meter) -> R,
-        response_bytes: impl FnOnce(&R) -> usize,
-    ) -> (R, u64, icbtc_sim::SimDuration) {
-        self.query_mut(move |state, meter| run(state, meter), response_bytes)
-    }
-
-    /// Like [`Subnet::query`], but with mutable state access — for query
-    /// paths that maintain non-replicated node-local state such as a query
-    /// cache. Still bypasses consensus entirely.
-    pub fn query_mut<R>(
         &mut self,
         run: impl FnOnce(&mut S, &mut Meter) -> R,
         response_bytes: impl FnOnce(&R) -> usize,

@@ -1,7 +1,8 @@
-//! Per-file analysis: lex, locate test regions, run the scoped rules,
-//! then filter findings through the suppression directives.
+//! Per-file analysis: locate test regions, run the scoped token rules,
+//! and check suppression directives for well-formedness. Suppressions
+//! are applied once, for every rule, in [`crate::analysis`].
 
-use crate::lexer::{lex, Token};
+use crate::lexer::Token;
 use crate::rules::{check_crate_root, scan, Finding, Rule};
 use crate::suppress;
 
@@ -124,45 +125,9 @@ fn is_test_attr(tokens: &[Token], i: usize) -> bool {
     saw_test && (relevant || tokens.get(i + 2).is_some_and(|t| t.is_ident("test")))
 }
 
-/// Analyzes one file's source under the given context and active rules.
-///
-/// `active` is the scope-resolved rule list for this crate (see
-/// [`crate::workspace::rules_for`]); test-region and entry-point
-/// exemptions are applied here on top of it.
-pub fn analyze_source(source: &str, ctx: &FileContext, active: &[Rule]) -> FileReport {
-    let tokens = lex(source);
-    let regions = test_regions(&tokens);
-    let findings = raw_findings(&tokens, &regions, ctx, active);
-
-    // Suppressions.
-    let (sups, bad, _markers) = suppress::parse(source);
-    let mut report = FileReport::default();
-    for v in structural_suppression_violations(&sups, &bad) {
-        report.violations.push(v);
-    }
-    for f in findings {
-        match sups.iter().find(|s| s.covers(f.rule.name(), f.line)) {
-            Some(s) => report.suppressed.push(Suppressed {
-                rule: f.rule,
-                line: f.line,
-                reason: s.reason.clone(),
-            }),
-            None => report.violations.push(Violation {
-                rule: f.rule,
-                line: f.line,
-                message: f.message,
-                chain: Vec::new(),
-            }),
-        }
-    }
-    report.violations.sort_by_key(|v| (v.line, v.rule.id()));
-    report
-}
-
 /// Token-level findings for one file, pre-suppression: the scoped rule
 /// scan plus the crate-root check, with test-region and entry-point
-/// exemptions applied. Shared by [`analyze_source`] and the workspace
-/// analysis in [`crate::analysis`].
+/// exemptions applied. [`crate::analysis`] applies the suppressions.
 pub fn raw_findings(
     tokens: &[Token],
     regions: &[(u32, u32)],
@@ -223,13 +188,24 @@ pub fn structural_suppression_violations(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analysis::{analyze_workspace, FileInput};
 
-    fn lib_ctx() -> FileContext {
-        FileContext {
-            crate_name: "canister".into(),
-            is_crate_root: false,
-            is_entry_or_test: false,
-        }
+    /// Analyzes `src` as the only file of the `canister` crate and keeps
+    /// the findings of `rule`.
+    fn analyze(src: &str, rule: Rule) -> FileReport {
+        let input = FileInput {
+            rel_path: "crates/canister/src/a.rs".into(),
+            ctx: FileContext {
+                crate_name: "canister".into(),
+                is_crate_root: false,
+                is_entry_or_test: false,
+            },
+            source: src.to_string(),
+        };
+        let mut report = analyze_workspace(&[input]).reports.pop().expect("one report").1;
+        report.violations.retain(|v| v.rule == rule);
+        report.suppressed.retain(|s| s.rule == rule);
+        report
     }
 
     #[test]
@@ -243,7 +219,7 @@ mod tests {
     fn ok() { Some(1).unwrap(); }
 }
 ";
-        let r = analyze_source(src, &lib_ctx(), &[Rule::NoPanic]);
+        let r = analyze(src, Rule::NoPanic);
         assert_eq!(r.violations.len(), 1, "{:?}", r.violations);
         assert_eq!(r.violations[0].line, 2);
     }
@@ -251,14 +227,14 @@ mod tests {
     #[test]
     fn wall_clock_applies_even_in_tests() {
         let src = "#[cfg(test)]\nmod tests { use std::time::Instant; }\n";
-        let r = analyze_source(src, &lib_ctx(), &[Rule::WallClock]);
+        let r = analyze(src, Rule::WallClock);
         assert_eq!(r.violations.len(), 1);
     }
 
     #[test]
     fn suppression_moves_finding_to_suppressed() {
         let src = "// icbtc-lint: allow(no-panic) -- invariant: always Some\nx.unwrap();\n";
-        let r = analyze_source(src, &lib_ctx(), &[Rule::NoPanic]);
+        let r = analyze(src, Rule::NoPanic);
         assert!(r.violations.is_empty(), "{:?}", r.violations);
         assert_eq!(r.suppressed.len(), 1);
         assert_eq!(r.suppressed[0].reason, "invariant: always Some");
@@ -267,15 +243,17 @@ mod tests {
     #[test]
     fn reasonless_suppression_is_a_violation() {
         let src = "// icbtc-lint: allow(no-panic)\nx.unwrap();\n";
-        let r = analyze_source(src, &lib_ctx(), &[Rule::NoPanic]);
+        let r = analyze(src, Rule::NoPanic);
         // The unwrap still fires AND the bad suppression fires.
-        assert_eq!(r.violations.len(), 2);
+        assert_eq!(r.violations.len(), 1, "{:?}", r.violations);
+        let bad = analyze(src, Rule::SuppressionReason);
+        assert_eq!(bad.violations.len(), 1, "{:?}", bad.violations);
     }
 
     #[test]
     fn bodiless_cfg_test_item_covers_nothing() {
         let src = "#[cfg(test)]\nuse foo::bar;\nfn hot() { x.unwrap(); }\n";
-        let r = analyze_source(src, &lib_ctx(), &[Rule::NoPanic]);
+        let r = analyze(src, Rule::NoPanic);
         assert_eq!(r.violations.len(), 1);
         assert_eq!(r.violations[0].line, 3);
     }

@@ -1,21 +1,29 @@
 //! The self-test corpus: every fixture under `tests/fixtures/bad` must
 //! produce exactly the expected rule findings, and every fixture under
-//! `tests/fixtures/good` must come out clean. The fixtures are analyzed
-//! under the strictest scope (a replicated-state, hot-path,
-//! consensus-critical crate) so each rule is live.
+//! `tests/fixtures/good` must come out clean. Each fixture runs through
+//! the whole-workspace pipeline as the only file of a replicated-state,
+//! hot-path, consensus-critical crate, so each rule is live.
 
-use icbtc_lint::engine::{analyze_source, FileContext};
+use icbtc_lint::analysis::{analyze_workspace, FileInput};
+use icbtc_lint::engine::{FileContext, FileReport};
 use icbtc_lint::rules::Rule;
-use icbtc_lint::workspace::rules_for;
 
-fn strict_ctx(is_crate_root: bool) -> FileContext {
-    FileContext { crate_name: "canister".into(), is_crate_root, is_entry_or_test: false }
+/// Analyzes `source` as the only file of `crate_name` and returns its
+/// report.
+fn analyze(source: &str, crate_name: &str, is_crate_root: bool) -> FileReport {
+    let input = FileInput {
+        rel_path: format!("crates/{crate_name}/src/fixture.rs"),
+        ctx: FileContext { crate_name: crate_name.into(), is_crate_root, is_entry_or_test: false },
+        source: source.to_string(),
+    };
+    let mut reports = analyze_workspace(&[input]).reports;
+    reports.pop().expect("one report per input").1
 }
 
 /// Runs a fixture under the `canister` scope (which activates every rule)
 /// and returns the sorted violation rule IDs.
 fn ids(source: &str, is_crate_root: bool) -> Vec<&'static str> {
-    let report = analyze_source(source, &strict_ctx(is_crate_root), &rules_for("canister"));
+    let report = analyze(source, "canister", is_crate_root);
     let mut ids: Vec<&'static str> =
         report.violations.iter().map(|v| v.rule.id()).collect();
     ids.sort_unstable();
@@ -73,10 +81,7 @@ good_fixture!(good_obs_recording, "obs_recording.rs");
 /// the adapter's own (non-strict) scope too.
 #[test]
 fn adapter_scope_flags_unordered_collections() {
-    let src = include_str!("fixtures/bad/adapter_unordered.rs");
-    let ctx =
-        FileContext { crate_name: "adapter".into(), is_crate_root: false, is_entry_or_test: false };
-    let report = analyze_source(src, &ctx, &rules_for("adapter"));
+    let report = analyze(include_str!("fixtures/bad/adapter_unordered.rs"), "adapter", false);
     let mut found: Vec<&'static str> = report.violations.iter().map(|v| v.rule.id()).collect();
     assert!(found.len() >= 2, "both the import and the field flag: {:?}", report.violations);
     found.sort_unstable();
@@ -86,8 +91,7 @@ fn adapter_scope_flags_unordered_collections() {
 
 #[test]
 fn suppressions_are_reported_not_dropped() {
-    let src = include_str!("fixtures/good/suppressed_float.rs");
-    let report = analyze_source(src, &strict_ctx(false), &rules_for("canister"));
+    let report = analyze(include_str!("fixtures/good/suppressed_float.rs"), "canister", false);
     assert!(report.violations.is_empty());
     assert!(
         report.suppressed.len() >= 2,
@@ -99,8 +103,8 @@ fn suppressions_are_reported_not_dropped() {
 
 #[test]
 fn no_panic_counts_every_site() {
-    let src = include_str!("fixtures/bad/no_panic.rs");
-    let report = analyze_source(src, &strict_ctx(false), &[Rule::NoPanic]);
+    let report = analyze(include_str!("fixtures/bad/no_panic.rs"), "canister", false);
+    let no_panic: Vec<_> = report.violations.iter().filter(|v| v.rule == Rule::NoPanic).collect();
     // `panic!` and `.unwrap()` are two distinct findings.
-    assert_eq!(report.violations.len(), 2, "{:?}", report.violations);
+    assert_eq!(no_panic.len(), 2, "{:?}", report.violations);
 }

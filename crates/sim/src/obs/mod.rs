@@ -36,7 +36,7 @@ mod registry;
 mod trace;
 
 pub use json::Json;
-pub use prof::{FrameStat, FrameToken, ProfScope, Profiler};
+pub use prof::{FrameStat, FrameToken, Profiler};
 pub use registry::{
     FixedHistogram, MetricsRegistry, DEFAULT_BOUNDS, INSTRUCTION_BOUNDS, SNAPSHOT_SCHEMA_VERSION,
 };

@@ -34,8 +34,7 @@
 //!
 //! `exit_at` closes every frame *deeper than* the exited token at the
 //! exit clock, so an early return that skips inner `exit` calls still
-//! leaves the stack balanced (and [`ProfScope`] makes the common case a
-//! drop guard). Exiting an already-closed token is a no-op.
+//! leaves the stack balanced. Exiting an already-closed token is a no-op.
 
 use std::collections::BTreeMap;
 
@@ -185,13 +184,6 @@ impl Profiler {
     /// attributing them to the innermost open frame.
     pub fn add(&mut self, units: u64) {
         self.work = self.work.saturating_add(units);
-    }
-
-    /// Opens a frame on the internal work clock and returns a drop guard
-    /// that closes it — early returns and `?` exits stay balanced.
-    pub fn scope(&mut self, name: &'static str) -> ProfScope<'_> {
-        let token = self.enter(name);
-        ProfScope { prof: self, token }
     }
 
     /// Number of frames currently open.
@@ -348,32 +340,6 @@ impl Profiler {
     }
 }
 
-/// Drop guard returned by [`Profiler::scope`]: closes its frame on the
-/// internal work clock when dropped, however the scope is left.
-#[derive(Debug)]
-pub struct ProfScope<'a> {
-    prof: &'a mut Profiler,
-    token: FrameToken,
-}
-
-impl ProfScope<'_> {
-    /// Adds `units` of modeled work inside this frame.
-    pub fn add(&mut self, units: u64) {
-        self.prof.add(units);
-    }
-
-    /// The underlying profiler, for opening a nested frame.
-    pub fn prof(&mut self) -> &mut Profiler {
-        self.prof
-    }
-}
-
-impl Drop for ProfScope<'_> {
-    fn drop(&mut self) {
-        self.prof.exit(self.token);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -454,29 +420,6 @@ mod tests {
         p.exit_at(a, 50);
         assert_eq!(p.root_total(), 10);
         assert_eq!(p.frames()[0].calls, 1);
-    }
-
-    #[test]
-    fn scope_guard_balances_on_early_return() {
-        fn work(p: &mut Profiler, bail: bool) -> Option<u64> {
-            let mut scope = p.scope("work");
-            scope.add(7);
-            if bail {
-                return None; // drop closes the frame
-            }
-            scope.add(3);
-            Some(10)
-        }
-        let mut p = Profiler::new();
-        assert_eq!(work(&mut p, true), None);
-        assert_eq!(work(&mut p, false), Some(10));
-        assert_eq!(p.in_flight(), 0);
-        let frames = p.frames();
-        assert_eq!(frames.len(), 1);
-        assert_eq!(frames[0].self_units, 17);
-        assert_eq!(frames[0].calls, 2);
-        let sum: u64 = frames.iter().map(|f| f.self_units).sum();
-        assert_eq!(sum, p.root_total());
     }
 
     #[test]

@@ -34,7 +34,10 @@ impl Payroll {
     }
 
     fn total_per_payday(&self) -> Amount {
-        self.employees.iter().map(|(_, _, salary)| *salary).sum()
+        self.employees
+            .iter()
+            .try_fold(Amount::ZERO, |sum, (_, _, salary)| sum.checked_add(*salary))
+            .expect("salaries sum below MAX_MONEY")
     }
 
     /// The timer callback: one batch payment for the whole staff.

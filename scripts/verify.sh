@@ -95,6 +95,13 @@ else
     echo "WARNING: clippy not installed in this toolchain; skipping clippy gate" >&2
 fi
 
+echo "==> examples determinism gate (each example's stdout is byte-identical across two runs)"
+# The debug example binaries are already built by the workspace test
+# step above.
+for example in quickstart escrow payroll double_spend_attack; do
+    same_twice "example_$example" cargo run -q --offline --example "$example"
+done
+
 echo "==> observability determinism gate (same seed => byte-identical metrics + trace)"
 same_twice obs_trace cargo run -q --release --offline -p icbtc-bench --bin obs_trace -- \
     --seed 42 --rounds 120 --json --trace-out "$OBS_TMP/trace@RUN.jsonl"

@@ -50,7 +50,7 @@ pub mod contracts;
 pub mod recovery;
 pub mod system;
 
-pub use contracts::{verify_p2tr_key_spend, verify_p2wpkh_spend, TaprootWallet, Wallet, WalletError};
+pub use contracts::{verify_spend, Wallet, WalletError};
 pub use recovery::{CatchupReport, IngestRecord, RecoveryStats, UpgradeReport};
 pub use system::{DowntimeAttack, QueryOutcome, ReplicatedOutcome, System, SystemConfig};
 

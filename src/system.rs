@@ -593,7 +593,7 @@ impl System {
     /// cache. Replies are identical to [`System::query`]; repeated calls
     /// at an unchanged tip are served at the flat cache-hit cost.
     pub fn query_cached(&mut self, call: CanisterCall) -> QueryOutcome {
-        let (outcome, instructions, latency) = self.subnet.query_mut(
+        let (outcome, instructions, latency) = self.subnet.query(
             |canister, meter| canister.query_cached(&call, meter),
             BitcoinCanister::output_bytes,
         );

@@ -146,7 +146,10 @@ fn deep_reorg_recovery_via_canister_upgrade() {
     let mut headers = Vec::new();
     for (height, hash) in authoritative.best_chain().iter().enumerate() {
         let block = authoritative.block(hash).expect("full node holds bodies");
-        utxos.ingest_block(&block.txdata, &txids(&block.txdata), height as u64, &mut Meter::new());
+        let block_txids = txids(&block.txdata);
+        utxos
+            .try_ingest_block(&block.txdata, &block_txids, height as u64, &mut Meter::new())
+            .expect("stable ingest");
         headers.push(block.header);
     }
     state.install_snapshot(utxos, headers);

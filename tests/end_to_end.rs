@@ -2,7 +2,7 @@
 //! adapters → canister → contracts → back to the Bitcoin network.
 
 use icbtc::canister::{ApiError, CanisterCall, CanisterReply, UtxosFilter};
-use icbtc::contracts::{verify_p2wpkh_spend, Wallet};
+use icbtc::contracts::{verify_spend, Wallet};
 use icbtc::system::{System, SystemConfig};
 use icbtc_bitcoin::{Amount, Script};
 use icbtc_btcnet::NodeId;
@@ -62,12 +62,12 @@ fn produced_transactions_verify_as_real_p2wpkh_spends() {
             (utxo.value, own_script.clone())
         })
         .collect();
-    assert!(verify_p2wpkh_spend(&tx, &spent), "threshold signatures must verify");
+    assert!(verify_spend(&tx, &spent), "threshold signatures must verify");
 
     // A tampered output invalidates every signature.
     let mut tampered = tx.clone();
     tampered.outputs[0].value = Amount::from_sat(tampered.outputs[0].value.to_sat() + 1);
-    assert!(!verify_p2wpkh_spend(&tampered, &spent));
+    assert!(!verify_spend(&tampered, &spent));
 }
 
 #[test]

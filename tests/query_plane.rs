@@ -93,7 +93,7 @@ fn build_state(seed: u64, num_addresses: usize, max_count: u64) -> (BitcoinCanis
     const HEIGHTS: u64 = 30;
     let mut utxos = UtxoSet::new(Network::Regtest);
     let mut meter = Meter::new();
-    utxos.ingest_block(&[], &[], 0, &mut meter);
+    utxos.try_ingest_block(&[], &[], 0, &mut meter).expect("empty genesis");
 
     let mut addresses = Vec::with_capacity(num_addresses);
     let mut per_height: Vec<Vec<TxOut>> = vec![Vec::new(); HEIGHTS as usize];
@@ -118,7 +118,7 @@ fn build_state(seed: u64, num_addresses: usize, max_count: u64) -> (BitcoinCanis
                 lock_time: 0,
             })
             .collect();
-        utxos.ingest_block(&txs, &txids(&txs), height, &mut meter);
+        utxos.try_ingest_block(&txs, &txids(&txs), height, &mut meter).expect("stable ingest");
     }
 
     let mut headers = vec![genesis];
@@ -270,8 +270,7 @@ fn the_cache_never_serves_a_superseded_tip() {
     assert_eq!(after.reply, reference.reply, "cache must track the tip");
     match (&before.reply, &after.reply) {
         (Ok(CanisterReply::Balance(old)), Ok(CanisterReply::Balance(new))) => {
-            let expected: Amount =
-                [old.balance, Amount::from_sat(123_456)].into_iter().sum();
+            let expected = old.balance.checked_add(Amount::from_sat(123_456)).unwrap();
             assert_eq!(new.balance, expected, "new balance includes the ingested payment");
         }
         other => panic!("unexpected replies: {other:?}"),

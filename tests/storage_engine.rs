@@ -261,7 +261,8 @@ fn duplicate_txid_across_blocks_is_consistent_end_to_end() {
     };
     for height in [0u64, 1] {
         oracle.ingest_block(std::slice::from_ref(&coinbase), height);
-        set.ingest_block(std::slice::from_ref(&coinbase), &[coinbase.txid()], height, &mut Meter::new());
+        let block = std::slice::from_ref(&coinbase);
+        set.try_ingest_block(block, &[coinbase.txid()], height, &mut Meter::new()).expect("ingest");
     }
     assert_engine_matches_oracle(&set, &oracle, "after duplicate coinbase");
     assert_eq!(set.balance(&addr(3), &mut Meter::new()), Amount::from_sat(50_000));
@@ -273,7 +274,8 @@ fn duplicate_txid_across_blocks_is_consistent_end_to_end() {
         lock_time: 0,
     };
     oracle.ingest_block(std::slice::from_ref(&spend), 2);
-    set.ingest_block(std::slice::from_ref(&spend), &[spend.txid()], 2, &mut Meter::new());
+    set.try_ingest_block(std::slice::from_ref(&spend), &[spend.txid()], 2, &mut Meter::new())
+        .expect("ingest");
     assert_engine_matches_oracle(&set, &oracle, "after spending the recreated outpoint");
     assert_eq!(set.balance(&addr(3), &mut Meter::new()), Amount::ZERO);
 }

@@ -2,7 +2,7 @@
 //! `get_block_headers` endpoint.
 
 use icbtc::canister::{ApiError, CanisterCall, CanisterReply};
-use icbtc::contracts::{verify_p2tr_key_spend, TaprootWallet, Wallet};
+use icbtc::contracts::{verify_spend, Wallet};
 use icbtc::system::{System, SystemConfig};
 use icbtc_bitcoin::{Amount, Script};
 use icbtc_btcnet::NodeId;
@@ -18,7 +18,7 @@ fn booted(seed: u64) -> System {
 #[test]
 fn taproot_wallet_full_lifecycle() {
     let mut system = booted(200);
-    let wallet = TaprootWallet::new("vault");
+    let wallet = Wallet::taproot("vault");
     let address = wallet.address(&system);
     assert!(address.to_string().starts_with("bcrt1p"), "bech32m P2TR address");
 
@@ -45,7 +45,7 @@ fn taproot_wallet_full_lifecycle() {
 #[test]
 fn taproot_signatures_verify_as_bip341_key_spends() {
     let mut system = booted(201);
-    let wallet = TaprootWallet::new("verifier");
+    let wallet = Wallet::taproot("verifier");
     let address = wallet.address(&system);
     system.fund_address(&address, 1);
     assert!(system.sync_canister(6000));
@@ -77,19 +77,19 @@ fn taproot_signatures_verify_as_bip341_key_spends() {
             )
         })
         .collect();
-    assert!(verify_p2tr_key_spend(&tx, &spent), "BIP-341 verification must pass");
+    assert!(verify_spend(&tx, &spent), "BIP-341 verification must pass");
 
     // Tampering breaks it.
     let mut tampered = tx.clone();
     tampered.outputs[0].value = Amount::from_sat(tx.outputs[0].value.to_sat() - 1);
-    assert!(!verify_p2tr_key_spend(&tampered, &spent));
+    assert!(!verify_spend(&tampered, &spent));
 }
 
 #[test]
 fn taproot_and_segwit_wallets_have_unrelated_keys() {
     let system = System::new(SystemConfig::regtest(202));
     let segwit = Wallet::new("same-label");
-    let taproot = TaprootWallet::new("same-label");
+    let taproot = Wallet::taproot("same-label");
     // Different derivation namespaces: no key reuse across schemes.
     assert_ne!(segwit.path(), taproot.path());
     assert_ne!(
