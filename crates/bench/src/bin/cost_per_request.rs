@@ -7,11 +7,11 @@
 //! The paper: "approximately 35,000 (1,500) requests for balances (UTXOs)
 //! can be made for 1 U.S. dollar", against $1–2 per on-chain Bitcoin
 //! transaction at the end of 2024. The harness measures actual metered
-//! instruction counts on the workload, applies the cycles fee schedule,
+//! instruction counts on the workload, applies the calibrated cycles fees,
 //! and converts at the XDR rate.
 
 use icbtc::canister::{BitcoinCanister, CanisterCall};
-use icbtc::ic::cycles::{cycles_to_usd, FeeSchedule};
+use icbtc::ic::cycles::{cycles_to_usd, get_balance_fee, get_utxos_fee, send_transaction_fee};
 use icbtc::ic::Meter;
 use icbtc_bench::report::{banner, Comparison};
 use icbtc_bench::workload::build_query_workload;
@@ -27,7 +27,6 @@ fn main() {
         .cloned()
         .collect();
     let canister = BitcoinCanister::from_state(workload.state);
-    let fees = FeeSchedule::default();
 
     let (mut balance_cycles, mut utxo_cycles) = (0u128, 0u128);
     for (address, _) in &addresses {
@@ -36,19 +35,19 @@ fn main() {
             &CanisterCall::GetBalance { address: *address, min_confirmations: 0 },
             &mut meter,
         );
-        balance_cycles += fees.get_balance_fee(meter.instructions());
+        balance_cycles += get_balance_fee(meter.instructions());
 
         let mut meter = Meter::new();
         let _ =
             canister.query(&CanisterCall::GetUtxos { address: *address, filter: None }, &mut meter);
-        utxo_cycles += fees.get_utxos_fee(meter.instructions());
+        utxo_cycles += get_utxos_fee(meter.instructions());
     }
 
     // Mean cycles per call, truncated to whole cycles.
     let calls = addresses.len().max(1) as u128;
     let balance_per_usd = 1.0 / cycles_to_usd(balance_cycles / calls);
     let utxos_per_usd = 1.0 / cycles_to_usd(utxo_cycles / calls);
-    let send_tx_usd = cycles_to_usd(fees.send_transaction_fee(250));
+    let send_tx_usd = cycles_to_usd(send_transaction_fee(250));
 
     let mut comparison = Comparison::new();
     comparison.row("get_balance requests / USD", "≈ 35,000", format!("{balance_per_usd:.0}"));

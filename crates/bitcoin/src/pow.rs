@@ -134,27 +134,6 @@ impl Work {
     pub const fn to_u256(self) -> U256 {
         self.0
     }
-
-    /// Returns the work as an `f64` (lossy; for ratios and reporting).
-    pub fn as_f64(self) -> f64 { // icbtc-lint: allow(float) -- documented lossy reporting view; ordering uses exact u256 Work
-        let limbs = self.0.limbs();
-        limbs
-            .iter()
-            .enumerate()
-            .map(|(i, &l)| l as f64 * 2f64.powi(64 * i as i32)) // icbtc-lint: allow(float) -- lossy by design, reporting only
-            .sum()
-    }
-
-    /// Returns `self / other` as an `f64`, the "relative stability" measure
-    /// `d_w(b) / w(b*)` from §II-C.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `other` is zero.
-    pub fn ratio(self, other: Work) -> f64 { // icbtc-lint: allow(float) -- relative-stability reporting ratio (EXPERIMENTS.md), not a consensus decision
-        assert!(!other.0.is_zero(), "work ratio divided by zero");
-        self.as_f64() / other.as_f64()
-    }
 }
 
 impl std::ops::Add for Work {
@@ -192,7 +171,7 @@ impl std::iter::Sum for Work {
 
 impl fmt::Display for Work {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "work({:e})", self.as_f64())
+        write!(f, "work({})", self.0)
     }
 }
 
@@ -392,10 +371,10 @@ mod tests {
 
     #[test]
     fn work_of_genesis_difficulty() {
-        // Work for target 0x1d00ffff is ~2^32 (difficulty 1).
+        // Work for target 0x1d00ffff is ~2^32 (difficulty 1): exactly
+        // floor(2^256 / (0xffff·2^208 + 1)) = 0x1_0001_0001.
         let w = CompactTarget::from_consensus(0x1d00ffff).work();
-        let expected = 2f64.powi(32);
-        assert!((w.as_f64() / expected - 1.0).abs() < 1e-4, "{}", w.as_f64());
+        assert_eq!(w, Work::from_u256(U256::from_u64(0x1_0001_0001)));
     }
 
     #[test]
@@ -405,14 +384,14 @@ mod tests {
         assert!(hard > easy);
         let sum = easy + hard;
         assert!(sum > hard);
-        assert!((easy.ratio(easy) - 1.0).abs() < 1e-12);
+        assert_eq!(sum - hard, easy);
     }
 
     #[test]
     fn work_sums() {
         let w = CompactTarget::from_consensus(0x207fffff).work();
         let total: Work = std::iter::repeat_n(w, 3).sum();
-        assert!((total.as_f64() / (3.0 * w.as_f64()) - 1.0).abs() < 1e-9);
+        assert_eq!(total, w * 3);
     }
 
     #[test]

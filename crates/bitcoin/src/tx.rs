@@ -47,11 +47,6 @@ impl Amount {
         self.0
     }
 
-    /// Returns the amount as a floating-point bitcoin value, for reports.
-    pub fn to_btc_f64(self) -> f64 { // icbtc-lint: allow(float) -- display-only conversion; consensus arithmetic stays in integer satoshis
-        self.0 as f64 / 1e8
-    }
-
     /// Checked addition; `None` if the sum exceeds [`Amount::MAX_MONEY`].
     pub fn checked_add(self, rhs: Amount) -> Option<Amount> {
         let sum = self.0.checked_add(rhs.0)?;
@@ -452,7 +447,7 @@ mod tests {
             Some(Amount::from_sat(6))
         );
         assert_eq!(Amount::ONE_BTC.to_string(), "1.00000000 BTC");
-        assert!((Amount::from_sat(150_000_000).to_btc_f64() - 1.5).abs() < 1e-12);
+        assert_eq!(Amount::from_sat(150_000_000).to_string(), "1.50000000 BTC");
     }
 
     #[test]

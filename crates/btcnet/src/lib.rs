@@ -10,7 +10,7 @@
 //!   `getheaders`/`headers`, `inv`/`getdata`/`block`, `tx`).
 //! * [`chain`] — per-node header trees with full validation (proof of
 //!   work, retarget schedule, median-time-past) and fork tracking.
-//! * [`node`] — the full-node state machine, honest or adversarial.
+//! * [`node`] — the full-node state machine.
 //! * [`miner`] — real (scaled-difficulty) proof-of-work block assembly.
 //! * [`network`] — the event-driven fabric: topology, latency, Poisson
 //!   block production, external adapter links.
@@ -46,4 +46,4 @@ pub use chain::{ChainStore, ValidationError};
 pub use faults::{Churn, Crash, FaultPlan, LinkFaults, Misbehavior, Partition, CHAOS_NODES};
 pub use messages::{ConnId, Inventory, Message, NodeId, PeerRef};
 pub use network::{BtcNetwork, NetworkConfig};
-pub use node::{FullNode, NodeBehavior};
+pub use node::FullNode;

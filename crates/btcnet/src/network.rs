@@ -13,47 +13,38 @@ use icbtc_sim::{EventQueue, SimDuration, SimRng, SimTime};
 
 use crate::faults::{FaultPlan, Misbehavior};
 use crate::messages::{ConnId, Inventory, Message, NodeId, PeerRef, MAX_HEADERS_PER_MSG};
-use crate::node::{FullNode, NodeBehavior};
+use crate::node::FullNode;
 
 /// Configuration for a simulated Bitcoin network.
 #[derive(Debug, Clone)]
 pub struct NetworkConfig {
     /// Which Bitcoin network's consensus parameters to use.
     pub network: Network,
-    /// Number of honest full nodes.
+    /// Number of full nodes, all honest (hostile peers are modelled by
+    /// [`FaultPlan`] misbehaviour and by [`crate::adversary`]).
     pub honest_nodes: usize,
-    /// Number of adversarial full nodes (appended after the honest ones).
-    pub adversarial_nodes: usize,
-    /// Gossip links per node.
-    pub links_per_node: usize,
-    /// Mean block interval of the Poisson production process.
-    pub mean_block_interval: SimDuration,
-    /// Mean one-way message latency.
-    pub latency_mean: SimDuration,
-    /// Latency standard deviation.
-    pub latency_std: SimDuration,
-    /// Max mempool transactions included per block template.
-    pub template_tx_limit: usize,
 }
+
+/// Gossip links per node.
+const LINKS_PER_NODE: usize = 3;
+/// Mean block interval of the Poisson production process.
+const MEAN_BLOCK_INTERVAL: SimDuration = SimDuration::from_secs(600);
+/// Mean one-way message latency.
+const LATENCY_MEAN: SimDuration = SimDuration::from_millis(80);
+/// One-way message latency standard deviation.
+const LATENCY_STD: SimDuration = SimDuration::from_millis(30);
+/// Max mempool transactions included per block template.
+const TEMPLATE_TX_LIMIT: usize = 500;
 
 impl NetworkConfig {
     /// A small regtest network suitable for unit and integration tests.
     pub fn regtest(honest_nodes: usize) -> NetworkConfig {
-        NetworkConfig {
-            network: Network::Regtest,
-            honest_nodes,
-            adversarial_nodes: 0,
-            links_per_node: 3,
-            mean_block_interval: SimDuration::from_secs(600),
-            latency_mean: SimDuration::from_millis(80),
-            latency_std: SimDuration::from_millis(30),
-            template_tx_limit: 500,
-        }
+        NetworkConfig { network: Network::Regtest, honest_nodes }
     }
 
     /// A mainnet-like network (scaled difficulty, 10-minute blocks).
     pub fn mainnet(honest_nodes: usize) -> NetworkConfig {
-        NetworkConfig { network: Network::Mainnet, ..NetworkConfig::regtest(honest_nodes) }
+        NetworkConfig { network: Network::Mainnet, honest_nodes }
     }
 }
 
@@ -110,20 +101,12 @@ impl BtcNetwork {
     /// seeds address books, and schedules the first block.
     pub fn new(config: NetworkConfig, seed: u64) -> BtcNetwork {
         let mut rng = SimRng::seed_from(seed);
-        let total = config.honest_nodes + config.adversarial_nodes;
+        let total = config.honest_nodes;
         assert!(total > 0, "network needs at least one node");
-        let mut nodes: Vec<FullNode> = (0..total)
-            .map(|i| {
-                let behavior = if i < config.honest_nodes {
-                    NodeBehavior::Honest
-                } else {
-                    NodeBehavior::Adversarial
-                };
-                FullNode::new(NodeId(i as u32), config.network, behavior)
-            })
-            .collect();
+        let mut nodes: Vec<FullNode> =
+            (0..total).map(|i| FullNode::new(NodeId(i as u32), config.network)).collect();
 
-        // Random topology: each node links to `links_per_node` others, and
+        // Random topology: each node links to `LINKS_PER_NODE` others, and
         // every link is symmetric. Collect the full link set first, then
         // assign each node its union of outgoing picks and incoming
         // back-links — assigning inside the sampling loop would let a later
@@ -133,7 +116,7 @@ impl BtcNetwork {
         let mut links: Vec<BTreeSet<u32>> = vec![BTreeSet::new(); total];
         if total > 1 {
             for (i, set) in links.iter_mut().enumerate() {
-                let picks = rng.sample_indices(total - 1, config.links_per_node);
+                let picks = rng.sample_indices(total - 1, LINKS_PER_NODE);
                 for p in picks {
                     // Skip self by shifting.
                     let target = if p >= i { p + 1 } else { p };
@@ -182,7 +165,7 @@ impl BtcNetwork {
     }
 
     fn schedule_next_block(&mut self) {
-        let wait = self.rng.exponential(self.config.mean_block_interval);
+        let wait = self.rng.exponential(MEAN_BLOCK_INTERVAL);
         self.events.push(self.now + wait, NetEvent::MineBlock);
     }
 
@@ -201,7 +184,7 @@ impl BtcNetwork {
         &self.config
     }
 
-    /// All node ids, honest first.
+    /// All node ids.
     pub fn node_ids(&self) -> Vec<NodeId> {
         self.nodes.iter().map(|n| n.id()).collect()
     }
@@ -215,14 +198,9 @@ impl BtcNetwork {
         &self.nodes[id.0 as usize]
     }
 
-    /// Best height across honest nodes.
+    /// Best height across all nodes.
     pub fn best_height(&self) -> u64 {
-        self.nodes
-            .iter()
-            .filter(|n| n.behavior() == NodeBehavior::Honest)
-            .map(|n| n.chain().tip_height())
-            .max()
-            .unwrap_or(0)
+        self.nodes.iter().map(|n| n.chain().tip_height()).max().unwrap_or(0)
     }
 
     /// Total blocks produced by the Poisson process so far.
@@ -337,9 +315,7 @@ impl BtcNetwork {
     }
 
     fn sample_latency(&mut self) -> SimDuration {
-        self.rng
-            .normal(self.config.latency_mean, self.config.latency_std)
-            .max(SimDuration::from_micros(100))
+        self.rng.normal(LATENCY_MEAN, LATENCY_STD).max(SimDuration::from_micros(100))
     }
 
     fn route_all(&mut self, from: PeerRef, outgoing: Vec<(PeerRef, Message)>) {
@@ -718,11 +694,10 @@ impl BtcNetwork {
         payout_script: Script,
     ) -> icbtc_bitcoin::BlockHash {
         let unix = self.unix_time(self.now);
-        let limit = self.config.template_tx_limit;
         let extra_nonce = self.rng.next_u64();
         let (hash, outgoing) = {
             let node_ref = &mut self.nodes[node.0 as usize];
-            let txs = node_ref.take_template_transactions(limit);
+            let txs = node_ref.take_template_transactions(TEMPLATE_TX_LIMIT);
             let block = crate::miner::mine_block_at(
                 node_ref.chain(),
                 node_ref.chain().tip_hash(),
@@ -756,13 +731,9 @@ impl BtcNetwork {
     }
 
     fn mine_one_block(&mut self) {
-        // Winner selection: uniform over honest nodes (adversarial hash
+        // Winner selection: uniform over the nodes (adversarial hash
         // power is modelled separately by the adversary module).
-        let honest = self.config.honest_nodes;
-        if honest == 0 {
-            return;
-        }
-        let winner = NodeId(self.rng.index(honest) as u32);
+        let winner = NodeId(self.rng.index(self.nodes.len()) as u32);
         if self.crashed.contains(&winner) {
             // The winner is down; its hash power is simply absent this
             // round (the Poisson process keeps ticking).
@@ -770,10 +741,9 @@ impl BtcNetwork {
             return;
         }
         let unix = self.unix_time(self.now);
-        let limit = self.config.template_tx_limit;
         let outgoing = {
             let node = &mut self.nodes[winner.0 as usize];
-            let txs = node.take_template_transactions(limit);
+            let txs = node.take_template_transactions(TEMPLATE_TX_LIMIT);
             let block = crate::miner::mine_block_at(
                 node.chain(),
                 node.chain().tip_hash(),
@@ -835,12 +805,11 @@ mod tests {
 
     #[test]
     fn poisson_rate_is_roughly_calibrated() {
-        let mut config = NetworkConfig::regtest(3);
-        config.mean_block_interval = SimDuration::from_secs(60);
-        let mut net = BtcNetwork::new(config, 3);
-        net.run_until(SimTime::from_secs(50 * 60 * 60));
+        // 500 simulated hours at the 10-minute interval: ~3,000 blocks.
+        let mut net = BtcNetwork::new(NetworkConfig::regtest(3), 3);
+        net.run_until(SimTime::from_secs(500 * 60 * 60));
         let blocks = net.blocks_mined() as f64;
-        let expected = 50.0 * 60.0;
+        let expected = 500.0 * 6.0;
         assert!(
             (blocks / expected - 1.0).abs() < 0.15,
             "got {blocks} blocks, expected ~{expected}"

@@ -13,34 +13,22 @@ use crate::messages::{
     Inventory, Message, NodeId, PeerRef, MAX_ADDR_PER_MSG, MAX_HEADERS_PER_MSG,
 };
 
-/// Behavioural profile of a node.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum NodeBehavior {
-    /// Follows the protocol.
-    Honest,
-    /// Attacker-controlled: answers from its own (possibly forged) chain
-    /// view, never relays honest inventory, and reports only
-    /// attacker-controlled peers in address gossip.
-    Adversarial,
-}
-
 /// A simulated Bitcoin full node.
 ///
 /// # Examples
 ///
 /// ```
-/// use icbtc_btcnet::node::{FullNode, NodeBehavior};
+/// use icbtc_btcnet::node::FullNode;
 /// use icbtc_btcnet::messages::{Message, NodeId, PeerRef};
 /// use icbtc_bitcoin::Network;
 ///
-/// let mut node = FullNode::new(NodeId(0), Network::Regtest, NodeBehavior::Honest);
+/// let mut node = FullNode::new(NodeId(0), Network::Regtest);
 /// let replies = node.handle_message(PeerRef::Node(NodeId(1)), Message::Ping(7), 0);
 /// assert_eq!(replies, vec![(PeerRef::Node(NodeId(1)), Message::Pong(7))]);
 /// ```
 #[derive(Debug)]
 pub struct FullNode {
     id: NodeId,
-    behavior: NodeBehavior,
     chain: ChainStore,
     mempool: HashMap<Txid, Transaction>,
     mempool_order: Vec<Txid>,
@@ -55,10 +43,9 @@ pub struct FullNode {
 
 impl FullNode {
     /// Creates a node with only the genesis block.
-    pub fn new(id: NodeId, network: Network, behavior: NodeBehavior) -> FullNode {
+    pub fn new(id: NodeId, network: Network) -> FullNode {
         FullNode {
             id,
-            behavior,
             chain: ChainStore::new(network),
             mempool: HashMap::new(),
             mempool_order: Vec::new(),
@@ -72,11 +59,6 @@ impl FullNode {
     /// The node's identifier.
     pub fn id(&self) -> NodeId {
         self.id
-    }
-
-    /// The node's behavioural profile.
-    pub fn behavior(&self) -> NodeBehavior {
-        self.behavior
     }
 
     /// Read access to the node's chain view.
@@ -196,20 +178,16 @@ impl FullNode {
         match self.chain.accept_block(block.clone(), now_unix) {
             Ok(true) => {
                 self.seen_inv.insert(Inventory::Block(hash));
-                let mut out = if self.behavior == NodeBehavior::Honest {
-                    let confirmed: Vec<Txid> = self
-                        .chain
-                        .block(&hash)
-                        .map(|b| icbtc_bitcoin::txids(&b.txdata))
-                        .unwrap_or_default();
-                    for txid in confirmed {
-                        self.mempool.remove(&txid);
-                    }
-                    self.mempool_order.retain(|t| self.mempool.contains_key(t));
-                    self.broadcast(Message::Inv(vec![Inventory::Block(hash)]), from)
-                } else {
-                    Vec::new()
-                };
+                let confirmed: Vec<Txid> = self
+                    .chain
+                    .block(&hash)
+                    .map(|b| icbtc_bitcoin::txids(&b.txdata))
+                    .unwrap_or_default();
+                for txid in confirmed {
+                    self.mempool.remove(&txid);
+                }
+                self.mempool_order.retain(|t| self.mempool.contains_key(t));
+                let mut out = self.broadcast(Message::Inv(vec![Inventory::Block(hash)]), from);
                 // This block may be the missing parent of buffered orphans.
                 if let Some(children) = self.orphan_blocks.remove(&hash) {
                     for child in children {
@@ -255,10 +233,6 @@ impl FullNode {
         self.mempool.insert(txid, tx);
         self.mempool_order.push(txid);
         self.seen_inv.insert(Inventory::Transaction(txid));
-        if self.behavior == NodeBehavior::Adversarial {
-            // Adversarial nodes accept but never relay.
-            return Vec::new();
-        }
         self.broadcast(Message::Inv(vec![Inventory::Transaction(txid)]), from)
     }
 
@@ -283,20 +257,8 @@ impl FullNode {
             Message::Ping(nonce) => vec![(from, Message::Pong(nonce))],
             Message::Pong(_) => Vec::new(),
             Message::GetAddr => {
-                let addrs: Vec<NodeId> = if self.behavior == NodeBehavior::Adversarial {
-                    // Eclipse tactic: advertise only attacker peers (here:
-                    // the node's own peer list filtered to nodes).
-                    self.peers
-                        .iter()
-                        .filter_map(|p| match p {
-                            PeerRef::Node(id) => Some(*id),
-                            PeerRef::External(_) => None,
-                        })
-                        .take(MAX_ADDR_PER_MSG)
-                        .collect()
-                } else {
-                    self.known_addrs.iter().copied().take(MAX_ADDR_PER_MSG).collect()
-                };
+                let addrs: Vec<NodeId> =
+                    self.known_addrs.iter().copied().take(MAX_ADDR_PER_MSG).collect();
                 vec![(from, Message::Addr(addrs))]
             }
             Message::Addr(addrs) => {
@@ -416,7 +378,7 @@ mod tests {
     use icbtc_bitcoin::{Amount, OutPoint, Script, TxIn, TxOut};
 
     fn node(id: u32) -> FullNode {
-        FullNode::new(NodeId(id), Network::Regtest, NodeBehavior::Honest)
+        FullNode::new(NodeId(id), Network::Regtest)
     }
 
     fn sample_tx(n: u8) -> Transaction {
@@ -609,20 +571,6 @@ mod tests {
         assert!(
             n.orphan_blocks.get(&parent).map(|v| v.len()).unwrap_or(0) <= 16,
             "orphan bucket must stay bounded"
-        );
-    }
-
-    #[test]
-    fn adversarial_node_does_not_relay() {
-        let mut n = FullNode::new(NodeId(0), Network::Regtest, NodeBehavior::Adversarial);
-        n.set_peers(vec![PeerRef::Node(NodeId(1)), PeerRef::Node(NodeId(2))]);
-        let relays = n.handle_message(PeerRef::Node(NodeId(1)), Message::TxMsg(sample_tx(3)), 0);
-        assert!(relays.is_empty());
-        // Address gossip only reveals its own peers (eclipse tactic).
-        let replies = n.handle_message(PeerRef::Node(NodeId(9)), Message::GetAddr, 0);
-        assert_eq!(
-            replies,
-            vec![(PeerRef::Node(NodeId(9)), Message::Addr(vec![NodeId(1), NodeId(2)]))]
         );
     }
 }

@@ -7,7 +7,7 @@
 use icbtc_bitcoin::hash::{sha256, Sha256};
 use icbtc_bitcoin::Address;
 use icbtc_core::GetSuccessorsResponse;
-use icbtc_ic::cycles::{Cycles, FeeSchedule};
+use icbtc_ic::cycles::{self, Cycles};
 use icbtc_ic::subnet::{ExecutionContext, StateMachine};
 use icbtc_ic::Meter;
 use icbtc_sim::obs::{FieldValue, Obs, INSTRUCTION_BOUNDS};
@@ -139,7 +139,6 @@ pub struct CallOutcome {
 #[derive(Debug, Clone)]
 pub struct BitcoinCanister {
     state: BitcoinCanisterState,
-    fees: FeeSchedule,
     /// Total cycles burned by replicated calls since genesis.
     cycles_burned: Cycles,
     /// Total instructions spent by replicated execution since genesis.
@@ -166,7 +165,6 @@ impl BitcoinCanister {
         obs.metrics.register_histogram("canister_ingest_instructions", INSTRUCTION_BOUNDS);
         BitcoinCanister {
             state,
-            fees: FeeSchedule::default(),
             cycles_burned: 0,
             instructions_total: 0,
             qcache: QueryCache::default(),
@@ -208,11 +206,6 @@ impl BitcoinCanister {
     /// Mutable access (Algorithm 2 payload processing, upgrades).
     pub fn state_mut(&mut self) -> &mut BitcoinCanisterState {
         &mut self.state
-    }
-
-    /// The fee schedule in force.
-    pub fn fee_schedule(&self) -> &FeeSchedule {
-        &self.fees
     }
 
     /// Builds the observability reply: the canister-side counters the
@@ -401,7 +394,7 @@ impl BitcoinCanister {
                     .state
                     .send_transaction(&transaction, meter)
                     .map(CanisterReply::TransactionSent);
-                CallOutcome { reply, cycles_charged: self.fees.send_transaction_fee(size) }
+                CallOutcome { reply, cycles_charged: cycles::send_transaction_fee(size) }
             }
             read => self.query(&read, meter),
         }
@@ -434,7 +427,7 @@ impl BitcoinCanister {
                 Ok(CanisterReply::Metrics(self.get_metrics()))
             }
         };
-        CallOutcome { reply, cycles_charged: self.query_fee(call, meter.instructions()) }
+        CallOutcome { reply, cycles_charged: Self::query_fee(call, meter.instructions()) }
     }
 
     /// Executes a call in query mode through the tip-keyed query cache.
@@ -483,7 +476,7 @@ impl BitcoinCanister {
             // (post-optimization) per-hit instructions next to the
             // recorded pre-optimization flat cost.
             self.obs.metrics.add("canister_qcache_hit_instructions_total", meter.instructions());
-            let cycles_charged = self.query_fee(call, meter.instructions());
+            let cycles_charged = Self::query_fee(call, meter.instructions());
             self.obs.prof.merge_from(&meter.take_profile());
             return CallOutcome { reply: Ok(reply), cycles_charged };
         }
@@ -505,11 +498,11 @@ impl BitcoinCanister {
 
     /// The fee a read pays for `instructions`; unpaid reads (metrics)
     /// and writes refused in query mode pay nothing.
-    fn query_fee(&self, call: &CanisterCall, instructions: u64) -> Cycles {
+    fn query_fee(call: &CanisterCall, instructions: u64) -> Cycles {
         match call {
-            CanisterCall::GetUtxos { .. } => self.fees.get_utxos_fee(instructions),
+            CanisterCall::GetUtxos { .. } => cycles::get_utxos_fee(instructions),
             CanisterCall::GetMetrics | CanisterCall::SendTransaction { .. } => 0,
-            _ => self.fees.get_balance_fee(instructions),
+            _ => cycles::get_balance_fee(instructions),
         }
     }
 }
@@ -633,7 +626,7 @@ mod tests {
             &CanisterCall::GetBalance { address: addr(1), min_confirmations: 0 },
             &mut meter,
         );
-        let expected = c.fee_schedule().get_balance_fee(meter.instructions());
+        let expected = cycles::get_balance_fee(meter.instructions());
         assert_eq!(outcome.cycles_charged, expected);
         // UTXO calls cost more than balance calls (flat fee difference).
         let utxo_outcome = c.query(

@@ -33,21 +33,17 @@ pub struct ConsensusConfig {
     /// Number of Byzantine replicas (the *last* `byzantine` ids). Must be
     /// `< n/3` for the protocol's guarantees to hold.
     pub byzantine: usize,
-    /// Mean round duration (block rate of the subnet).
-    pub round_time_mean: SimDuration,
-    /// Round duration standard deviation.
-    pub round_time_std: SimDuration,
 }
+
+/// Mean round duration (the subnet's block rate, IC-mainnet-like ~1 s).
+const ROUND_TIME_MEAN: SimDuration = SimDuration::from_millis(1000);
+/// Round duration standard deviation.
+const ROUND_TIME_STD: SimDuration = SimDuration::from_millis(150);
 
 impl ConsensusConfig {
     /// A 13-replica subnet with IC-mainnet-like ~1 s rounds.
     pub fn thirteen_replicas() -> ConsensusConfig {
-        ConsensusConfig {
-            n: 13,
-            byzantine: 0,
-            round_time_mean: SimDuration::from_millis(1000),
-            round_time_std: SimDuration::from_millis(150),
-        }
+        ConsensusConfig { n: 13, byzantine: 0 }
     }
 
     /// Maximum tolerable faults `f = ⌊(n−1)/3⌋`.
@@ -151,10 +147,8 @@ impl ConsensusEngine {
     /// maker from the beacon, and finalizes.
     pub fn next_round(&mut self) -> RoundInfo {
         self.round += 1;
-        let duration = self
-            .rng
-            .normal(self.config.round_time_mean, self.config.round_time_std)
-            .max(SimDuration::from_millis(100));
+        let duration =
+            self.rng.normal(ROUND_TIME_MEAN, ROUND_TIME_STD).max(SimDuration::from_millis(100));
         self.now += duration;
         // The random beacon: unpredictable before the round, uniform over
         // replicas.

@@ -24,112 +24,45 @@ pub fn cycles_to_usd(cycles: Cycles) -> f64 {
     cycles as f64 / CYCLES_PER_XDR as f64 * USD_PER_XDR
 }
 
-/// Converts U.S. dollars to cycles.
-pub fn usd_to_cycles(usd: f64) -> Cycles {
-    (usd / USD_PER_XDR * CYCLES_PER_XDR as f64) as Cycles
+// The fee schedule charged by the Bitcoin canister and the execution
+// layer. Calibration: 35,000 balance requests per dollar ⇒ each costs
+// `1/35000 / 1.34` XDR ≈ 21.3 M cycles; 1,500 UTXO requests per dollar
+// ⇒ ≈ 497 M cycles each. Each fee is a flat part plus 0.4 cycles per
+// executed instruction (the 13-node-subnet rate), so large responses
+// cost proportionally more, matching Figure 7 (right).
+
+/// Flat fee per `get_balance` call (≈ 21M cycles per balance request
+/// with its instructions → ~35k requests/USD).
+const GET_BALANCE_FLAT: Cycles = 18_000_000;
+/// Flat fee per `get_utxos` call (≈ 500M cycles per UTXO request with
+/// its instructions → ~1.5k requests/USD).
+const GET_UTXOS_FLAT: Cycles = 450_000_000;
+/// Flat fee per `send_transaction` call.
+const SEND_TRANSACTION_FLAT: Cycles = 5_000_000_000;
+/// Additional fee per transaction byte submitted.
+const SEND_TRANSACTION_PER_BYTE: Cycles = 20_000_000;
+/// Cycles charged per 100 executed instructions (40 ⇒ 0.4/instr, the
+/// 13-node-subnet rate).
+const PER_100_INSTRUCTIONS: Cycles = 40;
+
+fn instruction_fee(instructions: u64) -> Cycles {
+    instructions as Cycles * PER_100_INSTRUCTIONS / 100
 }
 
-/// The fee schedule charged by the Bitcoin canister and the execution
-/// layer.
-///
-/// Calibration: 35,000 balance requests per dollar ⇒ each costs
-/// `1/35000 / 1.34` XDR ≈ 21.3 M cycles; 1,500 UTXO requests per dollar
-/// ⇒ ≈ 497 M cycles each. Each fee is a flat part plus 0.4 cycles per
-/// executed instruction (the 13-node-subnet rate), so large responses
-/// cost proportionally more, matching Figure 7 (right).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FeeSchedule {
-    /// Flat fee per `get_balance` call.
-    pub get_balance_flat: Cycles,
-    /// Flat fee per `get_utxos` call.
-    pub get_utxos_flat: Cycles,
-    /// Flat fee per `send_transaction` call.
-    pub send_transaction_flat: Cycles,
-    /// Additional fee per transaction byte submitted.
-    pub send_transaction_per_byte: Cycles,
-    /// Cycles charged per 100 executed instructions (40 ⇒ 0.4/instr).
-    pub per_100_instructions: Cycles,
+/// Total cycles for a `get_balance` call that executed `instructions`.
+pub fn get_balance_fee(instructions: u64) -> Cycles {
+    GET_BALANCE_FLAT + instruction_fee(instructions)
 }
 
-impl Default for FeeSchedule {
-    fn default() -> FeeSchedule {
-        FeeSchedule {
-            // ≈ 21M cycles per balance request → ~35k requests/USD.
-            get_balance_flat: 18_000_000,
-            // ≈ 500M cycles per UTXO request → ~1.5k requests/USD.
-            get_utxos_flat: 450_000_000,
-            send_transaction_flat: 5_000_000_000,
-            send_transaction_per_byte: 20_000_000,
-            // 0.4 cycles per instruction, the 13-node-subnet rate.
-            per_100_instructions: 40,
-        }
-    }
+/// Total cycles for a `get_utxos` call that executed `instructions`.
+pub fn get_utxos_fee(instructions: u64) -> Cycles {
+    GET_UTXOS_FLAT + instruction_fee(instructions)
 }
 
-impl FeeSchedule {
-    fn instruction_fee(&self, instructions: u64) -> Cycles {
-        instructions as Cycles * self.per_100_instructions / 100
-    }
-
-    /// Total cycles for a `get_balance` call that executed `instructions`.
-    pub fn get_balance_fee(&self, instructions: u64) -> Cycles {
-        self.get_balance_flat + self.instruction_fee(instructions)
-    }
-
-    /// Total cycles for a `get_utxos` call that executed `instructions`.
-    pub fn get_utxos_fee(&self, instructions: u64) -> Cycles {
-        self.get_utxos_flat + self.instruction_fee(instructions)
-    }
-
-    /// Total cycles for a `send_transaction` call with a payload of
-    /// `tx_bytes` bytes.
-    pub fn send_transaction_fee(&self, tx_bytes: usize) -> Cycles {
-        self.send_transaction_flat + self.send_transaction_per_byte * tx_bytes as Cycles
-    }
-}
-
-/// A canister's cycles balance with spend tracking.
-#[derive(Debug, Clone, Default)]
-pub struct CyclesLedger {
-    balance: Cycles,
-    total_burned: Cycles,
-}
-
-impl CyclesLedger {
-    /// Creates a ledger with an initial balance.
-    pub fn with_balance(balance: Cycles) -> CyclesLedger {
-        CyclesLedger { balance, total_burned: 0 }
-    }
-
-    /// Current balance.
-    pub fn balance(&self) -> Cycles {
-        self.balance
-    }
-
-    /// Cycles burned over the ledger's lifetime.
-    pub fn total_burned(&self) -> Cycles {
-        self.total_burned
-    }
-
-    /// Tops up the balance.
-    pub fn deposit(&mut self, cycles: Cycles) {
-        self.balance = self.balance.saturating_add(cycles);
-    }
-
-    /// Burns `cycles` from the balance.
-    ///
-    /// # Errors
-    ///
-    /// Returns `Err(shortfall)` if the balance is insufficient; nothing is
-    /// deducted in that case.
-    pub fn burn(&mut self, cycles: Cycles) -> Result<(), Cycles> {
-        if self.balance < cycles {
-            return Err(cycles - self.balance);
-        }
-        self.balance -= cycles;
-        self.total_burned += cycles;
-        Ok(())
-    }
+/// Total cycles for a `send_transaction` call with a payload of
+/// `tx_bytes` bytes.
+pub fn send_transaction_fee(tx_bytes: usize) -> Cycles {
+    SEND_TRANSACTION_FLAT + SEND_TRANSACTION_PER_BYTE * tx_bytes as Cycles
 }
 
 #[cfg(test)]
@@ -137,23 +70,20 @@ mod tests {
     use super::*;
 
     #[test]
-    fn usd_conversion_roundtrip() {
-        let cycles = usd_to_cycles(2.5);
-        assert!((cycles_to_usd(cycles) - 2.5).abs() < 1e-9);
+    fn one_xdr_of_cycles_is_the_xdr_rate_in_usd() {
         assert_eq!(cycles_to_usd(CYCLES_PER_XDR), USD_PER_XDR);
     }
 
     #[test]
-    fn default_schedule_reproduces_paper_request_rates() {
-        let schedule = FeeSchedule::default();
+    fn fees_reproduce_paper_request_rates() {
         // Balance requests: the paper reports ≈ 35,000 per dollar.
-        let per_dollar = 1.0 / cycles_to_usd(schedule.get_balance_fee(6_000_000));
+        let per_dollar = 1.0 / cycles_to_usd(get_balance_fee(6_000_000));
         assert!(
             (30_000.0..40_000.0).contains(&per_dollar),
             "balance requests per USD = {per_dollar}"
         );
         // UTXO requests: ≈ 1,500 per dollar.
-        let per_dollar = 1.0 / cycles_to_usd(schedule.get_utxos_fee(100_000_000));
+        let per_dollar = 1.0 / cycles_to_usd(get_utxos_fee(100_000_000));
         assert!(
             (1_300.0..1_700.0).contains(&per_dollar),
             "utxo requests per USD = {per_dollar}"
@@ -162,21 +92,21 @@ mod tests {
 
     #[test]
     fn fees_scale_with_usage() {
-        let s = FeeSchedule::default();
-        assert!(s.get_utxos_fee(1_000_000) < s.get_utxos_fee(100_000_000));
-        assert!(s.send_transaction_fee(100) < s.send_transaction_fee(10_000));
+        assert!(get_utxos_fee(1_000_000) < get_utxos_fee(100_000_000));
+        assert!(send_transaction_fee(100) < send_transaction_fee(10_000));
     }
 
     #[test]
-    fn ledger_burn_and_shortfall() {
-        let mut ledger = CyclesLedger::with_balance(100);
-        assert!(ledger.burn(60).is_ok());
-        assert_eq!(ledger.balance(), 40);
-        assert_eq!(ledger.total_burned(), 60);
-        assert_eq!(ledger.burn(50), Err(10));
-        assert_eq!(ledger.balance(), 40, "failed burn must not deduct");
-        ledger.deposit(10);
-        assert!(ledger.burn(50).is_ok());
-        assert_eq!(ledger.balance(), 0);
+    fn fees_are_pinned() {
+        // (instructions, get_balance fee, get_utxos fee), exact.
+        for (instructions, balance, utxos) in [
+            (0, 18_000_000, 450_000_000),
+            (5_840_000, 20_336_000, 452_336_000),
+            (476_000_000, 208_400_000, 640_400_000),
+        ] {
+            assert_eq!(get_balance_fee(instructions), balance, "{instructions}");
+            assert_eq!(get_utxos_fee(instructions), utxos, "{instructions}");
+        }
+        assert_eq!(send_transaction_fee(250), 10_000_000_000);
     }
 }

@@ -11,10 +11,10 @@
 //!   (how the Bitcoin adapter's responses enter execution) and ingress
 //!   batching.
 //! * [`meter`] — WebAssembly-instruction metering ([`Meter`]).
-//! * [`cycles`] — the fee schedule and USD conversion behind §IV-B's
-//!   cost figures.
-//! * [`ingress`] — the calibrated latency model for replicated and query
-//!   calls (Figure 7).
+//! * [`cycles`] — the calibrated fee constants and USD conversion behind
+//!   §IV-B's cost figures.
+//! * [`ingress`] — the calibrated latency constants for replicated and
+//!   query calls (Figure 7).
 //!
 //! # Examples
 //!
@@ -36,8 +36,8 @@ pub mod meter;
 pub mod subnet;
 
 pub use consensus::{ConsensusConfig, ConsensusEngine, ReplicaId, RoundInfo};
-pub use cycles::{Cycles, CyclesLedger, FeeSchedule};
-pub use ingress::{IngressId, IngressPool, LatencyModel};
+pub use cycles::Cycles;
+pub use ingress::{IngressId, IngressPool};
 pub use lifecycle::LifecyclePlan;
 pub use meter::Meter;
 pub use subnet::{

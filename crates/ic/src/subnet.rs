@@ -12,7 +12,7 @@ use icbtc_sim::obs::{FieldValue, Obs, DEFAULT_BOUNDS, INSTRUCTION_BOUNDS};
 use icbtc_sim::{SimDuration, SimRng, SimTime};
 
 use crate::consensus::{ConsensusConfig, ConsensusEngine, RoundInfo};
-use crate::ingress::{IngressId, IngressPool, LatencyModel};
+use crate::ingress::{self, IngressId, IngressPool};
 use crate::meter::Meter;
 
 /// A deterministically replicated application.
@@ -201,7 +201,6 @@ pub struct Subnet<S: StateMachine> {
     /// Busy-until time of each query execution lane — the deterministic
     /// queueing model behind batched query latency.
     query_lanes: Vec<SimTime>,
-    latency: LatencyModel,
     rng: SimRng,
     total_instructions: u64,
     completed_calls: u64,
@@ -233,7 +232,6 @@ impl<S: StateMachine> Subnet<S> {
             query_pool: IngressPool::new(),
             query_lanes: vec![SimTime::ZERO; query_config.concurrency.max(1)],
             query_config,
-            latency: LatencyModel::default(),
             rng: SimRng::seed_from(seed.wrapping_add(0x1c)),
             total_instructions: 0,
             completed_calls: 0,
@@ -333,11 +331,6 @@ impl<S: StateMachine> Subnet<S> {
         &mut self.obs
     }
 
-    /// The latency model in force.
-    pub fn latency_model(&self) -> &LatencyModel {
-        &self.latency
-    }
-
     /// Read access to the replicated state (for queries).
     pub fn state(&self) -> &S {
         &self.state
@@ -386,7 +379,7 @@ impl<S: StateMachine> Subnet<S> {
     /// workloads).
     pub fn submit_at(&mut self, at: SimTime, input: S::Input) -> IngressId {
         self.obs.metrics.inc("ic_ingress_submitted_total");
-        let routing = self.latency.sample_ingress_routing(&mut self.rng);
+        let routing = ingress::sample_ingress_routing(&mut self.rng);
         self.pool.submit(at, at + routing, input)
     }
 
@@ -401,7 +394,7 @@ impl<S: StateMachine> Subnet<S> {
     /// Submits a query with an explicit submission timestamp.
     pub fn submit_query_at(&mut self, at: SimTime, input: S::Input) -> IngressId {
         self.obs.metrics.inc("ic_query_submitted_total");
-        let rtt = self.latency.sample_query_rtt(&mut self.rng);
+        let rtt = ingress::sample_query_rtt(&mut self.rng);
         let inbound = SimDuration::from_nanos(rtt.as_nanos() / 2);
         self.query_pool.submit(at, at + inbound, input)
     }
@@ -460,7 +453,7 @@ impl<S: StateMachine> Subnet<S> {
         // Attribute the round payload's modeled execution time
         // (nanoseconds) to the subnet profiler.
         let frame = self.obs.prof.enter("payload_execution");
-        self.obs.prof.add(self.latency.execution_time(payload_instructions).as_nanos());
+        self.obs.prof.add(ingress::execution_time(payload_instructions).as_nanos());
         self.obs.prof.exit(frame);
 
         let batch = self.pool.take_ready(info.finalized_at);
@@ -485,8 +478,8 @@ impl<S: StateMachine> Subnet<S> {
             self.obs.metrics.inc("ic_messages_executed_total");
             self.obs.metrics.add("ic_instructions_total", instructions);
             self.obs.metrics.observe("ic_message_instructions", instructions);
-            let response_path = self.latency.sample_response_path(&mut self.rng);
-            let exec_time = self.latency.execution_time(instructions);
+            let response_path = ingress::sample_response_path(&mut self.rng);
+            let exec_time = ingress::execution_time(instructions);
             // Attribute the modeled service time (nanoseconds) to the
             // subnet profiler so the report covers the ic layer too.
             let frame = self.obs.prof.enter("message_execution");
@@ -525,8 +518,8 @@ impl<S: StateMachine> Subnet<S> {
             self.obs.metrics.inc("ic_queries_executed_total");
             self.obs.metrics.add("ic_query_instructions_total", instructions);
             self.obs.metrics.observe("ic_query_instructions", instructions);
-            let exec_time = self.latency.execution_time(instructions);
-            let transfer_time = self.latency.transfer_time(S::output_bytes(&output));
+            let exec_time = ingress::execution_time(instructions);
+            let transfer_time = ingress::transfer_time(S::output_bytes(&output));
             let service = exec_time + transfer_time;
             // Modeled query service time (nanoseconds), split into its
             // execution and response-transfer parts.
@@ -544,7 +537,7 @@ impl<S: StateMachine> Subnet<S> {
             let start = self.query_lanes[lane].max(ready.available_at);
             let busy_until = start + service;
             self.query_lanes[lane] = busy_until;
-            let outbound_rtt = self.latency.sample_query_rtt(&mut self.rng);
+            let outbound_rtt = ingress::sample_query_rtt(&mut self.rng);
             let outbound = SimDuration::from_nanos(outbound_rtt.as_nanos() / 2);
             query_results.push(CallResult {
                 id: ready.id,
@@ -589,8 +582,8 @@ impl<S: StateMachine> Subnet<S> {
         let bytes = response_bytes(&result);
         // Same service-time attribution as the batched query plane:
         // modeled execution plus response transfer, in nanoseconds.
-        let exec_time = self.latency.execution_time(instructions);
-        let transfer_time = self.latency.transfer_time(bytes);
+        let exec_time = ingress::execution_time(instructions);
+        let transfer_time = ingress::transfer_time(bytes);
         let frame = self.obs.prof.enter("query_service");
         let exec_frame = self.obs.prof.enter("execution");
         self.obs.prof.add(exec_time.as_nanos());
@@ -599,7 +592,7 @@ impl<S: StateMachine> Subnet<S> {
         self.obs.prof.add(transfer_time.as_nanos());
         self.obs.prof.exit(transfer_frame);
         self.obs.prof.exit(frame);
-        let latency = self.latency.sample_query(&mut self.rng, instructions, bytes);
+        let latency = ingress::sample_query(&mut self.rng, instructions, bytes);
         (result, instructions, latency)
     }
 }

@@ -22,7 +22,7 @@
 //! The replicated update entry points (paper §III): the canister's
 //! `execute`/`dispatch` (every `CanisterCall` runs replicated through
 //! them), `ingest_response`/`process_response` (Algorithm 2), and the
-//! stable-store ingest `ingest_block`/`try_ingest_block`. The query
+//! stable-store ingest `try_ingest_block`. The query
 //! plane (`execute_query`/`query_cached`/`query`) is deliberately *not*
 //! a root: queries are served per-replica, which is exactly why
 //! node-local reads are legal there (rule ICL012).
@@ -36,7 +36,6 @@ pub const UPDATE_ROOTS: &[(&str, &str)] = &[
     ("canister", "dispatch"),
     ("canister", "ingest_response"),
     ("canister", "process_response"),
-    ("canister", "ingest_block"),
     ("canister", "try_ingest_block"),
 ];
 
@@ -374,11 +373,11 @@ mod tests {
     #[test]
     fn free_call_reaches_across_crates() {
         let g = graph_of(&[
-            ("crates/canister/src/a.rs", "canister", "pub fn ingest_block() { retarget(1); }"),
+            ("crates/canister/src/a.rs", "canister", "pub fn try_ingest_block() { retarget(1); }"),
             ("crates/bitcoin/src/pow.rs", "bitcoin", "pub fn retarget(x: u32) -> u32 { x }"),
         ]);
         assert!(g.is_reachable(idx(&g, "retarget")));
-        assert_eq!(g.chain(idx(&g, "retarget")), vec!["ingest_block", "retarget"]);
+        assert_eq!(g.chain(idx(&g, "retarget")), vec!["try_ingest_block", "retarget"]);
     }
 
     #[test]
@@ -419,6 +418,33 @@ mod tests {
         // `self.m` resolves to BTreeMap; `BTreeMap::fetch` is not in the
         // workspace, so no unique-name fallback to `Other::fetch`.
         assert!(!g.is_reachable(idx(&g, "fetch")));
+    }
+
+    #[test]
+    fn every_root_names_a_function_of_the_real_workspace() {
+        // A renamed entry point must not silently leave a root that
+        // guards nothing: each root names at least one non-test fn of
+        // its crate, collected exactly as the analysis collects nodes.
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let mut fns: BTreeSet<(String, String)> = BTreeSet::new();
+        for file in crate::workspace::discover(&root).expect("workspace discovery") {
+            if file.ctx.is_entry_or_test {
+                continue;
+            }
+            let source = std::fs::read_to_string(&file.abs_path).expect("source");
+            let regions = crate::engine::test_regions(&crate::lexer::lex(&source));
+            for item in parse_file(&source).fns {
+                if !regions.iter().any(|&(s, e)| s <= item.line && item.line <= e) {
+                    fns.insert((file.ctx.crate_name.clone(), item.name));
+                }
+            }
+        }
+        for (krate, name) in UPDATE_ROOTS.iter().chain(QUERY_ROOTS) {
+            assert!(
+                fns.contains(&(krate.to_string(), name.to_string())),
+                "root {krate}::{name} names no fn in the workspace"
+            );
+        }
     }
 
     #[test]

@@ -65,8 +65,8 @@ pub enum Rule {
     /// ICL011 — cross-procedural panic reachability. Any
     /// `unwrap()`/`expect()`/`panic!`-class site *transitively reachable*
     /// from a replicated update entry point (`dispatch`/`execute`,
-    /// `ingest_response`/`process_response`, `ingest_block`/
-    /// `try_ingest_block`) is flagged wherever it lives — including
+    /// `ingest_response`/`process_response`, `try_ingest_block`) is
+    /// flagged wherever it lives — including
     /// crates outside the per-file `no-panic` scope, such as `bitcoin`
     /// and `core`. A trap anywhere on the update path aborts the round's
     /// message on every replica (paper §III), so the whole call graph is

@@ -58,7 +58,7 @@ fn bad_panic_reachable_across_crates() {
         .expect("one file has findings");
     assert_eq!(path, "crates/bitcoin/src/dep.rs");
     let v = &report.violations[0];
-    assert!(v.chain.iter().any(|f| f.contains("ingest_block")), "chain {:?}", v.chain);
+    assert!(v.chain.iter().any(|f| f.contains("try_ingest_block")), "chain {:?}", v.chain);
     assert!(v.message.contains("reachable from update entry"), "{}", v.message);
 }
 

@@ -6,6 +6,6 @@ pub fn cache_len() -> usize {
     0
 }
 
-pub fn ingest_block(_raw: &[u8]) -> usize {
+pub fn try_ingest_block(_raw: &[u8]) -> usize {
     cache_len()
 }

@@ -7,7 +7,7 @@ pub fn profile_root_total() -> u64 {
     0
 }
 
-pub fn ingest_block(raw: &[u8]) -> usize {
+pub fn try_ingest_block(raw: &[u8]) -> usize {
     if profile_root_total() > 1_000_000 {
         return 0;
     }

@@ -110,6 +110,13 @@ echo "==> chaos determinism gate (same seed + plan => byte-identical soak)"
 same_twice chaos_soak cargo run -q --release --offline -p icbtc-bench --bin chaos_soak -- \
     --seed 42 --plan mixed --json --trace-out "$OBS_TMP/chaos@RUN.jsonl"
 
+echo "==> calibration determinism gate (fee constants and replicated-call latency path)"
+# The only binaries that read the cycles fee constants and the replicated
+# routing/certification/XNet latency constants; the exact values are
+# pinned by the icbtc-ic unit tests.
+same_twice cost_per_request cargo run -q --release --offline -p icbtc-bench --bin cost_per_request
+same_twice fig7_request_latency cargo run -q --release --offline -p icbtc-bench --bin fig7_request_latency -- 20
+
 echo "==> query-plane gate (byte-identical qps report, equal to BENCH_qps_gate.json)"
 # qps_soak itself exits non-zero if the cache-hit path's per-hit cost is
 # not below its pre-optimization flat cost.

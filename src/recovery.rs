@@ -14,7 +14,8 @@
 //! The replay itself is a pure function ([`replay_catchup`]) so tests
 //! can drive it against hand-built logs; `System` wires it to its own
 //! lifecycle plan and converts replayed instructions into a modeled
-//! mean-time-to-recovery via the subnet's latency model.
+//! mean-time-to-recovery via the calibrated execution rate
+//! (`icbtc_ic::ingress::execution_time`).
 
 use icbtc_canister::{BitcoinCanister, CanisterCall, StorageError};
 use icbtc_core::GetSuccessorsResponse;

@@ -48,16 +48,6 @@ impl SystemConfig {
             seed,
         }
     }
-
-    /// A mainnet-like deployment (scaled difficulty, δ = 144).
-    pub fn mainnet(seed: u64) -> SystemConfig {
-        SystemConfig {
-            btc: NetworkConfig::mainnet(8),
-            consensus: ConsensusConfig::thirteen_replicas(),
-            params: IntegrationParams::for_network(Network::Mainnet),
-            seed,
-        }
-    }
 }
 
 /// An attacker payload source for the post-downtime scenario of
@@ -493,7 +483,7 @@ impl System {
         let (recovered, replayed_rounds, replayed_instructions) =
             crate::recovery::replay_catchup(&checkpoint, &self.ingest_log, self.subnet.input_journal())
                 .expect("self-produced checkpoint restores");
-        let mttr = self.subnet.latency_model().execution_time(replayed_instructions);
+        let mttr = icbtc_ic::ingress::execution_time(replayed_instructions);
         let report = CatchupReport {
             checkpoint_round: checkpoint.round,
             checkpoint_bytes: checkpoint.bytes.len() as u64,
