@@ -208,7 +208,7 @@ impl BitcoinAdapter {
     }
 
     /// Current size of the inventory dedupe set (bounded; see
-    /// [`SEEN_INV_HORIZON`]).
+    /// `SEEN_INV_HORIZON`).
     pub fn seen_inv_len(&self) -> usize {
         self.seen_inv.len()
     }

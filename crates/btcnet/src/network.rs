@@ -22,7 +22,7 @@ pub struct NetworkConfig {
     pub network: Network,
     /// Number of full nodes, all honest (hostile peers are modelled by
     /// [`FaultPlan`] misbehaviour and by [`crate::adversary`]).
-    pub honest_nodes: usize,
+    pub nodes: usize,
 }
 
 /// Gossip links per node.
@@ -38,13 +38,13 @@ const TEMPLATE_TX_LIMIT: usize = 500;
 
 impl NetworkConfig {
     /// A small regtest network suitable for unit and integration tests.
-    pub fn regtest(honest_nodes: usize) -> NetworkConfig {
-        NetworkConfig { network: Network::Regtest, honest_nodes }
+    pub fn regtest(nodes: usize) -> NetworkConfig {
+        NetworkConfig { network: Network::Regtest, nodes }
     }
 
     /// A mainnet-like network (scaled difficulty, 10-minute blocks).
-    pub fn mainnet(honest_nodes: usize) -> NetworkConfig {
-        NetworkConfig { network: Network::Mainnet, honest_nodes }
+    pub fn mainnet(nodes: usize) -> NetworkConfig {
+        NetworkConfig { network: Network::Mainnet, nodes }
     }
 }
 
@@ -101,7 +101,7 @@ impl BtcNetwork {
     /// seeds address books, and schedules the first block.
     pub fn new(config: NetworkConfig, seed: u64) -> BtcNetwork {
         let mut rng = SimRng::seed_from(seed);
-        let total = config.honest_nodes;
+        let total = config.nodes;
         assert!(total > 0, "network needs at least one node");
         let mut nodes: Vec<FullNode> =
             (0..total).map(|i| FullNode::new(NodeId(i as u32), config.network)).collect();
@@ -177,11 +177,6 @@ impl BtcNetwork {
     /// Simulated Unix time corresponding to `at`.
     pub fn unix_time(&self, at: SimTime) -> u32 {
         self.genesis_unix + at.as_nanos().div_euclid(1_000_000_000) as u32 + 1
-    }
-
-    /// The network parameters in use.
-    pub fn config(&self) -> &NetworkConfig {
-        &self.config
     }
 
     /// All node ids.

@@ -6,11 +6,11 @@
 //! allocation budget (the `memory.rs` / `utxo_set/` split). This module
 //! reproduces that shape at simulation scale:
 //!
-//! * [`page`] — a [`PagePool`]: fixed-size zero-initialised pages
+//! * `page` — a [`PagePool`]: fixed-size zero-initialised pages
 //!   allocated against an explicit byte budget. Allocation past the
 //!   budget fails with [`StorageError::BudgetExhausted`] — it never
 //!   silently grows the heap.
-//! * [`btree`] — [`PagedMap`]: a B+-tree keyed map whose nodes are pool
+//! * `btree` — [`PagedMap`]: a B+-tree keyed map whose nodes are pool
 //!   pages. Variable-length keys and values are stored as sorted cells
 //!   inside leaf pages; interior pages route by separator keys. Range
 //!   scans walk a linked list of leaves, so pagination stays O(page).

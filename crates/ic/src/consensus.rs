@@ -117,11 +117,6 @@ impl ConsensusEngine {
         }
     }
 
-    /// The configuration in force.
-    pub fn config(&self) -> &ConsensusConfig {
-        &self.config
-    }
-
     /// Current simulated time (the finalization time of the last round).
     pub fn now(&self) -> SimTime {
         self.now

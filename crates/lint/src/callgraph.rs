@@ -55,7 +55,7 @@ const CRATE_DEPS: &[(&str, &[&str])] = &[
     ("core", &["bitcoin"]),
     ("adapter", &["sim", "bitcoin", "btcnet", "core"]),
     ("canister", &["bitcoin", "ic", "core", "sim"]),
-    ("lint", &[]),
+    ("lint", &["sim"]),
     ("bench", &["icbtc"]),
     (
         "icbtc",

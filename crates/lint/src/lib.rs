@@ -31,7 +31,6 @@
 //! * [`analysis`] — the whole-workspace pipeline: token rules + dataflow
 //!   rules + centralized suppressions + stale-suppression detection.
 //! * [`workspace`] — crate discovery and the rule scope matrix.
-//! * [`json`] — the machine-readable output encoder.
 //!
 //! See DESIGN.md §"Static analysis & determinism invariants" for the rule
 //! catalogue and the rationale tying each rule to the paper section it
@@ -43,7 +42,6 @@
 pub mod analysis;
 pub mod callgraph;
 pub mod engine;
-pub mod json;
 pub mod lexer;
 pub mod parser;
 pub mod rules;

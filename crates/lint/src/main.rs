@@ -17,9 +17,9 @@
 
 use icbtc_lint::analysis::{analyze_workspace, FileInput, WorkspaceReport};
 use icbtc_lint::engine::FileReport;
-use icbtc_lint::json;
 use icbtc_lint::rules::ALL_RULES;
 use icbtc_lint::workspace::discover;
+use icbtc_sim::obs::Json;
 use std::path::PathBuf;
 
 const USAGE: &str = "usage: icbtc-lint [--root DIR] [--json] [--timings] [--only FILE]... [--list-rules]";
@@ -215,49 +215,41 @@ fn print_json(
     for (path, report) in reports {
         for v in &report.violations {
             let mut fields = vec![
-                ("rule_id", json::string(v.rule.id())),
-                ("rule", json::string(v.rule.name())),
-                ("file", json::string(path)),
-                ("line", v.line.to_string()),
-                ("message", json::string(&v.message)),
+                ("rule_id", Json::from(v.rule.id())),
+                ("rule", v.rule.name().into()),
+                ("file", path.clone().into()),
+                ("line", Json::U64(v.line.into())),
+                ("message", v.message.clone().into()),
             ];
             if !v.chain.is_empty() {
-                let chain = json::array(v.chain.iter().map(|s| json::string(s)).collect());
-                fields.push(("chain", chain));
+                let chain = v.chain.iter().map(|s| s.clone().into()).collect();
+                fields.push(("chain", Json::Array(chain)));
             }
-            violations.push(json::object(&fields));
+            violations.push(Json::Object(fields));
         }
         for s in &report.suppressed {
-            suppressed.push(json::object(&[
-                ("rule_id", json::string(s.rule.id())),
-                ("rule", json::string(s.rule.name())),
-                ("file", json::string(path)),
-                ("line", s.line.to_string()),
-                ("reason", json::string(&s.reason)),
+            suppressed.push(Json::Object(vec![
+                ("rule_id", s.rule.id().into()),
+                ("rule", s.rule.name().into()),
+                ("file", path.clone().into()),
+                ("line", Json::U64(s.line.into())),
+                ("reason", s.reason.clone().into()),
             ]));
         }
     }
-    let n_violations = violations.len();
     let mut fields = vec![
-        ("schema_version", "2".to_string()),
-        ("tool", json::string("icbtc-lint")),
-        ("root", json::string(root)),
-        ("files_checked", n_files.to_string()),
-        ("files_reported", reports.len().to_string()),
-        ("violation_count", n_violations.to_string()),
-        ("violations", json::array(violations)),
-        ("suppressed", json::array(suppressed)),
+        ("schema_version", Json::U64(2)),
+        ("tool", "icbtc-lint".into()),
+        ("root", root.to_string().into()),
+        ("files_checked", n_files.into()),
+        ("files_reported", reports.len().into()),
+        ("violation_count", violations.len().into()),
+        ("violations", Json::Array(violations)),
+        ("suppressed", Json::Array(suppressed)),
     ];
-    let timings;
     if emit_timings {
-        timings = json::object(
-            &ws.timings_us
-                .iter()
-                .map(|(phase, us)| (*phase, us.to_string()))
-                .collect::<Vec<_>>(),
-        );
-        fields.push(("timings_us", timings));
+        let timings = ws.timings_us.iter().map(|&(phase, us)| (phase, Json::U64(us as u64)));
+        fields.push(("timings_us", Json::Object(timings.collect())));
     }
-    let doc = json::object(&fields);
-    println!("{doc}");
+    println!("{}", Json::Object(fields).render());
 }

@@ -141,16 +141,8 @@ impl AffinePoint {
         if bytes.len() != 33 || (bytes[0] != 0x02 && bytes[0] != 0x03) {
             return None;
         }
-        let mut x_bytes = [0u8; 32];
-        x_bytes.copy_from_slice(&bytes[1..]);
-        let x = FieldElement::from_be_bytes_checked(x_bytes)?;
-        let y_squared = x.square() * x + FieldElement::from_u64(7);
-        let mut y = y_squared.sqrt()?;
-        let want_even = bytes[0] == 0x02;
-        if y.is_even() != want_even {
-            y = -y;
-        }
-        Some(AffinePoint::Point { x, y })
+        let x = FieldElement::from_be_bytes_checked(bytes[1..].try_into().ok()?)?;
+        lift_x(x, bytes[0] == 0x02)
     }
 
     /// Serializes the x coordinate only (BIP-340 public key form).
@@ -165,13 +157,7 @@ impl AffinePoint {
     /// Parses a BIP-340 x-only key: the finite point with this x and even
     /// y.
     pub fn from_x_only(bytes: &[u8; 32]) -> Option<AffinePoint> {
-        let x = FieldElement::from_be_bytes_checked(*bytes)?;
-        let y_squared = x.square() * x + FieldElement::from_u64(7);
-        let mut y = y_squared.sqrt()?;
-        if !y.is_even() {
-            y = -y;
-        }
-        Some(AffinePoint::Point { x, y })
+        lift_x(FieldElement::from_be_bytes_checked(*bytes)?, true)
     }
 
     /// Returns the point with the same x and even y, together with whether
@@ -188,6 +174,14 @@ impl AffinePoint {
             }
         }
     }
+}
+
+/// The curve point with x coordinate `x` and a y of the requested parity,
+/// if `x³ + 7` is a square.
+fn lift_x(x: FieldElement, even_y: bool) -> Option<AffinePoint> {
+    let y = (x.square() * x + FieldElement::from_u64(7)).sqrt()?;
+    let y = if y.is_even() == even_y { y } else { -y };
+    Some(AffinePoint::Point { x, y })
 }
 
 impl fmt::Debug for AffinePoint {
@@ -308,7 +302,6 @@ impl JacobianPoint {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ORDER;
 
     #[test]
     fn generator_is_on_curve() {
@@ -321,7 +314,7 @@ mod tests {
     fn generator_has_order_n() {
         let g = AffinePoint::generator();
         // (n-1)·G = -G, n·G = ∞.
-        let n_minus_1 = Scalar::from_be_bytes(ORDER.m.wrapping_sub(icbtc_bitcoin::U256::ONE).to_be_bytes());
+        let n_minus_1 = -Scalar::ONE;
         assert_eq!(g.mul(n_minus_1), g.negate());
         assert_eq!(g.mul(n_minus_1).add(&g), AffinePoint::Infinity);
     }
@@ -398,7 +391,7 @@ mod tests {
         // x = p is out of range.
         let mut bad = [0u8; 33];
         bad[0] = 0x02;
-        bad[1..].copy_from_slice(&crate::FIELD.m.to_be_bytes());
+        bad[1..].copy_from_slice(&FieldElement::MODULUS.to_be_bytes());
         assert_eq!(AffinePoint::from_compressed(&bad), None);
     }
 

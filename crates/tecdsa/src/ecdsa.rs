@@ -1,143 +1,23 @@
-//! ECDSA over secp256k1 with RFC-6979 deterministic nonces.
+//! ECDSA public keys, verification and signature encoding over secp256k1.
 //!
 //! These are exactly the signatures Bitcoin verifies for P2PKH/P2WPKH
-//! spends: low-s normalized, DER-encoded. The threshold protocol in
-//! [`crate::protocol`] produces signatures that verify under
+//! spends: low-s normalized, DER-encoded. Signatures come only from the
+//! threshold protocol in [`crate::protocol`], and verify under
 //! [`PublicKey::verify`] below.
 
-use std::fmt;
-
-use icbtc_bitcoin::hash::hmac_sha256;
-use icbtc_sim::SimRng;
-
 use crate::{AffinePoint, Scalar};
-
-/// An ECDSA private key.
-#[derive(Clone, Copy, PartialEq, Eq)]
-pub struct PrivateKey(Scalar);
-
-impl PrivateKey {
-    /// Wraps a non-zero scalar as a private key.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the scalar is zero.
-    pub fn from_scalar(secret: Scalar) -> PrivateKey {
-        assert!(!secret.is_zero(), "private key must be non-zero");
-        PrivateKey(secret)
-    }
-
-    /// Draws a random private key.
-    pub fn random(rng: &mut SimRng) -> PrivateKey {
-        PrivateKey(Scalar::random(rng))
-    }
-
-    /// Returns the underlying scalar.
-    pub fn secret(&self) -> Scalar {
-        self.0
-    }
-
-    /// Returns the corresponding public key.
-    pub fn public_key(&self) -> PublicKey {
-        PublicKey(AffinePoint::generator().mul(self.0))
-    }
-
-    /// Signs a 32-byte digest with an RFC-6979 deterministic nonce and
-    /// low-s normalization.
-    pub fn sign(&self, digest: &[u8; 32]) -> Signature {
-        let z = Scalar::from_be_bytes(*digest);
-        let mut extra: u32 = 0;
-        loop {
-            let k = rfc6979_nonce(&self.0, digest, extra);
-            if let Some(sig) = sign_with_nonce(self.0, z, k) {
-                return sig;
-            }
-            extra += 1;
-        }
-    }
-}
-
-impl fmt::Debug for PrivateKey {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "PrivateKey(…)")
-    }
-}
-
-/// Computes an ECDSA signature for digest scalar `z` with nonce `k`,
-/// returning `None` if either component degenerates to zero (retry with a
-/// fresh nonce).
-pub fn sign_with_nonce(secret: Scalar, z: Scalar, k: Scalar) -> Option<Signature> {
-    if k.is_zero() {
-        return None;
-    }
-    let point = AffinePoint::generator().mul(k);
-    if point.is_infinity() {
-        return None;
-    }
-    let r = Scalar::from_be_bytes(point.x().to_be_bytes());
-    if r.is_zero() {
-        return None;
-    }
-    let s = k.invert() * (z + r * secret);
-    if s.is_zero() {
-        return None;
-    }
-    Some(Signature { r, s }.normalize_s())
-}
-
-/// RFC-6979 deterministic nonce derivation (HMAC-DRBG instantiation), with
-/// an extra counter for the rare retry.
-fn rfc6979_nonce(secret: &Scalar, digest: &[u8; 32], extra: u32) -> Scalar {
-    let x = secret.to_be_bytes();
-    let mut v = [0x01u8; 32];
-    let mut k = [0x00u8; 32];
-
-    let mut seed = Vec::with_capacity(97);
-    seed.extend_from_slice(&v);
-    seed.push(0x00);
-    seed.extend_from_slice(&x);
-    seed.extend_from_slice(digest);
-    if extra > 0 {
-        seed.extend_from_slice(&extra.to_be_bytes());
-    }
-    k = hmac_sha256(&k, &seed);
-    v = hmac_sha256(&k, &v);
-
-    let mut seed = Vec::with_capacity(97);
-    seed.extend_from_slice(&v);
-    seed.push(0x01);
-    seed.extend_from_slice(&x);
-    seed.extend_from_slice(digest);
-    if extra > 0 {
-        seed.extend_from_slice(&extra.to_be_bytes());
-    }
-    k = hmac_sha256(&k, &seed);
-    v = hmac_sha256(&k, &v);
-
-    loop {
-        v = hmac_sha256(&k, &v);
-        if let Some(candidate) = Scalar::from_be_bytes_checked(v) {
-            return candidate;
-        }
-        let mut retry = Vec::with_capacity(33);
-        retry.extend_from_slice(&v);
-        retry.push(0x00);
-        k = hmac_sha256(&k, &retry);
-        v = hmac_sha256(&k, &v);
-    }
-}
 
 /// An ECDSA public key.
 ///
 /// # Examples
 ///
 /// ```
-/// use icbtc_tecdsa::{ecdsa::PrivateKey, Scalar};
-/// let sk = PrivateKey::from_scalar(Scalar::from_u64(99));
-/// let pk = sk.public_key();
-/// let sig = sk.sign(&[5u8; 32]);
-/// assert!(pk.verify(&[5u8; 32], &sig));
-/// assert!(!pk.verify(&[6u8; 32], &sig));
+/// use icbtc_tecdsa::ecdsa::PublicKey;
+/// use icbtc_tecdsa::AffinePoint;
+/// // The key whose secret is 1 is the generator itself.
+/// let pk = PublicKey(AffinePoint::generator());
+/// assert_eq!(PublicKey::from_compressed(&pk.to_compressed()), Some(pk));
+/// assert_eq!(pk.pubkey_hash()[..4], [0x75, 0x1e, 0x76, 0xe8]);
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PublicKey(pub AffinePoint);
@@ -195,27 +75,6 @@ impl Signature {
         } else {
             self
         }
-    }
-
-    /// Serializes as a 64-byte compact form (`r || s`).
-    pub fn to_compact(&self) -> [u8; 64] {
-        let mut out = [0u8; 64];
-        out[..32].copy_from_slice(&self.r.to_be_bytes());
-        out[32..].copy_from_slice(&self.s.to_be_bytes());
-        out
-    }
-
-    /// Parses the 64-byte compact form, rejecting zero or overflowing
-    /// components.
-    pub fn from_compact(bytes: &[u8; 64]) -> Option<Signature> {
-        let mut r = [0u8; 32];
-        let mut s = [0u8; 32];
-        r.copy_from_slice(&bytes[..32]);
-        s.copy_from_slice(&bytes[32..]);
-        Some(Signature {
-            r: Scalar::from_be_bytes_checked(r)?,
-            s: Scalar::from_be_bytes_checked(s)?,
-        })
     }
 
     /// Serializes in DER, as carried in Bitcoin script signatures.
@@ -289,77 +148,79 @@ impl Signature {
 #[cfg(test)]
 mod tests {
     use super::*;
-    
-    fn keypair(seed: u64) -> (PrivateKey, PublicKey) {
-        let sk = PrivateKey::from_scalar(Scalar::from_u64(seed));
-        let pk = sk.public_key();
-        (sk, pk)
+    use crate::protocol::{DerivationPath, ThresholdKey};
+    use icbtc_sim::SimRng;
+
+    /// A 2-of-3 key and its signature over `digest`, from a signing session.
+    fn threshold_signature(seed: u64, digest: [u8; 32]) -> (PublicKey, Signature) {
+        let mut rng = SimRng::seed_from(seed);
+        let key = ThresholdKey::generate(3, 2, &mut rng);
+        let session = key.open_ecdsa(&DerivationPath::root(), digest, &mut rng);
+        let partials = [session.partial_signature(3), session.partial_signature(1)];
+        (key.public_key(), session.combine(&partials).unwrap())
+    }
+
+    /// Textbook ECDSA under secret `x` with nonce `k`, not normalized: the
+    /// DER edge cases need chosen nonces and both forms of `s`.
+    fn fixed_nonce_signature(x: u64, k: u64, digest: &[u8; 32]) -> Signature {
+        let k = Scalar::from_u64(k);
+        let r = Scalar::from_be_bytes(AffinePoint::generator().mul(k).x().to_be_bytes());
+        Signature { r, s: k.invert() * (Scalar::from_be_bytes(*digest) + r * Scalar::from_u64(x)) }
     }
 
     #[test]
-    fn sign_verify_roundtrip() {
-        let (sk, pk) = keypair(123456789);
-        for digest in [[0u8; 32], [0xff; 32], [0x5a; 32]] {
-            let sig = sk.sign(&digest);
+    fn threshold_signatures_verify_and_are_low_s() {
+        for (seed, digest) in [(1, [0u8; 32]), (2, [0xff; 32]), (3, [0x5a; 32])] {
+            let (pk, sig) = threshold_signature(seed, digest);
             assert!(pk.verify(&digest, &sig));
-        }
-    }
-
-    #[test]
-    fn verification_rejects_wrong_inputs() {
-        let (sk, pk) = keypair(42);
-        let (_, other_pk) = keypair(43);
-        let digest = [9u8; 32];
-        let sig = sk.sign(&digest);
-        assert!(!pk.verify(&[10u8; 32], &sig));
-        assert!(!other_pk.verify(&digest, &sig));
-        let forged = Signature { r: sig.r, s: sig.s + Scalar::ONE };
-        assert!(!pk.verify(&digest, &forged));
-    }
-
-    #[test]
-    fn signing_is_deterministic() {
-        let (sk, _) = keypair(7);
-        let digest = [3u8; 32];
-        assert_eq!(sk.sign(&digest), sk.sign(&digest));
-        assert_ne!(sk.sign(&digest), sk.sign(&[4u8; 32]));
-    }
-
-    #[test]
-    fn signatures_are_low_s() {
-        let (sk, _) = keypair(99);
-        for i in 0..8u8 {
-            let sig = sk.sign(&[i; 32]);
             assert!(!sig.s.is_high());
         }
     }
 
     #[test]
+    fn verification_rejects_wrong_inputs() {
+        let digest = [9u8; 32];
+        let (pk, sig) = threshold_signature(42, digest);
+        let (other_pk, _) = threshold_signature(43, digest);
+        assert!(!pk.verify(&[10u8; 32], &sig));
+        assert!(!other_pk.verify(&digest, &sig));
+        assert!(!pk.verify(&digest, &Signature { r: sig.r, s: sig.s + Scalar::ONE }));
+        assert!(!pk.verify(&digest, &Signature { r: Scalar::ZERO, s: sig.s }));
+        assert!(!pk.verify(&digest, &Signature { r: sig.r, s: Scalar::ZERO }));
+    }
+
+    #[test]
     fn high_s_form_also_verifies_but_normalizes() {
-        let (sk, pk) = keypair(55);
         let digest = [1u8; 32];
-        let sig = sk.sign(&digest);
+        let (pk, sig) = threshold_signature(55, digest);
         let high = Signature { r: sig.r, s: -sig.s };
+        assert!(high.s.is_high());
         assert!(pk.verify(&digest, &high), "ECDSA accepts both s forms");
         assert_eq!(high.normalize_s(), sig);
+        assert_eq!(sig.normalize_s(), sig);
     }
 
     #[test]
     fn der_roundtrip() {
-        let (sk, _) = keypair(1234);
-        for i in 0..16u8 {
-            let sig = sk.sign(&[i; 32]);
+        let pk = PublicKey(AffinePoint::generator().mul(Scalar::from_u64(1234)));
+        let (mut saw_high, mut saw_low) = (false, false);
+        for k in 1..=16u64 {
+            let digest = [k as u8; 32];
+            let sig = fixed_nonce_signature(1234, k, &digest);
+            assert!(pk.verify(&digest, &sig));
+            saw_high |= sig.s.is_high();
+            saw_low |= !sig.s.is_high();
             let der = sig.to_der();
             assert_eq!(der[0], 0x30);
             assert!(der.len() <= 72);
-            assert_eq!(Signature::from_der(&der), Some(sig), "digest byte {i}");
+            assert_eq!(Signature::from_der(&der), Some(sig), "nonce {k}");
         }
+        assert!(saw_high && saw_low, "both forms of s must be encoded");
     }
 
     #[test]
     fn der_rejects_malformed() {
-        let (sk, _) = keypair(77);
-        let der = sk.sign(&[0u8; 32]).to_der();
+        let der = fixed_nonce_signature(77, 5, &[0u8; 32]).to_der();
         assert_eq!(Signature::from_der(&[]), None);
         assert_eq!(Signature::from_der(&der[1..]), None);
         let mut bad_tag = der.clone();
@@ -375,35 +236,14 @@ mod tests {
 
     #[test]
     fn der_with_sighash_byte() {
-        let (sk, _) = keypair(88);
-        let bytes = sk.sign(&[2u8; 32]).to_der_with_sighash_all();
+        let bytes = fixed_nonce_signature(88, 2, &[2u8; 32]).to_der_with_sighash_all();
         assert_eq!(*bytes.last().unwrap(), 0x01);
         assert!(Signature::from_der(&bytes[..bytes.len() - 1]).is_some());
     }
 
     #[test]
-    fn compact_roundtrip() {
-        let (sk, _) = keypair(31337);
-        let sig = sk.sign(&[8u8; 32]);
-        let compact = sig.to_compact();
-        assert_eq!(Signature::from_compact(&compact), Some(sig));
-        assert_eq!(Signature::from_compact(&[0u8; 64]), None);
-    }
-
-    #[test]
-    fn random_keys_work() {
-        let mut rng = SimRng::seed_from(5);
-        for _ in 0..4 {
-            let sk = PrivateKey::random(&mut rng);
-            let pk = sk.public_key();
-            let digest = [0xaau8; 32];
-            assert!(pk.verify(&digest, &sk.sign(&digest)));
-        }
-    }
-
-    #[test]
     fn pubkey_compressed_roundtrip_and_hash() {
-        let (_, pk) = keypair(1);
+        let pk = PublicKey(AffinePoint::generator());
         let compressed = pk.to_compressed();
         assert_eq!(PublicKey::from_compressed(&compressed), Some(pk));
         // Private key 1's pubkey hash is the well-known value.
@@ -411,24 +251,19 @@ mod tests {
         assert_eq!(hex, "751e76e8199196d454941c45d1b3a323f1433bd6");
     }
 
-    #[test]
-    #[should_panic]
-    fn zero_private_key_panics() {
-        let _ = PrivateKey::from_scalar(Scalar::ZERO);
-    }
-
     mod properties {
         use super::*;
         use icbtc_sim::testkit;
 
         #[test]
-        fn sign_verify_arbitrary() {
+        fn threshold_signatures_over_arbitrary_digests() {
+            let mut key_rng = SimRng::seed_from(0xEC);
+            let key = ThresholdKey::generate(3, 2, &mut key_rng);
             testkit::check(0xEC_0001, testkit::DEFAULT_CASES, |rng| {
-                let seed = testkit::u64_in(rng, 1..u64::MAX);
                 let digest: [u8; 32] = testkit::byte_array(rng);
-                let sk = PrivateKey::from_scalar(Scalar::from_u64(seed));
-                let sig = sk.sign(&digest);
-                assert!(sk.public_key().verify(&digest, &sig));
+                let session = key.open_ecdsa(&DerivationPath::root(), digest, rng);
+                let sig = session.combine(&[session.partial_signature(1), session.partial_signature(2)]).unwrap();
+                assert!(key.public_key().verify(&digest, &sig));
                 assert_eq!(Signature::from_der(&sig.to_der()), Some(sig));
             });
         }

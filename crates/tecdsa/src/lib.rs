@@ -3,16 +3,17 @@
 //! The paper's architecture (§I, §III) relies on the Internet Computer's
 //! threshold-ECDSA (reference \[3\] of the paper) and threshold-Schnorr services: canisters hold
 //! Bitcoin under keys whose private material is secret-shared across the
-//! subnet's replicas, and signatures are produced jointly. This crate
-//! provides that substrate:
+//! subnet's replicas, and signatures are produced jointly; no single key
+//! ever signs. This crate provides that substrate:
 //!
-//! * [`FieldElement`] / [`Scalar`] — arithmetic modulo the secp256k1 field
-//!   prime and group order, built on fast `2²⁵⁶ − δ` folding ([`modular`]).
+//! * [`FieldElement`] / [`Scalar`] — the two instances of one residue type,
+//!   [`modular::Residue`], modulo the secp256k1 field prime and group
+//!   order, built on fast `2²⁵⁶ − δ` folding.
 //! * [`AffinePoint`] / [`curve`] — the secp256k1 group law and scalar
 //!   multiplication.
-//! * [`ecdsa`] — RFC-6979 deterministic ECDSA with DER encoding, exactly
+//! * [`ecdsa`] — ECDSA public keys, verification and DER encoding, exactly
 //!   the signatures Bitcoin's P2WPKH inputs carry.
-//! * [`schnorr`] — BIP-340 Schnorr signatures for taproot key spends.
+//! * [`schnorr`] — BIP-340 Schnorr verification for taproot key spends.
 //! * [`shamir`] — Shamir secret sharing over the scalar field.
 //! * [`protocol`] — the t-of-n signing service: dealer-assisted key
 //!   generation, additive key derivation for canisters, and signing
@@ -23,46 +24,38 @@
 //! # Examples
 //!
 //! ```
-//! use icbtc_tecdsa::{ecdsa, Scalar};
+//! use icbtc_sim::SimRng;
+//! use icbtc_tecdsa::protocol::{DerivationPath, ThresholdKey};
+//! use icbtc_tecdsa::schnorr;
 //!
-//! let sk = ecdsa::PrivateKey::from_scalar(Scalar::from_u64(424242));
-//! let pk = sk.public_key();
+//! let mut rng = SimRng::seed_from(1);
+//! let key = ThresholdKey::generate(4, 3, &mut rng);
+//! let path = DerivationPath::new([b"wallet".to_vec()]);
 //! let digest = [7u8; 32];
-//! let sig = sk.sign(&digest);
-//! assert!(pk.verify(&digest, &sig));
+//!
+//! let session = key.open_ecdsa(&path, digest, &mut rng);
+//! let partials: Vec<_> = (1..=3).map(|i| session.partial_signature(i)).collect();
+//! let sig = session.combine(&partials).unwrap();
+//! assert!(key.derived_public_key(&path).verify(&digest, &sig));
+//!
+//! let session = key.open_schnorr(&path, digest, &mut rng);
+//! let partials: Vec<_> = (2..=4).map(|i| session.partial_signature(i)).collect();
+//! let sig = session.combine(&partials).unwrap();
+//! assert!(schnorr::verify(&session.public_key_x(), &digest, &sig));
 //! ```
 
 #![forbid(unsafe_code)]
 #![deny(unreachable_pub)]
 
-use std::sync::LazyLock;
-
-use icbtc_bitcoin::U256;
-
 pub mod curve;
 pub mod ecdsa;
-mod field;
 pub mod modular;
 pub mod protocol;
-mod scalar;
 pub mod schnorr;
 pub mod shamir;
 
 pub use curve::AffinePoint;
-pub use field::FieldElement;
-pub use scalar::Scalar;
-
-/// The secp256k1 field prime `p = 2²⁵⁶ − 2³² − 977`.
-pub static FIELD: LazyLock<modular::Modulus> = LazyLock::new(|| {
-    let delta = U256::from_u64((1u64 << 32) + 977);
-    modular::Modulus::new(U256::ZERO.wrapping_sub(delta), delta)
-});
-
-/// The secp256k1 group order `n`.
-pub static ORDER: LazyLock<modular::Modulus> = LazyLock::new(|| {
-    let delta = U256::from_limbs([0x402D_A173_2FC9_BEBF, 0x4551_2319_50B7_5FC4, 1, 0]);
-    modular::Modulus::new(U256::ZERO.wrapping_sub(delta), delta)
-});
+pub use modular::{FieldElement, Scalar};
 
 #[cfg(test)]
 mod tests {
@@ -71,11 +64,11 @@ mod tests {
     #[test]
     fn moduli_match_published_constants() {
         assert_eq!(
-            format!("{:x}", FIELD.m),
+            format!("{:x}", FieldElement::MODULUS),
             "fffffffffffffffffffffffffffffffffffffffffffffffffffffffefffffc2f"
         );
         assert_eq!(
-            format!("{:x}", ORDER.m),
+            format!("{:x}", Scalar::MODULUS),
             "fffffffffffffffffffffffffffffffebaaedce6af48a03bbfd25e8cd0364141"
         );
     }

@@ -590,6 +590,48 @@ mod tests {
         assert!(crate::schnorr::verify(&session.public_key_x(), &message, &sig));
     }
 
+    /// Keys and signatures are an exact function of the seed: any change
+    /// to the arithmetic or to the order of `SimRng` draws shows here.
+    #[test]
+    fn keys_and_signatures_are_pinned() {
+        fn hex(bytes: &[u8]) -> String {
+            bytes.iter().map(|b| format!("{b:02x}")).collect()
+        }
+        let mut rng = rng(23);
+        let key = ThresholdKey::generate(13, 9, &mut rng);
+        assert_eq!(
+            hex(&key.public_key().to_compressed()),
+            "02cdb76c050c5a3610daba7a8fd5c4b709821410e3fd8d0c6e69e1fc92258b698e"
+        );
+        let path = DerivationPath::new([b"canister".to_vec(), b"wallet".to_vec()]);
+        assert_eq!(
+            hex(&key.derived_public_key(&path).to_compressed()),
+            "020f39acca36aab8e8a00b56961af80598c32acd87a224166c11cbedbb5c75ce2b"
+        );
+
+        let digest = [0x5cu8; 32];
+        let session = key.open_ecdsa(&path, digest, &mut rng);
+        let partials: Vec<_> = (1..=9).map(|i| session.partial_signature(i)).collect();
+        assert_eq!(
+            hex(&session.combine(&partials).unwrap().to_der()),
+            "304402201e2a16f863f6d897263294fba5e2d22b24c464bda8d584a6f3b9023b5d2a52e102207af22e5a262c5278fba7682a270bd042609ab51c51c2ed70a2393ce77b2cfc02"
+        );
+
+        let session = key.open_schnorr(&path, digest, &mut rng);
+        let partials: Vec<_> = (1..=9).map(|i| session.partial_signature(i)).collect();
+        assert_eq!(
+            hex(&session.combine(&partials).unwrap().to_bytes()),
+            "72d76631a869396cae8bd70b22be590b801bea7ca4791ffa66095e9fc268994f357f49f7470aaa88dacd72a1bc3f9dc9d41ab2838a26da0b65e11d30b17bcf99"
+        );
+        assert_eq!(
+            hex(&session.public_key_x()),
+            "0f39acca36aab8e8a00b56961af80598c32acd87a224166c11cbedbb5c75ce2b"
+        );
+
+        assert_eq!(format!("{:?}", crate::FieldElement::from_u64(0xc0ffee)), "Fe(0xc0ffee)");
+        assert_eq!(format!("{:?}", Scalar::from_u64(0xabcd)), "Scalar(…abcd)");
+    }
+
     #[test]
     fn advance_combination_enumerates_all() {
         let mut combo = vec![0usize, 1];

@@ -2,8 +2,8 @@
 //!
 //! Taproot key spends carry 64-byte Schnorr signatures; the IC exposes a
 //! threshold-Schnorr service alongside threshold ECDSA (§I), reproduced in
-//! [`crate::protocol`]. This module implements the single-signer algorithm
-//! and verification.
+//! [`crate::protocol`], which produces every signature. This module holds
+//! the signature type, the challenge hash and verification.
 
 use icbtc_bitcoin::hash::tagged_hash;
 
@@ -47,43 +47,6 @@ pub fn challenge(r_x: &[u8; 32], pubkey_x: &[u8; 32], message: &[u8; 32]) -> Sca
     Scalar::from_be_bytes(tagged_hash("BIP0340/challenge", &data))
 }
 
-/// Signs `message` under `secret` with BIP-340, using `aux` as auxiliary
-/// randomness (deterministic for fixed inputs).
-///
-/// # Panics
-///
-/// Panics if `secret` is zero.
-pub fn sign(secret: Scalar, message: &[u8; 32], aux: &[u8; 32]) -> SchnorrSignature {
-    assert!(!secret.is_zero(), "schnorr secret must be non-zero");
-    let pubkey = AffinePoint::generator().mul(secret);
-    let (pubkey_even, flipped) = pubkey.normalize_even_y();
-    let d = if flipped { -secret } else { secret };
-    let pubkey_x = pubkey_even.to_x_only();
-
-    // Nonce derivation per the BIP.
-    let aux_hash = tagged_hash("BIP0340/aux", aux);
-    let mut masked = d.to_be_bytes();
-    for (m, a) in masked.iter_mut().zip(aux_hash.iter()) {
-        *m ^= a;
-    }
-    let mut nonce_input = Vec::with_capacity(96);
-    nonce_input.extend_from_slice(&masked);
-    nonce_input.extend_from_slice(&pubkey_x);
-    nonce_input.extend_from_slice(message);
-    let mut k = Scalar::from_be_bytes(tagged_hash("BIP0340/nonce", &nonce_input));
-    // k = 0 has probability ~2^-256; perturb deterministically if it occurs.
-    if k.is_zero() {
-        k = Scalar::ONE;
-    }
-    let r_point = AffinePoint::generator().mul(k);
-    let (r_even, r_flipped) = r_point.normalize_even_y();
-    let k = if r_flipped { -k } else { k };
-    let r_x = r_even.to_x_only();
-
-    let e = challenge(&r_x, &pubkey_x, message);
-    SchnorrSignature { r: r_x, s: k + e * d }
-}
-
 /// Verifies a BIP-340 signature against an x-only public key.
 pub fn verify(pubkey_x: &[u8; 32], message: &[u8; 32], signature: &SchnorrSignature) -> bool {
     let Some(pubkey) = AffinePoint::from_x_only(pubkey_x) else {
@@ -101,38 +64,43 @@ pub fn verify(pubkey_x: &[u8; 32], message: &[u8; 32], signature: &SchnorrSignat
     }
 }
 
-/// Derives the x-only public key for a secret, per BIP-340's even-y
-/// convention.
-///
-/// # Panics
-///
-/// Panics if `secret` is zero.
-pub fn x_only_public_key(secret: Scalar) -> [u8; 32] {
-    assert!(!secret.is_zero(), "schnorr secret must be non-zero");
-    AffinePoint::generator().mul(secret).normalize_even_y().0.to_x_only()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::{DerivationPath, ThresholdKey};
+    use icbtc_sim::SimRng;
+
+    /// The x-only key of a 2-of-3 key and its signature over `message`,
+    /// from a signing session.
+    fn threshold_signature(seed: u64, message: [u8; 32]) -> ([u8; 32], SchnorrSignature) {
+        let mut rng = SimRng::seed_from(seed);
+        let key = ThresholdKey::generate(3, 2, &mut rng);
+        let session = key.open_schnorr(&DerivationPath::root(), message, &mut rng);
+        let partials = [session.partial_signature(2), session.partial_signature(3)];
+        (session.public_key_x(), session.combine(&partials).unwrap())
+    }
+
+    fn from_hex<const N: usize>(hex: &str) -> [u8; N] {
+        let mut out = [0u8; N];
+        for (i, byte) in out.iter_mut().enumerate() {
+            *byte = u8::from_str_radix(&hex[2 * i..2 * i + 2], 16).unwrap();
+        }
+        out
+    }
 
     #[test]
-    fn sign_verify_roundtrip() {
-        let secret = Scalar::from_u64(0xdeadbeef);
-        let pk = x_only_public_key(secret);
-        for msg in [[0u8; 32], [1u8; 32], [0x7f; 32]] {
-            let sig = sign(secret, &msg, &[0u8; 32]);
+    fn threshold_signatures_verify() {
+        for (seed, msg) in [(1, [0u8; 32]), (2, [1u8; 32]), (3, [0x7f; 32])] {
+            let (pk, sig) = threshold_signature(seed, msg);
             assert!(verify(&pk, &msg, &sig));
         }
     }
 
     #[test]
     fn verify_rejects_wrong_message_and_key() {
-        let secret = Scalar::from_u64(31337);
-        let pk = x_only_public_key(secret);
-        let other_pk = x_only_public_key(Scalar::from_u64(31338));
         let msg = [5u8; 32];
-        let sig = sign(secret, &msg, &[0u8; 32]);
+        let (pk, sig) = threshold_signature(31337, msg);
+        let (other_pk, _) = threshold_signature(31338, msg);
         assert!(!verify(&pk, &[6u8; 32], &sig));
         assert!(!verify(&other_pk, &msg, &sig));
         let mut tampered = sig;
@@ -141,29 +109,13 @@ mod tests {
         let mut bad_r = sig;
         bad_r.r[0] ^= 1;
         assert!(!verify(&pk, &msg, &bad_r));
-    }
-
-    #[test]
-    fn deterministic_for_fixed_aux() {
-        let secret = Scalar::from_u64(7);
-        let msg = [9u8; 32];
-        assert_eq!(sign(secret, &msg, &[1u8; 32]), sign(secret, &msg, &[1u8; 32]));
-        assert_ne!(sign(secret, &msg, &[1u8; 32]), sign(secret, &msg, &[2u8; 32]));
-    }
-
-    #[test]
-    fn different_aux_signatures_both_verify() {
-        let secret = Scalar::from_u64(424242);
-        let pk = x_only_public_key(secret);
-        let msg = [3u8; 32];
-        for aux in [[0u8; 32], [0xff; 32]] {
-            assert!(verify(&pk, &msg, &sign(secret, &msg, &aux)));
-        }
+        // An x with no curve point is not a key.
+        assert!(!verify(&[0xff; 32], &msg, &sig));
     }
 
     #[test]
     fn wire_roundtrip() {
-        let sig = sign(Scalar::from_u64(11), &[2u8; 32], &[0u8; 32]);
+        let (_, sig) = threshold_signature(11, [2u8; 32]);
         let bytes = sig.to_bytes();
         assert_eq!(SchnorrSignature::from_bytes(&bytes), Some(sig));
         // s = 0 is rejected at parse time.
@@ -173,45 +125,17 @@ mod tests {
     }
 
     #[test]
-    fn odd_y_secret_still_verifies() {
-        // Scan a few secrets so both parities of P's y are exercised.
-        let mut saw_even = false;
-        let mut saw_odd = false;
-        for v in 1u64..30 {
-            let secret = Scalar::from_u64(v);
-            let point = AffinePoint::generator().mul(secret);
-            if point.y().is_even() {
-                saw_even = true;
-            } else {
-                saw_odd = true;
-            }
-            let pk = x_only_public_key(secret);
-            let msg = [v as u8; 32];
-            assert!(verify(&pk, &msg, &sign(secret, &msg, &[0u8; 32])), "secret {v}");
-        }
-        assert!(saw_even && saw_odd, "test must cover both parities");
-    }
-
-    #[test]
     fn bip340_vector_0() {
-        // BIP-340 official test vector #0: secret key 3.
-        let secret = Scalar::from_u64(3);
-        let pk = x_only_public_key(secret);
-        let pk_hex: String = pk.iter().map(|b| format!("{b:02X}")).collect();
-        assert_eq!(
-            pk_hex,
-            "F9308A019258C31049344F85F89D5229B531C845836F99B08601F113BCE036F9"
-        );
-        let msg = [0u8; 32];
-        let aux = [0u8; 32];
-        let sig = sign(secret, &msg, &aux);
-        let sig_hex: String = sig.to_bytes().iter().map(|b| format!("{b:02X}")).collect();
-        assert_eq!(
-            sig_hex,
+        // BIP-340 official test vector #0 (secret key 3, aux 0, message 0).
+        let pk = from_hex("F9308A019258C31049344F85F89D5229B531C845836F99B08601F113BCE036F9");
+        let sig = SchnorrSignature::from_bytes(&from_hex(
             "E907831F80848D1069A5371B402410364BDF1C5F8307B0084C55F1CE2DCA8215\
-             25F66A4A85EA8B71E482A74F382D2CE5EBEEE8FDB2172F477DF4900D310536C0"
-        );
+             25F66A4A85EA8B71E482A74F382D2CE5EBEEE8FDB2172F477DF4900D310536C0",
+        ))
+        .unwrap();
+        let msg = [0u8; 32];
         assert!(verify(&pk, &msg, &sig));
+        assert!(!verify(&pk, &[1u8; 32], &sig));
     }
 
     mod properties {
@@ -219,15 +143,17 @@ mod tests {
         use icbtc_sim::testkit;
 
         #[test]
-        fn roundtrip_arbitrary() {
+        fn threshold_signatures_over_arbitrary_messages_and_paths() {
+            let mut key_rng = SimRng::seed_from(0x5B);
+            let key = ThresholdKey::generate(3, 2, &mut key_rng);
             testkit::check(0x5B_0001, testkit::DEFAULT_CASES, |rng| {
-                let seed = testkit::u64_in(rng, 1..u64::MAX);
                 let msg: [u8; 32] = testkit::byte_array(rng);
-                let aux: [u8; 32] = testkit::byte_array(rng);
-                let secret = Scalar::from_u64(seed);
-                let pk = x_only_public_key(secret);
-                let sig = sign(secret, &msg, &aux);
-                assert!(verify(&pk, &msg, &sig));
+                let path = DerivationPath::new([testkit::byte_array::<8>(rng).to_vec()]);
+                let session = key.open_schnorr(&path, msg, rng);
+                let partials = [session.partial_signature(1), session.partial_signature(3)];
+                let sig = session.combine(&partials).unwrap();
+                assert!(verify(&session.public_key_x(), &msg, &sig));
+                assert_eq!(SchnorrSignature::from_bytes(&sig.to_bytes()), Some(sig));
             });
         }
     }

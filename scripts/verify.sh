@@ -78,7 +78,7 @@ echo "==> icbtc-lint (determinism / replicated-state static analysis, double run
 # must emit byte-identical JSON (timings are only rendered under
 # --timings, which is deliberately off here).
 same_twice lint cargo run -q --release --offline -p icbtc-lint --bin icbtc-lint -- --root . --json
-if ! grep -q '"violation_count":0' "$OBS_TMP/lint.1.out"; then
+if ! grep -q '"violation_count": 0' "$OBS_TMP/lint.1.out"; then
     echo "ERROR: icbtc-lint found violations:" >&2
     cargo run -q --release --offline -p icbtc-lint --bin icbtc-lint -- --root . >&2 || true
     exit 1
@@ -94,6 +94,10 @@ if cargo clippy --version >/dev/null 2>&1; then
 else
     echo "WARNING: clippy not installed in this toolchain; skipping clippy gate" >&2
 fi
+
+echo "==> RUSTDOCFLAGS=\"-D warnings\" cargo doc --offline --workspace --no-deps"
+# A public doc that links a deleted or private item fails here.
+RUSTDOCFLAGS="-D warnings" cargo doc -q --offline --workspace --no-deps
 
 echo "==> examples determinism gate (each example's stdout is byte-identical across two runs)"
 # The debug example binaries are already built by the workspace test
@@ -162,4 +166,4 @@ if cargo tree --offline --prefix none | grep -v '^icbtc' | grep -q '[^[:space:]]
     exit 1
 fi
 
-echo "OK: hermetic build + tests + perfbench tests + lint + observability + chaos + query-plane + profiler + storage + recovery gates passed"
+echo "OK: hermetic build + tests + perfbench tests + lint + rustdoc + observability + chaos + query-plane + profiler + storage + recovery gates passed"
