@@ -20,8 +20,7 @@ use icbtc_core::{
 use icbtc_sim::obs::{FieldValue, Obs};
 use icbtc_sim::{SimDuration, SimRng, SimTime};
 
-use crate::discovery::ConnectionManager;
-use crate::peers::{Offence, PeerScorer, BAN_SCORE};
+use crate::discovery::{ConnectionManager, Offence};
 use crate::txcache::TransactionCache;
 
 /// The Bitcoin adapter of one IC replica.
@@ -65,10 +64,6 @@ pub struct BitcoinAdapter {
     /// Peers' inventory announcements we have already chased. Ordered and
     /// pruned (see [`SEEN_INV_HORIZON`]) so it stays bounded over soaks.
     seen_inv: BTreeSet<BlockHash>,
-    /// Per-node misbehaviour scores (ban at [`BAN_SCORE`]).
-    scorer: PeerScorer,
-    /// Last time each live connection delivered any message.
-    last_heard: BTreeMap<ConnId, SimTime>,
     /// Header-sync stall tracking: the last time the tip advanced.
     last_tip_height: u64,
     last_tip_advance: SimTime,
@@ -97,12 +92,6 @@ const MAX_BACKOFF_EXPONENT: u32 = 4;
 
 /// Minimum spacing between header-sync rounds.
 const GETHEADERS_INTERVAL: SimDuration = SimDuration::from_secs(5);
-
-/// A connection silent this long — while at least one *other* connection
-/// keeps talking — is treated as stalled, scored, and rotated out. The
-/// "other connection" condition keeps a global outage (we are
-/// partitioned, every peer is silent) from banning the whole pool.
-const PEER_SILENCE_TIMEOUT: SimDuration = SimDuration::from_secs(90);
 
 /// If the best header height does not advance for this long despite live
 /// connections, the adapter forces a fresh discovery round.
@@ -154,8 +143,6 @@ impl BitcoinAdapter {
             inflight_blocks: BTreeMap::new(),
             last_getheaders: SimTime::ZERO,
             seen_inv: BTreeSet::new(),
-            scorer: PeerScorer::new(),
-            last_heard: BTreeMap::new(),
             last_tip_height: 0,
             last_tip_advance: SimTime::ZERO,
             obs: Obs::new("adapter"),
@@ -177,7 +164,7 @@ impl BitcoinAdapter {
         &self.params
     }
 
-    /// The connection manager (discovery state).
+    /// The connection manager (discovery state and peer table).
     pub fn connection_manager(&self) -> &ConnectionManager {
         &self.manager
     }
@@ -213,18 +200,12 @@ impl BitcoinAdapter {
         self.seen_inv.len()
     }
 
-    /// Read access to the per-peer misbehaviour scores.
-    pub fn peer_scorer(&self) -> &PeerScorer {
-        &self.scorer
-    }
-
     /// One upkeep pass: maintain connections, run header sync, chase
     /// inventory, expire the transaction cache, drain and dispatch all
     /// inbound messages.
     pub fn step(&mut self, net: &mut BtcNetwork) {
         let now = net.now();
         self.manager.maintain(net, &mut self.rng);
-        self.sync_peer_table(now);
         self.txcache.expire(now);
         self.detect_stalls(net);
 
@@ -286,7 +267,7 @@ impl BitcoinAdapter {
         for conn in conns {
             let inbox = net.drain_external(conn);
             for msg in inbox {
-                self.last_heard.insert(conn, net.now());
+                self.manager.mark_heard(conn, net.now());
                 self.handle_network_message(net, conn, msg);
             }
         }
@@ -305,22 +286,10 @@ impl BitcoinAdapter {
         m.set_gauge("adapter_banned_peers", self.manager.banned_len() as i64);
     }
 
-    /// Reconciles the per-connection bookkeeping with the live
-    /// connection set: dead connections are forgotten, new ones start
-    /// their silence clock now.
-    fn sync_peer_table(&mut self, now: SimTime) {
-        let live: BTreeSet<ConnId> = self.manager.connection_ids().into_iter().collect();
-        self.last_heard.retain(|c, _| live.contains(c));
-        for conn in live {
-            self.last_heard.entry(conn).or_insert(now);
-        }
-    }
-
     /// Stall detection, two layers:
     ///
-    /// 1. *Per-connection silence*: a connection that delivered nothing
-    ///    for [`PEER_SILENCE_TIMEOUT`] while some other connection kept
-    ///    talking is scored and rotated out (reconnect-elsewhere).
+    /// 1. *Per-connection silence*: each connection the manager reports
+    ///    silent is scored and rotated out (reconnect-elsewhere).
     /// 2. *Global header stall*: if the tip has not advanced for
     ///    [`HEADER_STALL_TIMEOUT`] despite live connections, the whole
     ///    pool is suspect — force a fresh discovery round.
@@ -332,27 +301,16 @@ impl BitcoinAdapter {
             self.last_tip_advance = now;
         }
 
-        let conns: Vec<(ConnId, icbtc_btcnet::NodeId)> = self.manager.connections().to_vec();
-        if conns.len() > 1 {
-            let any_live = self
-                .last_heard
-                .values()
-                .any(|t| now.saturating_since(*t) < PEER_SILENCE_TIMEOUT);
-            if any_live {
-                for (conn, _) in conns {
-                    let Some(heard) = self.last_heard.get(&conn).copied() else { continue };
-                    if now.saturating_since(heard) < PEER_SILENCE_TIMEOUT {
-                        continue;
-                    }
-                    self.obs.metrics.inc("adapter_peer_stalls_total");
-                    let banned = self.punish(net, conn, Offence::Stall);
-                    if !banned {
-                        // Not bad enough to ban (yet): rotate to a
-                        // different peer and keep the score on file.
-                        self.manager.drop_connection(net, conn);
-                    }
-                    self.last_heard.remove(&conn);
-                }
+        for conn in self.manager.silent_connections(now) {
+            // A ban earlier in this pass may have severed it already.
+            if self.manager.node_for(conn).is_none() {
+                continue;
+            }
+            self.obs.metrics.inc("adapter_peer_stalls_total");
+            if !self.punish(net, conn, Offence::Stall) {
+                // Not bad enough to ban (yet): rotate to a different
+                // peer and keep the score on file.
+                self.manager.drop_connection(net, conn);
             }
         }
 
@@ -371,43 +329,32 @@ impl BitcoinAdapter {
             }
             // Rotate one connection so a fully-wedged pool makes room
             // for the peers discovery turns up.
-            if let Some(&(victim, _)) = self.manager.connections().first() {
+            if let Some(victim) = self.manager.connections().first().map(|c| c.id) {
                 self.manager.drop_connection(net, victim);
-                self.last_heard.remove(&victim);
             }
             self.last_tip_advance = now; // re-arm
         }
     }
 
-    /// Records an offence against the node behind `conn`; bans the node
-    /// (severing its connections, purging its address, reconnecting
-    /// elsewhere on the next maintain pass) once it reaches
-    /// [`BAN_SCORE`]. Returns `true` if the ban landed.
+    /// Counts an offence and records it against the node behind `conn`
+    /// (see [`ConnectionManager::record_offence`]). Returns `true` if the
+    /// ban landed.
     fn punish(&mut self, net: &mut BtcNetwork, conn: ConnId, offence: Offence) -> bool {
         self.obs
             .metrics
             .inc_with("adapter_peer_offences_total", &[("kind", offence.kind())]);
-        let Some(node) = self.manager.node_for(conn) else {
-            // The connection is already gone; nothing to attribute.
+        let Some((node, score)) = self.manager.record_offence(net, conn, offence) else {
             return false;
         };
-        let score = self.scorer.record(node, offence);
-        if score < BAN_SCORE {
-            return false;
-        }
-        let now = net.now();
         self.obs.metrics.inc("adapter_peer_bans_total");
         self.obs.trace.event(
             "adapter.peer_banned",
-            now,
+            net.now(),
             &[
                 ("node", FieldValue::U64(node.0 as u64)),
                 ("score", FieldValue::U64(score as u64)),
             ],
         );
-        self.scorer.forget(node);
-        self.last_heard.remove(&conn);
-        self.manager.ban(net, node, now);
         true
     }
 

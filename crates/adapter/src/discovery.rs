@@ -1,10 +1,24 @@
-//! Bitcoin-node discovery and connection management (§III-B).
+//! Bitcoin-node discovery, connection management and peer reputation
+//! (§III-B).
 //!
 //! The adapter keeps ℓ connections to uniformly random Bitcoin nodes,
 //! discovered by recursively requesting addresses until the pool holds
 //! `t_u` entries; whenever the pool drops below `t_l`, discovery resumes.
 //! On mainnet `(t_l, t_u, ℓ) = (500, 2000, 5)`. Random selection over a
 //! large pool is what Lemma IV.1's eclipse-resistance argument rests on.
+//!
+//! Like the production bitcoin-adapter, the manager also scores peers.
+//! Every hard protocol violation — invalid headers, invalid or truncated
+//! blocks, oversized messages, stalled connections — adds a weighted
+//! [`Offence`] to that *node's* score, so reconnecting does not launder a
+//! bad reputation. Reaching [`BAN_SCORE`] bans the node for
+//! [`BAN_DURATION`]: its connections are severed, its address is purged
+//! from the pool, and the next maintain pass reconnects elsewhere.
+//!
+//! Benign conditions are deliberately *not* scored: orphan headers
+//! (out-of-order delivery), `notfound` replies (inventory races), and
+//! slow block fetches (the backoff path handles those) are everyday
+//! behaviour of honest peers on a degraded network.
 
 use std::collections::BTreeMap;
 
@@ -17,7 +31,78 @@ use icbtc_sim::{SimDuration, SimRng, SimTime};
 /// a peer misclassified during an outage eventually serves again.
 pub const BAN_DURATION: SimDuration = SimDuration::from_secs(3600);
 
-/// The discovery state machine and connection pool of one adapter.
+/// Score at which a node is banned.
+pub const BAN_SCORE: u32 = 100;
+
+/// A connection silent this long — while at least one *other* connection
+/// keeps talking — is stalled. The "other connection" condition keeps a
+/// global outage (we are partitioned, every peer is silent) from banning
+/// the whole pool.
+const PEER_SILENCE_TIMEOUT: SimDuration = SimDuration::from_secs(90);
+
+/// A hard protocol violation attributable to a peer.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Offence {
+    /// A header that fails stateless/contextual validation for a reason
+    /// other than a missing parent (bad PoW, wrong bits, bad timestamp).
+    InvalidHeader,
+    /// A block whose header or body is invalid (bad PoW, malformed).
+    InvalidBlock,
+    /// A message exceeding the protocol's size caps.
+    Oversized,
+    /// A connection that went silent while other peers kept talking.
+    Stall,
+}
+
+impl Offence {
+    /// The score this offence adds.
+    pub fn weight(self) -> u32 {
+        match self {
+            Offence::InvalidHeader => 20,
+            Offence::InvalidBlock => 34,
+            Offence::Oversized => 50,
+            Offence::Stall => 34,
+        }
+    }
+
+    /// Static label for metrics.
+    pub fn kind(self) -> &'static str {
+        match self {
+            Offence::InvalidHeader => "invalid-header",
+            Offence::InvalidBlock => "invalid-block",
+            Offence::Oversized => "oversized",
+            Offence::Stall => "stall",
+        }
+    }
+
+    /// All offence variants (for tests and docs).
+    pub fn all() -> &'static [Offence] {
+        &[Offence::InvalidHeader, Offence::InvalidBlock, Offence::Oversized, Offence::Stall]
+    }
+
+    /// Upper bound on how many offences of the *lightest* kind a node
+    /// can commit before the ban lands — the "bounded number of
+    /// offences" guarantee.
+    pub fn max_to_ban() -> u32 {
+        let min_weight = Offence::all().iter().map(|o| o.weight()).min().unwrap_or(1).max(1);
+        BAN_SCORE.div_ceil(min_weight)
+    }
+}
+
+/// One live connection.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Connection {
+    /// The network's id for the link.
+    pub id: ConnId,
+    /// The node at the other end.
+    pub node: NodeId,
+    /// When the link last delivered a message (or opened, if it has not
+    /// delivered one yet).
+    pub last_heard: SimTime,
+}
+
+/// The discovery state machine, connection pool and peer reputation of
+/// one adapter.
 ///
 /// # Examples
 ///
@@ -39,8 +124,11 @@ pub const BAN_DURATION: SimDuration = SimDuration::from_secs(3600);
 pub struct ConnectionManager {
     params: IntegrationParams,
     addresses: Vec<NodeId>,
-    connections: Vec<(ConnId, NodeId)>,
+    connections: Vec<Connection>,
     discovering: bool,
+    /// Misbehaviour score per node, kept across reconnects and cleared by
+    /// a ban.
+    scores: BTreeMap<NodeId, u32>,
     /// Banned nodes and when each ban expires. Ordered for deterministic
     /// iteration.
     banned: BTreeMap<NodeId, SimTime>,
@@ -54,6 +142,7 @@ impl ConnectionManager {
             addresses: Vec::new(),
             connections: Vec::new(),
             discovering: true,
+            scores: BTreeMap::new(),
             banned: BTreeMap::new(),
         }
     }
@@ -63,14 +152,14 @@ impl ConnectionManager {
         &self.addresses
     }
 
-    /// The live connections.
-    pub fn connections(&self) -> &[(ConnId, NodeId)] {
+    /// The live connections, oldest first.
+    pub fn connections(&self) -> &[Connection] {
         &self.connections
     }
 
     /// The connection ids only.
     pub fn connection_ids(&self) -> Vec<ConnId> {
-        self.connections.iter().map(|(c, _)| *c).collect()
+        self.connections.iter().map(|c| c.id).collect()
     }
 
     /// Whether the manager is still collecting addresses.
@@ -80,7 +169,7 @@ impl ConnectionManager {
 
     /// The node behind a live connection, if the connection is ours.
     pub fn node_for(&self, conn: ConnId) -> Option<NodeId> {
-        self.connections.iter().find(|(c, _)| *c == conn).map(|(_, n)| *n)
+        self.connections.iter().find(|c| c.id == conn).map(|c| c.node)
     }
 
     /// Forces a fresh discovery round: the next maintain passes request
@@ -88,6 +177,57 @@ impl ConnectionManager {
     /// adapter when header sync wedges.
     pub fn force_discovery(&mut self) {
         self.discovering = true;
+    }
+
+    /// Restarts the silence clock of `conn`, which delivered a message at
+    /// `now`. A connection that is no longer live is ignored.
+    pub(crate) fn mark_heard(&mut self, conn: ConnId, now: SimTime) {
+        if let Some(c) = self.connections.iter_mut().find(|c| c.id == conn) {
+            c.last_heard = now;
+        }
+    }
+
+    /// The live connections silent for at least [`PEER_SILENCE_TIMEOUT`]
+    /// at `now`, oldest first. While none of them was heard within the
+    /// timeout, the adapter is cut off rather than stalled by its peers,
+    /// and none is reported; so a lone connection never is.
+    pub(crate) fn silent_connections(&self, now: SimTime) -> Vec<ConnId> {
+        let silent = |c: &Connection| now.saturating_since(c.last_heard) >= PEER_SILENCE_TIMEOUT;
+        if self.connections.iter().all(silent) {
+            return Vec::new();
+        }
+        self.connections.iter().filter(|c| silent(c)).map(|c| c.id).collect()
+    }
+
+    /// The node's misbehaviour score (zero if clean).
+    pub fn score(&self, node: NodeId) -> u32 {
+        self.scores.get(&node).copied().unwrap_or(0)
+    }
+
+    /// Number of nodes with a nonzero score.
+    pub fn scored_len(&self) -> usize {
+        self.scores.len()
+    }
+
+    /// Adds `offence` to the score of the node behind `conn` and bans the
+    /// node once the score reaches [`BAN_SCORE`]. Returns the node and
+    /// its final score if the ban landed. An offence on a connection that
+    /// is no longer live scores nothing.
+    pub(crate) fn record_offence(
+        &mut self,
+        net: &mut BtcNetwork,
+        conn: ConnId,
+        offence: Offence,
+    ) -> Option<(NodeId, u32)> {
+        let node = self.node_for(conn)?;
+        let score = self.scores.entry(node).or_insert(0);
+        *score = score.saturating_add(offence.weight());
+        let score = *score;
+        if score < BAN_SCORE {
+            return None;
+        }
+        self.ban(net, node);
+        Some((node, score))
     }
 
     /// Whether `node` is currently banned.
@@ -105,14 +245,16 @@ impl ConnectionManager {
         self.banned.len()
     }
 
-    /// Bans `node` for [`BAN_DURATION`]: severs its connections, purges
-    /// its address from the pool, and leaves the next maintain pass to
+    /// Bans `node` for [`BAN_DURATION`] from now: clears its score (after
+    /// expiry it starts clean), severs its connections, purges its
+    /// address from the pool, and leaves the next maintain pass to
     /// reconnect elsewhere.
-    pub fn ban(&mut self, net: &mut BtcNetwork, node: NodeId, now: SimTime) {
-        self.banned.insert(node, now + BAN_DURATION);
+    pub fn ban(&mut self, net: &mut BtcNetwork, node: NodeId) {
+        self.scores.remove(&node);
+        self.banned.insert(node, net.now() + BAN_DURATION);
         self.addresses.retain(|a| *a != node);
         let severed: Vec<ConnId> =
-            self.connections.iter().filter(|(_, n)| *n == node).map(|(c, _)| *c).collect();
+            self.connections.iter().filter(|c| c.node == node).map(|c| c.id).collect();
         for conn in severed {
             self.drop_connection(net, conn);
         }
@@ -156,7 +298,7 @@ impl ConnectionManager {
         self.banned.retain(|_, until| now < *until);
 
         // Drop connections the network closed underneath us.
-        self.connections.retain(|(conn, _)| net.external_is_open(*conn));
+        self.connections.retain(|c| net.external_is_open(c.id));
 
         if self.addresses.is_empty() {
             let seeds = net.dns_seed_sample(self.params.addr_high_watermark.max(8));
@@ -168,8 +310,8 @@ impl ConnectionManager {
             self.discovering = true;
         }
         if self.discovering {
-            for (conn, _) in &self.connections {
-                net.send_external(*conn, Message::GetAddr);
+            for c in &self.connections {
+                net.send_external(c.id, Message::GetAddr);
             }
             if self.addresses.len() >= self.params.addr_high_watermark {
                 self.discovering = false;
@@ -178,11 +320,13 @@ impl ConnectionManager {
 
         while self.connections.len() < self.params.connections && !self.addresses.is_empty() {
             let target = *rng.choose(&self.addresses);
-            if self.connections.iter().any(|(_, n)| *n == target) && self.addresses.len() > self.connections.len() {
+            if self.connections.iter().any(|c| c.node == target)
+                && self.addresses.len() > self.connections.len()
+            {
                 continue; // avoid duplicate targets while alternatives exist
             }
-            let conn = net.connect_external(target);
-            self.connections.push((conn, target));
+            let id = net.connect_external(target);
+            self.connections.push(Connection { id, node: target, last_heard: now });
         }
     }
 
@@ -190,7 +334,7 @@ impl ConnectionManager {
     /// [`ConnectionManager::maintain`] pass replaces it.
     pub fn drop_connection(&mut self, net: &mut BtcNetwork, conn: ConnId) {
         net.disconnect_external(conn);
-        self.connections.retain(|(c, _)| *c != conn);
+        self.connections.retain(|c| c.id != conn);
     }
 }
 
@@ -223,7 +367,7 @@ mod tests {
         manager.maintain(&mut net, &mut rng);
         assert_eq!(manager.connections().len(), 5);
         // Distinct targets when enough addresses exist.
-        let mut targets: Vec<NodeId> = manager.connections().iter().map(|(_, n)| *n).collect();
+        let mut targets: Vec<NodeId> = manager.connections().iter().map(|c| c.node).collect();
         targets.sort();
         targets.dedup();
         assert_eq!(targets.len(), 5);
@@ -233,7 +377,7 @@ mod tests {
     fn replaces_dropped_connections() {
         let (mut net, mut manager, mut rng) = setup(10, 3);
         manager.maintain(&mut net, &mut rng);
-        let victim = manager.connections()[0].0;
+        let victim = manager.connections()[0].id;
         manager.drop_connection(&mut net, victim);
         assert_eq!(manager.connections().len(), 2);
         manager.maintain(&mut net, &mut rng);
@@ -269,9 +413,9 @@ mod tests {
     fn bans_sever_purge_and_expire() {
         let (mut net, mut manager, mut rng) = setup(10, 3);
         manager.maintain(&mut net, &mut rng);
-        let (conn, node) = manager.connections()[0];
+        let Connection { id: conn, node, .. } = manager.connections()[0];
         let now = net.now();
-        manager.ban(&mut net, node, now);
+        manager.ban(&mut net, node);
         assert!(manager.is_banned(node));
         assert_eq!(manager.banned_len(), 1);
         assert_eq!(manager.banned_nodes(), vec![node]);
@@ -286,7 +430,7 @@ mod tests {
         net.run_until(now + SimDuration::from_secs(5));
         manager.maintain(&mut net, &mut rng);
         assert_eq!(manager.connections().len(), 3);
-        assert!(manager.connections().iter().all(|(_, n)| *n != node));
+        assert!(manager.connections().iter().all(|c| c.node != node));
         // Bans expire.
         net.run_until(now + BAN_DURATION + SimDuration::from_secs(1));
         manager.maintain(&mut net, &mut rng);
@@ -325,7 +469,7 @@ mod tests {
                 if let Some(node) = banned_now {
                     if manager.is_banned(node) {
                         assert!(!manager.addresses().contains(&node));
-                        assert!(manager.connections().iter().all(|(_, n)| *n != node));
+                        assert!(manager.connections().iter().all(|c| c.node != node));
                     }
                 }
                 // Churn: close a random subset of connections; once in a
@@ -341,9 +485,8 @@ mod tests {
                 }
                 if round % 7 == 3 && !manager.connections().is_empty() {
                     let pick = testkit::usize_in(rng, 0..manager.connections().len());
-                    let (_, node) = manager.connections()[pick];
-                    let now = net.now();
-                    manager.ban(&mut net, node, now);
+                    let node = manager.connections()[pick].node;
+                    manager.ban(&mut net, node);
                     banned_now = Some(node);
                 }
                 net.run_until(net.now() + SimDuration::from_secs(30));
@@ -357,6 +500,102 @@ mod tests {
             assert_eq!(manager.connections().len(), 3, "pool did not recover to ℓ");
             assert!(manager.addresses().len() <= cap);
         });
+    }
+
+    #[test]
+    fn score_survives_a_reconnect() {
+        // One node, one connection: a reconnect reaches the same node.
+        let (mut net, mut manager, mut rng) = setup(1, 1);
+        manager.maintain(&mut net, &mut rng);
+        let Connection { id: first, node, .. } = manager.connections()[0];
+        assert_eq!(manager.record_offence(&mut net, first, Offence::InvalidHeader), None);
+        manager.drop_connection(&mut net, first);
+        manager.maintain(&mut net, &mut rng);
+        let second = manager.connections()[0];
+        assert_ne!(second.id, first);
+        assert_eq!(second.node, node);
+        assert_eq!(manager.score(node), Offence::InvalidHeader.weight());
+        assert_eq!(manager.record_offence(&mut net, second.id, Offence::InvalidHeader), None);
+        assert_eq!(manager.score(node), 2 * Offence::InvalidHeader.weight());
+        assert_eq!(manager.score(NodeId(1)), 0);
+        assert_eq!(manager.scored_len(), 1);
+    }
+
+    #[test]
+    fn ban_clears_the_score_and_severs_every_connection_of_the_node() {
+        // With a single address both connections reach the same node.
+        let (mut net, mut manager, mut rng) = setup(1, 2);
+        manager.maintain(&mut net, &mut rng);
+        let conns = manager.connection_ids();
+        let node = manager.connections()[0].node;
+        assert_eq!(conns.len(), 2);
+        assert!(manager.connections().iter().all(|c| c.node == node));
+        assert_eq!(manager.record_offence(&mut net, conns[0], Offence::Oversized), None);
+        assert_eq!(
+            manager.record_offence(&mut net, conns[1], Offence::Oversized),
+            Some((node, 2 * Offence::Oversized.weight()))
+        );
+        assert!(manager.is_banned(node));
+        assert_eq!(manager.score(node), 0);
+        assert_eq!(manager.scored_len(), 0);
+        assert!(manager.connections().is_empty());
+        assert!(conns.iter().all(|c| !net.external_is_open(*c)));
+    }
+
+    #[test]
+    fn silence_counts_only_while_another_connection_was_heard() {
+        let (mut net, mut manager, mut rng) = setup(10, 3);
+        manager.maintain(&mut net, &mut rng);
+        let conns = manager.connection_ids();
+        let opened = net.now();
+        assert!(manager.connections().iter().all(|c| c.last_heard == opened));
+        let timeout = opened + PEER_SILENCE_TIMEOUT;
+        assert!(manager.silent_connections(timeout - SimDuration::from_secs(1)).is_empty());
+        // Every connection silent: an outage, not a stall.
+        assert!(manager.silent_connections(timeout).is_empty());
+        manager.mark_heard(conns[1], timeout);
+        assert_eq!(manager.silent_connections(timeout), vec![conns[0], conns[2]]);
+        // A lone connection is never reported, however silent.
+        manager.drop_connection(&mut net, conns[0]);
+        manager.drop_connection(&mut net, conns[1]);
+        assert!(manager.silent_connections(timeout).is_empty());
+    }
+
+    #[test]
+    fn offence_against_a_closed_connection_scores_nothing() {
+        let (mut net, mut manager, mut rng) = setup(10, 3);
+        manager.maintain(&mut net, &mut rng);
+        let Connection { id: conn, node, .. } = manager.connections()[0];
+        manager.drop_connection(&mut net, conn);
+        assert_eq!(manager.record_offence(&mut net, conn, Offence::Oversized), None);
+        assert_eq!(manager.score(node), 0);
+        assert_eq!(manager.scored_len(), 0);
+    }
+
+    #[test]
+    fn every_offence_bans_within_the_bound() {
+        for &offence in Offence::all() {
+            let (mut net, mut manager, mut rng) = setup(1, 1);
+            manager.maintain(&mut net, &mut rng);
+            let conn = manager.connections()[0].id;
+            let mut offences = 1;
+            while manager.record_offence(&mut net, conn, offence).is_none() {
+                offences += 1;
+                assert!(
+                    offences <= Offence::max_to_ban(),
+                    "{} never reaches the ban score",
+                    offence.kind()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn weights_and_kinds_are_positive_and_distinct() {
+        let kinds: std::collections::BTreeSet<&str> =
+            Offence::all().iter().map(|o| o.kind()).collect();
+        assert_eq!(kinds.len(), Offence::all().len());
+        assert!(Offence::all().iter().all(|o| o.weight() > 0));
     }
 
     #[test]

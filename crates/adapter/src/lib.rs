@@ -9,9 +9,9 @@
 //! δ-stability logic.
 //!
 //! * [`discovery`] — DNS-seeded address collection with the `t_l`/`t_u`
-//!   watermarks, ℓ uniformly random connections (Lemma IV.1), and
-//!   time-limited peer bans.
-//! * [`peers`] — per-node misbehaviour scoring feeding the ban logic.
+//!   watermarks, ℓ uniformly random connections (Lemma IV.1), and the
+//!   peer table: each connection's silence clock, each node's
+//!   misbehaviour score and time-limited ban.
 //! * [`txcache`] — the 10-minute outbound transaction cache.
 //! * [`BitcoinAdapter`] — header sync, block fetching with per-peer
 //!   backoff and rotation, stall detection, and **Algorithm 1**
@@ -22,10 +22,8 @@
 
 pub mod adapter;
 pub mod discovery;
-pub mod peers;
 pub mod txcache;
 
 pub use adapter::BitcoinAdapter;
-pub use discovery::{eclipse_probability, ConnectionManager, BAN_DURATION};
-pub use peers::{Offence, PeerScorer, BAN_SCORE};
+pub use discovery::{eclipse_probability, ConnectionManager, Offence, BAN_DURATION, BAN_SCORE};
 pub use txcache::TransactionCache;

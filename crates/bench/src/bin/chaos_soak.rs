@@ -18,8 +18,9 @@
 //! tables by default, `snapshot_json()` with `--json`) and, with
 //! `--trace-out`, writes both layers' JSONL traces to a file. Everything
 //! emitted is a pure function of `(seed, plan)`: `scripts/verify.sh`
-//! runs this binary twice with the same arguments and `diff`s the
-//! outputs as the chaos determinism gate.
+//! runs this binary twice with the same arguments, `diff`s the
+//! outputs, and requires the `--seed 42 --plan mixed --json` stdout to
+//! equal the committed `BENCH_chaos_gate.json`.
 
 use icbtc::adapter::BitcoinAdapter;
 use icbtc::bitcoin::Network;

@@ -4,7 +4,7 @@
 //! Poisson block production, and the external connections through which
 //! Bitcoin adapters participate.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 
 use icbtc_bitcoin::pow::CompactTarget;
 use icbtc_bitcoin::{BlockHeader, Network, Script, Transaction};
@@ -81,7 +81,7 @@ pub struct BtcNetwork {
     config: NetworkConfig,
     nodes: Vec<FullNode>,
     events: EventQueue<NetEvent>,
-    external: HashMap<ConnId, ExternalConn>,
+    external: BTreeMap<ConnId, ExternalConn>,
     next_conn: u32,
     rng: SimRng,
     now: SimTime,
@@ -139,7 +139,7 @@ impl BtcNetwork {
             config,
             nodes,
             events: EventQueue::new(),
-            external: HashMap::new(),
+            external: BTreeMap::new(),
             next_conn: 0,
             rng,
             now: SimTime::ZERO,
@@ -532,11 +532,8 @@ impl BtcNetwork {
         if self.now > churn.until {
             return;
         }
-        // Sort the open connections: HashMap iteration order must never
-        // influence which connection the RNG closes.
         let mut open: Vec<ConnId> =
             self.external.iter().filter(|(_, c)| c.open).map(|(id, _)| *id).collect();
-        open.sort();
         for _ in 0..churn.closes_per_tick {
             if open.is_empty() {
                 break;

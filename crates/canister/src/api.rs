@@ -178,9 +178,7 @@ fn decode_page(bytes: &[u8]) -> Option<PageToken> {
 
 /// Charges the flat per-query base cost, attributed to its two profiler
 /// frames: call dispatch and response-envelope serialization. The two
-/// parts sum to [`metering::QUERY_BASE`] and are charged at the same
-/// site the flat constant used to be, so metered totals are unchanged on
-/// every path — frames only re-attribute.
+/// parts sum to [`metering::QUERY_BASE`].
 fn charge_query_base(meter: &mut Meter) {
     let dispatch = meter.frame("query_dispatch");
     meter.charge(metering::QUERY_DISPATCH);

@@ -437,12 +437,7 @@ impl BitcoinCanister {
     /// ([`metering::QUERY_CACHE_LOOKUP`]) plus a per-byte copy of the
     /// reply that was serialized once at insert
     /// ([`metering::QUERY_CACHE_COPY_PER_BYTE`]), instead of the full
-    /// state walk. The hit path used to re-serialize the cached reply on
-    /// every call for a flat [`metering::QUERY_CACHE_HIT`]; profiling
-    /// attributed most of that to serialization, so the serialized size
-    /// is now computed once at cache fill and hits pay only the copy
-    /// (see BENCH_qps.json's `hot_path` record for the before/after).
-    /// Safety against staleness is two-fold: every key embeds the tip
+    /// state walk. Safety against staleness is two-fold: every key embeds the tip
     /// hash the response was computed at, and
     /// [`BitcoinCanister::ingest_response`] wholesale-invalidates the
     /// cache, so a response from a superseded tip can never be served.

@@ -370,9 +370,8 @@ impl BitcoinCanisterState {
                     continue;
                 }
             };
-            // PARSE_TX = TX_HASHING + TX_DECODE, charged at the same site
-            // as the old flat per-transaction constant, split into the two
-            // frames so the profiler can attribute the parts.
+            // PARSE_TX = TX_HASHING + TX_DECODE, split into two frames so
+            // the profiler can attribute the parts.
             let tx_count = body.txids.len() as u64;
             let hashing = meter.frame("hashing");
             meter.charge(tx_count * metering::TX_HASHING);

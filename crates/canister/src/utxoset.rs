@@ -224,12 +224,10 @@ impl UtxoSet {
         height: u64,
         meter: &mut Meter,
     ) -> Result<(), StorageError> {
-        // All three cost parts are charged up front — before the fallible
-        // storage operations — exactly where the single flat charge used
-        // to be, so metered totals are unchanged on every path (including
-        // budget-exhaustion errors). The frames only re-attribute, and
-        // the `output_insertion` frame closes before any storage call can
-        // return early.
+        // All three cost parts are charged up front, before the fallible
+        // storage operations, so budget-exhaustion errors are charged in
+        // full too. The `output_insertion` frame closes before any
+        // storage call can return early.
         let script_cost = metering::INSERT_SCRIPT_PARSE
             + output.script_pubkey.len() as u64 * metering::INSERT_OUTPUT_PER_BYTE;
         let insertion = meter.frame("output_insertion");
@@ -270,9 +268,8 @@ impl UtxoSet {
     }
 
     fn remove(&mut self, outpoint: &OutPoint, meter: &mut Meter) {
-        // As in `insert`: the three parts are charged unconditionally up
-        // front (the old flat charge applied on all paths, misses
-        // included), so the split is charge-neutral everywhere.
+        // As in `insert`: the three parts are charged up front, on
+        // misses too.
         let removal = meter.frame("input_removal");
         let script_parse = meter.frame("script_parse");
         meter.charge(metering::REMOVE_SCRIPT_PARSE);

@@ -518,19 +518,7 @@ impl<S: StateMachine> Subnet<S> {
             self.obs.metrics.inc("ic_queries_executed_total");
             self.obs.metrics.add("ic_query_instructions_total", instructions);
             self.obs.metrics.observe("ic_query_instructions", instructions);
-            let exec_time = ingress::execution_time(instructions);
-            let transfer_time = ingress::transfer_time(S::output_bytes(&output));
-            let service = exec_time + transfer_time;
-            // Modeled query service time (nanoseconds), split into its
-            // execution and response-transfer parts.
-            let frame = self.obs.prof.enter("query_service");
-            let exec_frame = self.obs.prof.enter("execution");
-            self.obs.prof.add(exec_time.as_nanos());
-            self.obs.prof.exit(exec_frame);
-            let transfer_frame = self.obs.prof.enter("transfer");
-            self.obs.prof.add(transfer_time.as_nanos());
-            self.obs.prof.exit(transfer_frame);
-            self.obs.prof.exit(frame);
+            let service = self.profile_query_service(instructions, S::output_bytes(&output));
             let lane = (0..self.query_lanes.len())
                 .min_by_key(|&lane| self.query_lanes[lane])
                 .unwrap_or(0);
@@ -580,8 +568,15 @@ impl<S: StateMachine> Subnet<S> {
         let result = run(&mut self.state, &mut meter);
         let instructions = meter.take();
         let bytes = response_bytes(&result);
-        // Same service-time attribution as the batched query plane:
-        // modeled execution plus response transfer, in nanoseconds.
+        self.profile_query_service(instructions, bytes);
+        let latency = ingress::sample_query(&mut self.rng, instructions, bytes);
+        (result, instructions, latency)
+    }
+
+    /// Attributes one query's modeled service time (nanoseconds) to the
+    /// profiler, split into its execution and response-transfer parts,
+    /// and returns the total.
+    fn profile_query_service(&mut self, instructions: u64, bytes: usize) -> SimDuration {
         let exec_time = ingress::execution_time(instructions);
         let transfer_time = ingress::transfer_time(bytes);
         let frame = self.obs.prof.enter("query_service");
@@ -592,8 +587,7 @@ impl<S: StateMachine> Subnet<S> {
         self.obs.prof.add(transfer_time.as_nanos());
         self.obs.prof.exit(transfer_frame);
         self.obs.prof.exit(frame);
-        let latency = ingress::sample_query(&mut self.rng, instructions, bytes);
-        (result, instructions, latency)
+        exec_time + transfer_time
     }
 }
 

@@ -68,16 +68,12 @@ pub struct Obs {
 }
 
 impl Obs {
-    /// Creates an endpoint with the default trace capacity.
+    /// Creates an endpoint whose trace ring buffer holds
+    /// [`DEFAULT_TRACE_CAPACITY`] records.
     pub fn new(component: &'static str) -> Obs {
-        Obs::with_trace_capacity(component, DEFAULT_TRACE_CAPACITY)
-    }
-
-    /// Creates an endpoint whose trace ring buffer holds `capacity` records.
-    pub fn with_trace_capacity(component: &'static str, capacity: usize) -> Obs {
         Obs {
             metrics: MetricsRegistry::new(),
-            trace: Trace::new(component, capacity),
+            trace: Trace::new(component, DEFAULT_TRACE_CAPACITY),
             prof: Profiler::new(),
         }
     }

@@ -151,19 +151,12 @@ impl ThresholdKey {
     /// the master public key can compute this without contacting the
     /// subnet.
     pub fn derived_public_key(&self, path: &DerivationPath) -> PublicKey {
-        let tweak_point = AffinePoint::generator().mul(self.tweak(path));
-        PublicKey(self.public_key.0.add(&tweak_point))
+        self.tweaked_public_key(self.tweak(path))
     }
 
-    /// The derived secret (dealer-side; used to deal signing sessions).
-    fn derived_secret(&self, path: &DerivationPath) -> Scalar {
-        self.master_secret + self.tweak(path)
-    }
-
-    /// Replica `index`'s share of the derived key (additive tweaks shift
-    /// every share equally).
-    fn derived_share(&self, path: &DerivationPath, index: u32) -> Scalar {
-        self.shares[(index - 1) as usize].value + self.tweak(path)
+    /// The master public key shifted by `tweak`.
+    fn tweaked_public_key(&self, tweak: Scalar) -> PublicKey {
+        PublicKey(self.public_key.0.add(&AffinePoint::generator().mul(tweak)))
     }
 
     /// Opens an ECDSA signing session for `digest` under the key derived
@@ -175,7 +168,8 @@ impl ThresholdKey {
         digest: [u8; 32],
         rng: &mut SimRng,
     ) -> EcdsaSession {
-        let x = self.derived_secret(path);
+        let tweak = self.tweak(path);
+        let x = self.master_secret + tweak;
         loop {
             let k = Scalar::random(rng);
             let point = AffinePoint::generator().mul(k);
@@ -196,7 +190,7 @@ impl ThresholdKey {
                 r,
                 k_inv_shares,
                 k_inv_x_shares,
-                public_key: self.derived_public_key(path),
+                public_key: self.tweaked_public_key(tweak),
             };
         }
     }
@@ -209,8 +203,16 @@ impl ThresholdKey {
         message: [u8; 32],
         rng: &mut SimRng,
     ) -> SchnorrSession {
-        let secret = self.derived_secret(path);
+        let tweak = self.tweak(path);
+        let secret = self.master_secret + tweak;
         let (pub_even, key_flipped) = AffinePoint::generator().mul(secret).normalize_even_y();
+        // Additive tweaks shift every share equally; BIP-340 signs under
+        // the even-y key, so a flipped key negates every share.
+        let key_shares = self
+            .shares
+            .iter()
+            .map(|share| if key_flipped { -(share.value + tweak) } else { share.value + tweak })
+            .collect();
         let pubkey_x = pub_even.to_x_only();
         let k0 = Scalar::random(rng);
         let (r_even, nonce_flipped) = AffinePoint::generator().mul(k0).normalize_even_y();
@@ -224,10 +226,8 @@ impl ThresholdKey {
             pubkey_x,
             r_x,
             e,
-            key_flipped,
             nonce_shares,
-            key: self.clone(),
-            path: path.clone(),
+            key_shares,
         }
     }
 }
@@ -314,10 +314,9 @@ pub struct SchnorrSession {
     pubkey_x: [u8; 32],
     r_x: [u8; 32],
     e: Scalar,
-    key_flipped: bool,
     nonce_shares: Vec<Share>,
-    key: ThresholdKey,
-    path: DerivationPath,
+    /// Replica `i`'s share of the even-y-normalized derived key, at `i − 1`.
+    key_shares: Vec<Scalar>,
 }
 
 impl SchnorrSession {
@@ -328,9 +327,8 @@ impl SchnorrSession {
     ///
     /// Panics if `index` is out of range.
     pub fn partial_signature(&self, index: u32) -> PartialSignature {
-        let key_share = self.key.derived_share(&self.path, index);
-        let d_share = if self.key_flipped { -key_share } else { key_share };
-        let value = self.nonce_shares[(index - 1) as usize].value + self.e * d_share;
+        let i = (index - 1) as usize;
+        let value = self.nonce_shares[i].value + self.e * self.key_shares[i];
         PartialSignature { index, value }
     }
 
@@ -566,7 +564,8 @@ mod tests {
             let key = ThresholdKey::generate(4, 3, &mut rng);
             let message = [seed as u8; 32];
             let session = key.open_schnorr(&DerivationPath::root(), message, &mut rng);
-            if session.key_flipped {
+            // An odd-y key is the one BIP-340 signing negates.
+            if key.public_key().to_compressed()[0] == 0x03 {
                 saw_flip = true;
             } else {
                 saw_no_flip = true;

@@ -110,9 +110,10 @@ echo "==> observability determinism gate (same seed => byte-identical metrics + 
 same_twice obs_trace cargo run -q --release --offline -p icbtc-bench --bin obs_trace -- \
     --seed 42 --rounds 120 --json --trace-out "$OBS_TMP/trace@RUN.jsonl"
 
-echo "==> chaos determinism gate (same seed + plan => byte-identical soak)"
+echo "==> chaos gate (byte-identical soak, equal to BENCH_chaos_gate.json)"
 same_twice chaos_soak cargo run -q --release --offline -p icbtc-bench --bin chaos_soak -- \
     --seed 42 --plan mixed --json --trace-out "$OBS_TMP/chaos@RUN.jsonl"
+matches_gate "$OBS_TMP/chaos_soak.1.out" BENCH_chaos_gate.json
 
 echo "==> calibration determinism gate (fee constants and replicated-call latency path)"
 # The only binaries that read the cycles fee constants and the replicated

@@ -198,9 +198,10 @@ fn chaos_malformed_peers_are_banned_within_bounds() {
     // Bounded offences per ban: the score schedule caps how much a peer
     // can do before the ban lands.
     let offences = m.counter_total("adapter_peer_offences_total");
-    let bound = icbtc::adapter::PeerScorer::max_offences_to_ban() as u64;
+    let bound = icbtc::adapter::Offence::max_to_ban() as u64;
+    let scored = s.adapter.connection_manager().scored_len() as u64;
     assert!(
-        offences <= (bans + s.adapter.peer_scorer().tracked() as u64 + 4) * bound,
+        offences <= (bans + scored + 4) * bound,
         "offences ({offences}) exceed the per-ban bound ({bound}) times the peer count"
     );
 }
