@@ -297,8 +297,16 @@ impl ConnectionManager {
         let now = net.now();
         self.banned.retain(|_, until| now < *until);
 
-        // Drop connections the network closed underneath us.
-        self.connections.retain(|c| net.external_is_open(c.id));
+        // Drop connections the network closed underneath us, discarding
+        // what they delivered before the close so the network forgets
+        // them too.
+        self.connections.retain(|c| {
+            let open = net.external_is_open(c.id);
+            if !open {
+                net.drain_external(c.id);
+            }
+            open
+        });
 
         if self.addresses.is_empty() {
             let seeds = net.dns_seed_sample(self.params.addr_high_watermark.max(8));
@@ -334,6 +342,7 @@ impl ConnectionManager {
     /// [`ConnectionManager::maintain`] pass replaces it.
     pub fn drop_connection(&mut self, net: &mut BtcNetwork, conn: ConnId) {
         net.disconnect_external(conn);
+        net.drain_external(conn);
         self.connections.retain(|c| c.id != conn);
     }
 }

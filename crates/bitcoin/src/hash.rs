@@ -9,6 +9,23 @@
 
 use std::fmt;
 
+/// Writes the Merkle–Damgård padding after the `buffered` message bytes
+/// held in `buffer`: the `0x80` marker, zeros, and the message `length`
+/// in bits (already in the hash's byte order) in the last 8 bytes. When
+/// the marker leaves no room for the length, the filled block is
+/// returned to be compressed first and `buffer` becomes the final block.
+fn pad(buffer: &mut [u8; 64], buffered: usize, length: [u8; 8]) -> Option<[u8; 64]> {
+    buffer[buffered] = 0x80;
+    buffer[buffered + 1..].fill(0);
+    let mut full = None;
+    if buffered >= 56 {
+        full = Some(*buffer);
+        buffer.fill(0);
+    }
+    buffer[56..].copy_from_slice(&length);
+    full
+}
+
 // ---------------------------------------------------------------------------
 // SHA-256
 // ---------------------------------------------------------------------------
@@ -89,12 +106,9 @@ impl Sha256 {
     /// Finishes the computation and returns the 32-byte digest.
     pub fn finalize(mut self) -> [u8; 32] {
         let bit_len = self.length * 8;
-        self.update(&[0x80]);
-        while self.buffered != 56 {
-            self.update(&[0]);
+        if let Some(block) = pad(&mut self.buffer, self.buffered, bit_len.to_be_bytes()) {
+            self.compress(&block);
         }
-        // Length is mixed in manually to avoid affecting `self.length`.
-        self.buffer[56..64].copy_from_slice(&bit_len.to_be_bytes());
         let block = self.buffer;
         self.compress(&block);
         let mut out = [0u8; 32];
@@ -290,11 +304,9 @@ impl Ripemd160 {
     /// Finishes the computation and returns the 20-byte digest.
     pub fn finalize(mut self) -> [u8; 20] {
         let bit_len = self.length * 8;
-        self.update(&[0x80]);
-        while self.buffered != 56 {
-            self.update(&[0]);
+        if let Some(block) = pad(&mut self.buffer, self.buffered, bit_len.to_le_bytes()) {
+            self.compress(&block);
         }
-        self.buffer[56..64].copy_from_slice(&bit_len.to_le_bytes());
         let block = self.buffer;
         self.compress(&block);
         let mut out = [0u8; 20];
@@ -517,6 +529,57 @@ mod tests {
             hex(&sha256(&data)),
             "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
         );
+    }
+
+    /// The padding as it was first written, one `update` per byte; kept
+    /// as the reference for [`pad`].
+    fn sha256_bytewise_padding(data: &[u8]) -> [u8; 32] {
+        let mut h = Sha256::new();
+        h.update(data);
+        let bit_len = h.length * 8;
+        h.update(&[0x80]);
+        while h.buffered != 56 {
+            h.update(&[0]);
+        }
+        h.buffer[56..64].copy_from_slice(&bit_len.to_be_bytes());
+        let block = h.buffer;
+        h.compress(&block);
+        let mut out = [0u8; 32];
+        for (i, word) in h.state.iter().enumerate() {
+            out[4 * i..4 * i + 4].copy_from_slice(&word.to_be_bytes());
+        }
+        out
+    }
+
+    fn ripemd160_bytewise_padding(data: &[u8]) -> [u8; 20] {
+        let mut h = Ripemd160::new();
+        h.update(data);
+        let bit_len = h.length * 8;
+        h.update(&[0x80]);
+        while h.buffered != 56 {
+            h.update(&[0]);
+        }
+        h.buffer[56..64].copy_from_slice(&bit_len.to_le_bytes());
+        let block = h.buffer;
+        h.compress(&block);
+        let mut out = [0u8; 20];
+        for (i, word) in h.state.iter().enumerate() {
+            out[4 * i..4 * i + 4].copy_from_slice(&word.to_le_bytes());
+        }
+        out
+    }
+
+    #[test]
+    fn padding_matches_bytewise_padding_at_every_length() {
+        // 0..=130 covers the 55/56/63/64-byte boundaries of two blocks.
+        let data: Vec<u8> = (0..=130u32).map(|i| (i * 31 + 7) as u8).collect();
+        for len in 0..=130 {
+            let message = &data[..len];
+            assert_eq!(sha256(message), sha256_bytewise_padding(message), "sha256 len {len}");
+            let mut h = Ripemd160::new();
+            h.update(message);
+            assert_eq!(h.finalize(), ripemd160_bytewise_padding(message), "ripemd160 len {len}");
+        }
     }
 
     #[test]

@@ -242,15 +242,25 @@ impl BtcNetwork {
     }
 
     /// Closes an external connection; any in-flight messages are dropped
-    /// on arrival.
+    /// on arrival. Messages delivered before the close stay for
+    /// [`BtcNetwork::drain_external`]; the network forgets the
+    /// connection once it is closed and drained.
     pub fn disconnect_external(&mut self, conn: ConnId) {
-        if let Some(c) = self.external.get_mut(&conn) {
-            c.open = false;
-            let target = c.target;
-            self.nodes[target.0 as usize].remove_peer(PeerRef::External(conn));
-            self.obs.metrics.inc("btcnet_external_disconnects_total");
-            self.refresh_external_gauge();
+        let Some(c) = self.external.get_mut(&conn) else { return };
+        c.open = false;
+        let target = c.target;
+        if c.inbox.is_empty() {
+            self.external.remove(&conn);
         }
+        self.nodes[target.0 as usize].remove_peer(PeerRef::External(conn));
+        self.obs.metrics.inc("btcnet_external_disconnects_total");
+        self.refresh_external_gauge();
+    }
+
+    /// External connections the network still tracks: the open ones and
+    /// closed ones not yet drained.
+    pub fn external_tracked(&self) -> usize {
+        self.external.len()
     }
 
     /// Returns `true` if the connection is open.
@@ -273,9 +283,15 @@ impl BtcNetwork {
         self.schedule_delivery(PeerRef::External(conn), to, msg);
     }
 
-    /// Drains messages delivered to an external connection.
+    /// Drains messages delivered to an external connection, including
+    /// those delivered before it closed.
     pub fn drain_external(&mut self, conn: ConnId) -> Vec<Message> {
-        self.external.get_mut(&conn).map(|c| std::mem::take(&mut c.inbox)).unwrap_or_default()
+        let Some(c) = self.external.get_mut(&conn) else { return Vec::new() };
+        let inbox = std::mem::take(&mut c.inbox);
+        if !c.open {
+            self.external.remove(&conn);
+        }
+        inbox
     }
 
     /// Injects a transaction directly into a node's mempool (a local
@@ -868,6 +884,25 @@ mod tests {
         net.send_external(conn, Message::Ping(1));
         net.run_until(net.now() + SimDuration::from_secs(5));
         assert!(net.drain_external(conn).is_empty());
+        assert_eq!(net.external_tracked(), 0);
+    }
+
+    #[test]
+    fn closed_connections_are_forgotten_once_drained() {
+        let mut net = BtcNetwork::new(NetworkConfig::regtest(3), 11);
+        let conn = net.connect_external(NodeId(0));
+        net.send_external(conn, Message::Ping(7));
+        net.run_until(net.now() + SimDuration::from_secs(5));
+        net.disconnect_external(conn);
+        // A reply delivered before the close is still readable ...
+        assert_eq!(net.external_tracked(), 1);
+        assert!(!net.external_is_open(conn));
+        assert!(matches!(net.drain_external(conn)[..], [Message::Pong(7)]));
+        // ... and draining it drops the connection from the table.
+        assert_eq!(net.external_tracked(), 0);
+        assert!(net.drain_external(conn).is_empty());
+        assert_eq!(net.obs().metrics.counter("btcnet_external_disconnects_total"), 1);
+        assert_eq!(net.obs().metrics.gauge("btcnet_external_connections"), 0);
     }
 
     #[test]

@@ -578,9 +578,27 @@ impl BitcoinCanisterState {
     }
 
     /// Appends [`BitcoinCanisterState::serialize`]'s bytes to `out`,
-    /// streaming the UTXO snapshot straight into it.
+    /// streaming the UTXO snapshot straight into it. Room for the
+    /// sections of known length is reserved first, so the image is not
+    /// regrown while the UTXO section streams.
     pub(crate) fn serialize_into(&self, out: &mut Vec<u8>) {
+        out.reserve(self.sized_len());
         self.snapshot_into(UtxoSection::Snapshot, &mut |bytes| out.extend_from_slice(bytes));
+    }
+
+    /// Length of [`BitcoinCanisterState::serialize`]'s output less the
+    /// unstable block bodies and outbound transactions, which are sized
+    /// only by encoding them (their length prefixes are counted). Every
+    /// other section is fixed or known exactly: the UTXO section from
+    /// [`UtxoSet::snapshot_len`], each header at 80 bytes.
+    fn sized_len(&self) -> usize {
+        let params = 8 + 2 + 1 + 7 * 8;
+        let utxos = 8 + self.utxos.snapshot_len() as usize;
+        let headers = 8 + 8 + 80 * (self.stable_headers.len() + self.tree.len() - 1);
+        let bodies = 8 + 8 * self.blocks.len();
+        let outbound = 8 + 8 * self.outbound.len();
+        let fingerprint = if self.last_response_fingerprint.is_some() { 65 } else { 1 };
+        params + utxos + headers + bodies + outbound + 1 + 8 + fingerprint
     }
 
     /// SHA-256d over the snapshot's sections with the UTXO section
@@ -1171,6 +1189,17 @@ mod tests {
         assert_eq!(restored.is_synced(), state.is_synced());
         assert_eq!(restored.blocks_stabilized(), state.blocks_stabilized());
         assert_eq!(restored.last_response_fingerprint, state.last_response_fingerprint);
+    }
+
+    #[test]
+    fn sized_len_is_the_length_less_bodies_and_outbound() {
+        let state = populated_state();
+        let encoded: usize = state.blocks.values().map(|b| b.block.encoded_len()).sum::<usize>()
+            + state.outbound.iter().map(Transaction::encoded_len).sum::<usize>();
+        assert!(encoded > 0, "the state has bodies or outbound transactions");
+        assert_eq!(state.sized_len() + encoded, state.serialize().len());
+        let fresh = BitcoinCanisterState::new(params());
+        assert_eq!(fresh.sized_len(), fresh.serialize().len());
     }
 
     #[test]

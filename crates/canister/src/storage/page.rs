@@ -98,6 +98,14 @@ impl PagePool {
     pub(crate) fn page_mut(&mut self, id: u32) -> &mut [u8] {
         &mut self.pages[id as usize]
     }
+
+    /// Write access to page `a` and to page `b`, allocated after it: a
+    /// node split moves bytes from a node into the page it just
+    /// allocated. Same id invariant as [`PagePool::page`].
+    pub(crate) fn pages_mut(&mut self, a: u32, b: u32) -> (&mut [u8], &mut [u8]) {
+        let (low, high) = self.pages.split_at_mut(b as usize);
+        (&mut low[a as usize], &mut high[0])
+    }
 }
 
 impl fmt::Debug for PagePool {
@@ -124,8 +132,7 @@ mod tests {
 
     #[test]
     fn allocation_stops_at_the_budget() {
-        let mut pool =
-            PagePool::new(StorageConfig { page_size: 1024, byte_budget: 3 * 1024 });
+        let mut pool = PagePool::new(StorageConfig { page_size: 1024, byte_budget: 3 * 1024 });
         for expected in 0..3u32 {
             assert_eq!(pool.allocate(), Ok(expected));
         }
@@ -152,8 +159,7 @@ mod tests {
 
     #[test]
     fn pages_start_zeroed_and_are_independent() {
-        let mut pool =
-            PagePool::new(StorageConfig { page_size: 512, byte_budget: 1 << 20 });
+        let mut pool = PagePool::new(StorageConfig { page_size: 512, byte_budget: 1 << 20 });
         let a = pool.allocate().unwrap();
         let b = pool.allocate().unwrap();
         pool.page_mut(a)[0] = 0xAB;

@@ -420,7 +420,9 @@ impl UtxoSet {
     /// Rebuilds a set from [`UtxoSet::serialize`] bytes. Only the
     /// canonical encoding is accepted — both maps' entries well-formed
     /// and in strictly ascending key order — so a restored set always
-    /// re-serializes to the bytes it came from.
+    /// re-serializes to the bytes it came from. Each map is rebuilt in
+    /// one pass by appending its sorted entries, which lays out the same
+    /// pages as inserting them one by one.
     ///
     /// # Errors
     ///
@@ -446,6 +448,7 @@ impl UtxoSet {
         }
         set.next_height = next_height;
         for is_index in [false, true] {
+            let mut map = btree::Appender::new();
             let mut last: &[u8] = &[];
             for _ in 0..cursor.u64()? {
                 let klen = cursor.u16()? as usize;
@@ -462,10 +465,10 @@ impl UtxoSet {
                 if !well_formed || key <= last {
                     return Err(StorageError::Corrupt("malformed or out-of-order entry"));
                 }
-                let map = if is_index { &mut set.by_address } else { &mut set.by_outpoint };
-                map.insert(&mut set.pool, key, value)?;
+                map.append(&mut set.pool, key, value)?;
                 last = key;
             }
+            *if is_index { &mut set.by_address } else { &mut set.by_outpoint } = map.finish();
         }
         if cursor.pos != bytes.len() {
             return Err(StorageError::Corrupt("trailing bytes"));
@@ -898,24 +901,77 @@ mod tests {
     }
 
     #[test]
+    fn deserialize_builds_the_pages_reinsertion_does_or_fails_alike() {
+        let config = StorageConfig { page_size: 512, byte_budget: 1 << 20 };
+        let mut set = UtxoSet::with_config(Network::Regtest, config);
+        let mut meter = Meter::new();
+        for height in 0..40u64 {
+            let payees: Vec<(u8, u64)> =
+                (0..6).map(|i| ((height as u8 + i) % 9, 1_000 + height)).collect();
+            ingest(&mut set, &[pay_tx(None, &payees)], height, &mut meter);
+        }
+        let bytes = set.serialize();
+        let pages = UtxoSet::deserialize(&bytes).unwrap().storage_stats().pages_allocated;
+        let live = |pool: &PagePool| -> Vec<Vec<u8>> {
+            (0..pool.pages_allocated() as u32)
+                .map(|id| btree::live_bytes(pool.page(id)).to_vec())
+                .collect()
+        };
+        let (mut restored, mut failed) = (0, 0);
+        for budget_pages in [1, pages / 3, pages - 2, pages, pages + 5] {
+            // The snapshot with its declared budget cut, at offset 15.
+            let byte_budget = budget_pages * 512;
+            let mut snapshot = bytes.clone();
+            snapshot[15..23].copy_from_slice(&byte_budget.to_be_bytes());
+            // The same entries inserted one by one under that budget.
+            let mut pool = PagePool::new(StorageConfig { page_size: 512, byte_budget });
+            let mut maps = [PagedMap::new(), PagedMap::new()];
+            let reinserted = [set.by_outpoint, set.by_address].iter().zip(&mut maps).try_for_each(
+                |(source, map)| {
+                    source
+                        .iter(&set.pool)
+                        .try_for_each(|(k, v)| map.insert(&mut pool, k, v).map(|_| ()))
+                },
+            );
+            match UtxoSet::deserialize(&snapshot) {
+                Ok(copy) => {
+                    restored += 1;
+                    assert_eq!(reinserted, Ok(()), "{budget_pages} pages");
+                    assert_eq!(live(&copy.pool), live(&pool), "{budget_pages} pages");
+                    assert_eq!(copy.serialize(), snapshot);
+                }
+                Err(err) => {
+                    failed += 1;
+                    assert!(matches!(err, StorageError::BudgetExhausted { .. }), "{err:?}");
+                    assert_eq!(Err(err), reinserted, "{budget_pages} pages");
+                }
+            }
+        }
+        assert!(restored > 0 && failed > 0, "{restored} restored, {failed} failed");
+    }
+
+    #[test]
     fn deserialize_rejects_corrupt_snapshots() {
         let (mut set, mut meter) = fresh();
         ingest(&mut set, &[pay_tx(None, &[(1, 5)])], 0, &mut meter);
         let good = set.serialize();
 
+        let corrupt = |bytes: &[u8]| UtxoSet::deserialize(bytes).err();
+
         let mut bad_magic = good.clone();
         bad_magic[0] ^= 0xFF;
-        assert!(UtxoSet::deserialize(&bad_magic).is_err());
+        assert_eq!(corrupt(&bad_magic), Some(StorageError::Corrupt("bad magic")));
 
         let mut bad_version = good.clone();
         bad_version[9] = 0xFF;
-        assert!(UtxoSet::deserialize(&bad_version).is_err());
+        assert_eq!(corrupt(&bad_version), Some(StorageError::Corrupt("unknown snapshot version")));
 
-        assert!(UtxoSet::deserialize(&good[..good.len() - 3]).is_err(), "truncation");
+        let truncated = &good[..good.len() - 3];
+        assert_eq!(corrupt(truncated), Some(StorageError::Corrupt("truncated snapshot")));
 
         let mut trailing = good.clone();
         trailing.push(0);
-        assert!(UtxoSet::deserialize(&trailing).is_err(), "trailing bytes");
+        assert_eq!(corrupt(&trailing), Some(StorageError::Corrupt("trailing bytes")));
 
         assert!(UtxoSet::deserialize(&good).is_ok(), "the original still parses");
     }

@@ -161,6 +161,18 @@ fn chaos_churn_is_survivable() {
 }
 
 #[test]
+fn chaos_churn_leaves_only_open_links_in_the_network() {
+    let s = soak("churn", 42);
+    let metrics = &s.net.obs().metrics;
+    assert!(metrics.counter("btcnet_external_disconnects_total") > 0, "churn closed nothing");
+    // Closed connections were drained and forgotten: the network's
+    // table holds exactly the open links the gauge counts.
+    let open = metrics.gauge("btcnet_external_connections");
+    assert_eq!(s.net.external_tracked() as i64, open);
+    assert_eq!(open as usize, s.adapter.connection_manager().connections().len());
+}
+
+#[test]
 fn chaos_crash_restart_recovers_with_and_without_state() {
     let s = soak("crash", 14);
     assert_reconverged(&s, "crash");
