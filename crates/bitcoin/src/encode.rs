@@ -303,10 +303,7 @@ mod tests {
     #[test]
     fn varint_rejects_non_canonical() {
         // 1 encoded as 3 bytes.
-        assert_eq!(
-            VarInt::decode_exact(&[0xfd, 0x01, 0x00]),
-            Err(DecodeError::NonCanonicalVarInt)
-        );
+        assert_eq!(VarInt::decode_exact(&[0xfd, 0x01, 0x00]), Err(DecodeError::NonCanonicalVarInt));
         assert_eq!(
             VarInt::decode_exact(&[0xfe, 0x01, 0x00, 0x00, 0x00]),
             Err(DecodeError::NonCanonicalVarInt)
@@ -343,10 +340,7 @@ mod tests {
         let mut bytes = Vec::new();
         VarInt(MAX_COLLECTION_LEN + 1).encode(&mut bytes);
         let mut r = Reader::new(&bytes);
-        assert!(matches!(
-            Vec::<u8>::decode(&mut r),
-            Err(DecodeError::OversizedLength(_))
-        ));
+        assert!(matches!(Vec::<u8>::decode(&mut r), Err(DecodeError::OversizedLength(_))));
     }
 
     #[test]

@@ -126,20 +126,14 @@ impl Sha256 {
         for i in 16..64 {
             let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
             let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-            w[i] = w[i - 16]
-                .wrapping_add(s0)
-                .wrapping_add(w[i - 7])
-                .wrapping_add(s1);
+            w[i] = w[i - 16].wrapping_add(s0).wrapping_add(w[i - 7]).wrapping_add(s1);
         }
         let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
         for i in 0..64 {
             let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
             let ch = (e & f) ^ (!e & g);
-            let t1 = h
-                .wrapping_add(s1)
-                .wrapping_add(ch)
-                .wrapping_add(SHA256_K[i])
-                .wrapping_add(w[i]);
+            let t1 =
+                h.wrapping_add(s1).wrapping_add(ch).wrapping_add(SHA256_K[i]).wrapping_add(w[i]);
             let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
             let maj = (a & b) ^ (a & c) ^ (b & c);
             let t2 = s0.wrapping_add(maj);
@@ -633,10 +627,13 @@ mod tests {
 
     #[test]
     fn ripemd160_vectors() {
-        assert_eq!(hex(&{
-            let h = Ripemd160::new();
-            h.finalize()
-        }), "9c1185a5c5e9fc54612808977ee8f548b2258d31");
+        assert_eq!(
+            hex(&{
+                let h = Ripemd160::new();
+                h.finalize()
+            }),
+            "9c1185a5c5e9fc54612808977ee8f548b2258d31"
+        );
         let mut h = Ripemd160::new();
         h.update(b"abc");
         assert_eq!(hex(&h.finalize()), "8eb208f7e05d987a9b044a8e98c6b087f15a0bfc");

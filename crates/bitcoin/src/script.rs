@@ -218,11 +218,8 @@ pub fn legacy_sighash(tx: &Transaction, input_index: usize, script_code: &Script
     let mut stripped = tx.clone();
     for (i, input) in stripped.inputs.iter_mut().enumerate() {
         input.witness.clear();
-        input.script_sig = if i == input_index {
-            script_code.as_bytes().to_vec()
-        } else {
-            Vec::new()
-        };
+        input.script_sig =
+            if i == input_index { script_code.as_bytes().to_vec() } else { Vec::new() };
     }
     let mut preimage = stripped.encode_without_witness();
     SIGHASH_ALL.encode(&mut preimage);
@@ -323,8 +320,8 @@ pub fn taproot_key_spend_sighash(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tx::{OutPoint, TxIn, TxOut};
     use crate::hash::Txid;
+    use crate::tx::{OutPoint, TxIn, TxOut};
 
     fn spend_tx() -> Transaction {
         Transaction {

@@ -515,10 +515,7 @@ mod tests {
         let tx = sample_tx(true);
         let mut bytes = tx.encode_to_vec();
         bytes[5] = 0x02;
-        assert!(matches!(
-            Transaction::decode_exact(&bytes),
-            Err(DecodeError::InvalidValue(_))
-        ));
+        assert!(matches!(Transaction::decode_exact(&bytes), Err(DecodeError::InvalidValue(_))));
     }
 
     #[test]
@@ -536,7 +533,10 @@ mod tests {
 
         fn arb_txin(rng: &mut SimRng) -> TxIn {
             TxIn {
-                previous_output: OutPoint::new(Txid(testkit::byte_array(rng)), testkit::u32_any(rng)),
+                previous_output: OutPoint::new(
+                    Txid(testkit::byte_array(rng)),
+                    testkit::u32_any(rng),
+                ),
                 script_sig: testkit::bytes(rng, 0..40),
                 sequence: testkit::u32_any(rng),
                 witness: testkit::vec_with(rng, 0..4, |r| testkit::bytes(r, 0..40)),

@@ -90,6 +90,11 @@ fi
 if rustfmt --version >/dev/null 2>&1; then
     echo "==> rustfmt --check --edition 2021 (files already formatted under rustfmt.toml)"
     rustfmt --check --edition 2021 \
+        crates/bitcoin/src/block.rs \
+        crates/bitcoin/src/encode.rs \
+        crates/bitcoin/src/hash.rs \
+        crates/bitcoin/src/script.rs \
+        crates/bitcoin/src/tx.rs \
         crates/canister/src/storage/btree.rs \
         crates/canister/src/storage/page.rs
 else
