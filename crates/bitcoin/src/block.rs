@@ -2,8 +2,8 @@
 
 use std::fmt;
 
-use crate::encode::{decode_list, encode_list, Decodable, DecodeError, Encodable, Reader};
-use crate::hash::{sha256d, BlockHash, MerkleRoot, Txid};
+use crate::encode::{decode_list, encode_list, Decodable, DecodeError, Encodable, Reader, Sink};
+use crate::hash::{BlockHash, MerkleRoot, Sha256, Txid};
 use crate::pow::{CompactTarget, Work};
 use crate::tx::{txids, Transaction};
 use crate::u256::U256;
@@ -38,7 +38,9 @@ pub struct BlockHeader {
 impl BlockHeader {
     /// Computes the block hash (double SHA-256 of the 80-byte header).
     pub fn block_hash(&self) -> BlockHash {
-        BlockHash(sha256d(&self.encode_to_vec()))
+        let mut hasher = Sha256::new();
+        self.encode(&mut hasher);
+        BlockHash(hasher.finalize_double())
     }
 
     /// Returns the expanded difficulty target.
@@ -61,7 +63,7 @@ impl BlockHeader {
 }
 
 impl Encodable for BlockHeader {
-    fn encode(&self, out: &mut Vec<u8>) {
+    fn encode<S: Sink + ?Sized>(&self, out: &mut S) {
         self.version.encode(out);
         self.prev_blockhash.0.encode(out);
         self.merkle_root.0.encode(out);
@@ -103,12 +105,11 @@ pub fn merkle_root(txids: &[Txid]) -> MerkleRoot {
     while level.len() > 1 {
         let mut next = Vec::with_capacity(level.len().div_ceil(2));
         for pair in level.chunks(2) {
-            let left = pair[0];
-            let right = *pair.get(1).unwrap_or(&pair[0]);
-            let mut concat = [0u8; 64];
-            concat[..32].copy_from_slice(&left);
-            concat[32..].copy_from_slice(&right);
-            next.push(sha256d(&concat));
+            // A lone last node is paired with itself.
+            let mut hasher = Sha256::new();
+            hasher.update(&pair[0]);
+            hasher.update(&pair[pair.len() - 1]);
+            next.push(hasher.finalize_double());
         }
         level = next;
     }
@@ -156,15 +157,10 @@ impl Block {
     pub fn is_well_formed(&self) -> bool {
         self.checked_txids().is_some()
     }
-
-    /// Total serialized size in bytes.
-    pub fn total_size(&self) -> usize {
-        self.encoded_len()
-    }
 }
 
 impl Encodable for Block {
-    fn encode(&self, out: &mut Vec<u8>) {
+    fn encode<S: Sink + ?Sized>(&self, out: &mut S) {
         self.header.encode(out);
         encode_list(&self.txdata, out);
     }
@@ -179,6 +175,7 @@ impl Decodable for Block {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hash::sha256d;
     use crate::network::Network;
     use crate::tx::{OutPoint, TxIn};
 
@@ -261,7 +258,7 @@ mod tests {
         let bytes = genesis.encode_to_vec();
         let back = Block::decode_exact(&bytes).unwrap();
         assert_eq!(&back, genesis);
-        assert_eq!(back.total_size(), bytes.len());
+        assert_eq!(back.encoded_len(), bytes.len());
     }
 
     #[test]
@@ -290,7 +287,8 @@ mod tests {
 
     mod properties {
         use super::*;
-        use icbtc_sim::testkit;
+        use crate::tx::tests::properties::{arb_tx, assert_sinks_agree};
+        use icbtc_sim::{testkit, SimRng};
 
         /// The Merkle root changes if any leaf changes.
         #[test]
@@ -306,20 +304,41 @@ mod tests {
             });
         }
 
+        fn arb_header(rng: &mut SimRng) -> BlockHeader {
+            BlockHeader {
+                version: testkit::i32_any(rng),
+                prev_blockhash: BlockHash(testkit::byte_array(rng)),
+                merkle_root: MerkleRoot(testkit::byte_array(rng)),
+                time: testkit::u32_any(rng),
+                bits: CompactTarget::from_consensus(testkit::u32_any(rng)),
+                nonce: testkit::u32_any(rng),
+            }
+        }
+
         /// Header encode/decode round-trips.
         #[test]
         fn header_roundtrip() {
             testkit::check(0xB1_0002, testkit::DEFAULT_CASES, |rng| {
-                let header = BlockHeader {
-                    version: testkit::i32_any(rng),
-                    prev_blockhash: BlockHash(testkit::byte_array(rng)),
-                    merkle_root: MerkleRoot(testkit::byte_array(rng)),
-                    time: testkit::u32_any(rng),
-                    bits: CompactTarget::from_consensus(testkit::u32_any(rng)),
-                    nonce: testkit::u32_any(rng),
-                };
+                let header = arb_header(rng);
                 let back = BlockHeader::decode_exact(&header.encode_to_vec()).unwrap();
                 assert_eq!(back, header);
+            });
+        }
+
+        /// Headers and blocks write the same bytes into every sink: the
+        /// block hash is the double SHA-256 of the 80 header bytes, and a
+        /// block is its header followed by its transaction list.
+        #[test]
+        fn sinks_agree_with_the_encoding() {
+            testkit::check(0xB1_0003, testkit::DEFAULT_CASES, |rng| {
+                let block =
+                    Block { header: arb_header(rng), txdata: testkit::vec_with(rng, 0..5, arb_tx) };
+                let header = assert_sinks_agree(&block.header);
+                assert_eq!(header.len(), 80);
+                assert_eq!(block.block_hash().0, sha256d(&header));
+                let bytes = assert_sinks_agree(&block);
+                assert_eq!(bytes[..80], header[..]);
+                assert_eq!(Block::decode_exact(&bytes).unwrap(), block);
             });
         }
     }

@@ -4,9 +4,11 @@
 //! little-endian fixed-width integers, `CompactSize` variable-length
 //! integers, and length-prefixed collections. The [`Encodable`] /
 //! [`Decodable`] pair is implemented by every wire type in this crate
-//! (transactions, headers, blocks).
+//! (transactions, headers, blocks); encoders write into a [`Sink`].
 
 use std::fmt;
+
+use crate::hash::Sha256;
 
 /// Error returned when decoding malformed wire bytes.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -83,12 +85,46 @@ impl<'a> Reader<'a> {
         out.copy_from_slice(self.take(N)?);
         Ok(out)
     }
+
+    /// Returns the next byte without consuming it, or
+    /// [`DecodeError::UnexpectedEnd`] if none remains.
+    pub fn peek(&self) -> Result<u8, DecodeError> {
+        self.bytes.get(self.pos).copied().ok_or(DecodeError::UnexpectedEnd)
+    }
+}
+
+/// Where encoded bytes go: a buffer, a SHA-256 state, or a counter, so
+/// a hash or a size never builds the encoding first.
+pub trait Sink {
+    /// Absorbs `bytes` after everything written before.
+    fn write(&mut self, bytes: &[u8]);
+}
+
+impl Sink for Vec<u8> {
+    fn write(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
+    }
+}
+
+impl Sink for Sha256 {
+    fn write(&mut self, bytes: &[u8]) {
+        self.update(bytes);
+    }
+}
+
+/// A sink that keeps only the number of bytes written.
+pub(crate) struct ByteCount(pub(crate) usize);
+
+impl Sink for ByteCount {
+    fn write(&mut self, bytes: &[u8]) {
+        self.0 += bytes.len();
+    }
 }
 
 /// A type that can be serialized to Bitcoin wire format.
 pub trait Encodable {
-    /// Appends the wire encoding of `self` to `out`.
-    fn encode(&self, out: &mut Vec<u8>);
+    /// Writes the wire encoding of `self` into `out`.
+    fn encode<S: Sink + ?Sized>(&self, out: &mut S);
 
     /// Convenience: encodes into a fresh buffer.
     fn encode_to_vec(&self) -> Vec<u8> {
@@ -97,9 +133,11 @@ pub trait Encodable {
         out
     }
 
-    /// Returns the encoded size in bytes.
+    /// Returns the encoded size in bytes, counted without storing them.
     fn encoded_len(&self) -> usize {
-        self.encode_to_vec().len()
+        let mut count = ByteCount(0);
+        self.encode(&mut count);
+        count.0
     }
 }
 
@@ -132,8 +170,8 @@ macro_rules! impl_int_codec {
     ($($ty:ty),*) => {
         $(
             impl Encodable for $ty {
-                fn encode(&self, out: &mut Vec<u8>) {
-                    out.extend_from_slice(&self.to_le_bytes());
+                fn encode<S: Sink + ?Sized>(&self, out: &mut S) {
+                    out.write(&self.to_le_bytes());
                 }
             }
             impl Decodable for $ty {
@@ -148,8 +186,8 @@ macro_rules! impl_int_codec {
 impl_int_codec!(u8, u16, u32, u64, i32, i64);
 
 impl Encodable for [u8; 32] {
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(self);
+    fn encode<S: Sink + ?Sized>(&self, out: &mut S) {
+        out.write(self);
     }
 }
 
@@ -174,20 +212,15 @@ impl Decodable for [u8; 32] {
 pub struct VarInt(pub u64);
 
 impl Encodable for VarInt {
-    fn encode(&self, out: &mut Vec<u8>) {
+    fn encode<S: Sink + ?Sized>(&self, out: &mut S) {
+        let le = self.0.to_le_bytes();
         match self.0 {
-            0..=0xfc => out.push(self.0 as u8),
-            0xfd..=0xffff => {
-                out.push(0xfd);
-                out.extend_from_slice(&(self.0 as u16).to_le_bytes());
-            }
-            0x1_0000..=0xffff_ffff => {
-                out.push(0xfe);
-                out.extend_from_slice(&(self.0 as u32).to_le_bytes());
-            }
+            0..=0xfc => out.write(&le[..1]),
+            0xfd..=0xffff => out.write(&[0xfd, le[0], le[1]]),
+            0x1_0000..=0xffff_ffff => out.write(&[0xfe, le[0], le[1], le[2], le[3]]),
             _ => {
-                out.push(0xff);
-                out.extend_from_slice(&self.0.to_le_bytes());
+                out.write(&[0xff]);
+                out.write(&le);
             }
         }
     }
@@ -195,39 +228,25 @@ impl Encodable for VarInt {
 
 impl Decodable for VarInt {
     fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        let tag = r.take_array::<1>()?[0];
-        let value = match tag {
-            0xfd => {
-                let v = u16::from_le_bytes(r.take_array()?) as u64;
-                if v < 0xfd {
-                    return Err(DecodeError::NonCanonicalVarInt);
-                }
-                v
-            }
-            0xfe => {
-                let v = u32::from_le_bytes(r.take_array()?) as u64;
-                if v <= 0xffff {
-                    return Err(DecodeError::NonCanonicalVarInt);
-                }
-                v
-            }
-            0xff => {
-                let v = u64::from_le_bytes(r.take_array()?);
-                if v <= 0xffff_ffff {
-                    return Err(DecodeError::NonCanonicalVarInt);
-                }
-                v
-            }
-            b => b as u64,
+        // Each wider form must hold a value the narrower ones cannot.
+        let (value, least) = match r.take_array::<1>()?[0] {
+            0xfd => (u16::decode(r)? as u64, 0xfd),
+            0xfe => (u32::decode(r)? as u64, 0x1_0000),
+            0xff => (u64::decode(r)?, 0x1_0000_0000),
+            b => return Ok(VarInt(b as u64)),
         };
+        if value < least {
+            return Err(DecodeError::NonCanonicalVarInt);
+        }
         Ok(VarInt(value))
     }
 }
 
-impl Encodable for Vec<u8> {
-    fn encode(&self, out: &mut Vec<u8>) {
+/// A length-prefixed byte string (scripts, witness items).
+impl Encodable for [u8] {
+    fn encode<S: Sink + ?Sized>(&self, out: &mut S) {
         VarInt(self.len() as u64).encode(out);
-        out.extend_from_slice(self);
+        out.write(self);
     }
 }
 
@@ -242,7 +261,7 @@ impl Decodable for Vec<u8> {
 }
 
 /// Encodes a length-prefixed list of encodable items.
-pub fn encode_list<T: Encodable>(items: &[T], out: &mut Vec<u8>) {
+pub fn encode_list<T: Encodable, S: Sink + ?Sized>(items: &[T], out: &mut S) {
     VarInt(items.len() as u64).encode(out);
     for item in items {
         item.encode(out);

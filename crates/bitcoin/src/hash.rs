@@ -118,6 +118,20 @@ impl Sha256 {
         out
     }
 
+    /// Finishes with Bitcoin's double SHA-256 of everything absorbed.
+    pub fn finalize_double(self) -> [u8; 32] {
+        sha256(&self.finalize())
+    }
+
+    /// A hasher primed with `tag`'s BIP-340 prefix; see [`tagged_hash`].
+    pub fn tagged(tag: &str) -> Self {
+        let tag_hash = sha256(tag.as_bytes());
+        let mut h = Sha256::new();
+        h.update(&tag_hash);
+        h.update(&tag_hash);
+        h
+    }
+
     fn compress(&mut self, block: &[u8; 64]) {
         let mut w = [0u32; 64];
         for (i, chunk) in block.chunks_exact(4).enumerate() {
@@ -171,10 +185,7 @@ pub fn sha256d(data: &[u8]) -> [u8; 32] {
 
 /// Computes a BIP-340 tagged hash: `SHA256(SHA256(tag) || SHA256(tag) || data)`.
 pub fn tagged_hash(tag: &str, data: &[u8]) -> [u8; 32] {
-    let tag_hash = sha256(tag.as_bytes());
-    let mut h = Sha256::new();
-    h.update(&tag_hash);
-    h.update(&tag_hash);
+    let mut h = Sha256::tagged(tag);
     h.update(data);
     h.finalize()
 }
@@ -188,13 +199,11 @@ pub fn hmac_sha256(key: &[u8], message: &[u8]) -> [u8; 32] {
         key_block[..key.len()].copy_from_slice(key);
     }
     let mut inner = Sha256::new();
-    let ipad: Vec<u8> = key_block.iter().map(|b| b ^ 0x36).collect();
-    inner.update(&ipad);
+    inner.update(&key_block.map(|b| b ^ 0x36));
     inner.update(message);
     let inner_digest = inner.finalize();
     let mut outer = Sha256::new();
-    let opad: Vec<u8> = key_block.iter().map(|b| b ^ 0x5c).collect();
-    outer.update(&opad);
+    outer.update(&key_block.map(|b| b ^ 0x5c));
     outer.update(&inner_digest);
     outer.finalize()
 }
@@ -428,11 +437,6 @@ macro_rules! hash256_newtype {
         impl $name {
             /// The all-zero hash, used as the "no predecessor" sentinel.
             pub const ZERO: $name = $name([0; 32]);
-
-            /// Hashes `data` with double SHA-256.
-            pub fn hash(data: &[u8]) -> Self {
-                $name(sha256d(data))
-            }
 
             /// Returns the raw bytes in internal order.
             pub const fn to_bytes(self) -> [u8; 32] {

@@ -13,8 +13,8 @@
 
 use std::fmt;
 
-use crate::encode::Encodable;
-use crate::hash::{sha256, sha256d, tagged_hash};
+use crate::encode::{encode_list, Encodable, VarInt};
+use crate::hash::Sha256;
 use crate::tx::{Amount, Transaction};
 
 // A few opcodes — only the ones the standard templates use.
@@ -215,15 +215,21 @@ pub const SIGHASH_DEFAULT: u8 = 0;
 /// Panics if `input_index` is out of range.
 pub fn legacy_sighash(tx: &Transaction, input_index: usize, script_code: &Script) -> [u8; 32] {
     assert!(input_index < tx.inputs.len(), "input index out of range");
-    let mut stripped = tx.clone();
-    for (i, input) in stripped.inputs.iter_mut().enumerate() {
-        input.witness.clear();
-        input.script_sig =
-            if i == input_index { script_code.as_bytes().to_vec() } else { Vec::new() };
+    // The transaction without witnesses, every unlocking script replaced
+    // by `script_code` at `input_index` and by the empty script elsewhere.
+    let mut preimage = Sha256::new();
+    tx.version.encode(&mut preimage);
+    VarInt(tx.inputs.len() as u64).encode(&mut preimage);
+    for (i, input) in tx.inputs.iter().enumerate() {
+        input.previous_output.encode(&mut preimage);
+        let script: &[u8] = if i == input_index { script_code.as_bytes() } else { &[] };
+        script.encode(&mut preimage);
+        input.sequence.encode(&mut preimage);
     }
-    let mut preimage = stripped.encode_without_witness();
+    encode_list(&tx.outputs, &mut preimage);
+    tx.lock_time.encode(&mut preimage);
     SIGHASH_ALL.encode(&mut preimage);
-    sha256d(&preimage)
+    preimage.finalize_double()
 }
 
 /// Computes the BIP-143 (segwit v0) `SIGHASH_ALL` digest for `input_index`.
@@ -242,32 +248,30 @@ pub fn segwit_v0_sighash(
     value: Amount,
 ) -> [u8; 32] {
     assert!(input_index < tx.inputs.len(), "input index out of range");
-    let mut prevouts = Vec::new();
-    let mut sequences = Vec::new();
+    let mut prevouts = Sha256::new();
+    let mut sequences = Sha256::new();
     for input in &tx.inputs {
         input.previous_output.encode(&mut prevouts);
         input.sequence.encode(&mut sequences);
     }
-    let hash_prevouts = sha256d(&prevouts);
-    let hash_sequence = sha256d(&sequences);
-    let mut outputs = Vec::new();
+    let mut outputs = Sha256::new();
     for output in &tx.outputs {
         output.encode(&mut outputs);
     }
-    let hash_outputs = sha256d(&outputs);
 
-    let mut preimage = Vec::new();
+    let input = &tx.inputs[input_index];
+    let mut preimage = Sha256::new();
     tx.version.encode(&mut preimage);
-    preimage.extend_from_slice(&hash_prevouts);
-    preimage.extend_from_slice(&hash_sequence);
-    tx.inputs[input_index].previous_output.encode(&mut preimage);
-    script_code.as_bytes().to_vec().encode(&mut preimage);
+    preimage.update(&prevouts.finalize_double());
+    preimage.update(&sequences.finalize_double());
+    input.previous_output.encode(&mut preimage);
+    script_code.as_bytes().encode(&mut preimage);
     value.encode(&mut preimage);
-    tx.inputs[input_index].sequence.encode(&mut preimage);
-    preimage.extend_from_slice(&hash_outputs);
+    input.sequence.encode(&mut preimage);
+    preimage.update(&outputs.finalize_double());
     tx.lock_time.encode(&mut preimage);
     SIGHASH_ALL.encode(&mut preimage);
-    sha256d(&preimage)
+    preimage.finalize_double()
 }
 
 /// Computes the BIP-341 key-path `SIGHASH_DEFAULT` digest for `input_index`.
@@ -287,34 +291,28 @@ pub fn taproot_key_spend_sighash(
     assert!(input_index < tx.inputs.len(), "input index out of range");
     assert_eq!(spent_outputs.len(), tx.inputs.len(), "one spent output per input");
 
-    let mut prevouts = Vec::new();
-    let mut amounts = Vec::new();
-    let mut scripts = Vec::new();
-    let mut sequences = Vec::new();
+    let [mut prevouts, mut amounts, mut scripts, mut sequences, mut outputs] =
+        std::array::from_fn(|_| Sha256::new());
     for (input, (value, script)) in tx.inputs.iter().zip(spent_outputs) {
         input.previous_output.encode(&mut prevouts);
         value.encode(&mut amounts);
-        script.as_bytes().to_vec().encode(&mut scripts);
+        script.as_bytes().encode(&mut scripts);
         input.sequence.encode(&mut sequences);
     }
-    let mut outputs = Vec::new();
     for output in &tx.outputs {
         output.encode(&mut outputs);
     }
 
-    let mut msg = Vec::new();
-    msg.push(0u8); // sighash epoch
-    msg.push(SIGHASH_DEFAULT);
+    let mut msg = Sha256::tagged("TapSighash");
+    msg.update(&[0, SIGHASH_DEFAULT]); // sighash epoch, hash type
     tx.version.encode(&mut msg);
     tx.lock_time.encode(&mut msg);
-    msg.extend_from_slice(&sha256(&prevouts));
-    msg.extend_from_slice(&sha256(&amounts));
-    msg.extend_from_slice(&sha256(&scripts));
-    msg.extend_from_slice(&sha256(&sequences));
-    msg.extend_from_slice(&sha256(&outputs));
-    msg.push(0u8); // spend type: key path, no annex
+    for part in [prevouts, amounts, scripts, sequences, outputs] {
+        msg.update(&part.finalize());
+    }
+    msg.update(&[0]); // spend type: key path, no annex
     (input_index as u32).encode(&mut msg);
-    tagged_hash("TapSighash", &msg)
+    msg.finalize()
 }
 
 #[cfg(test)]

@@ -2,8 +2,10 @@
 
 use std::fmt;
 
-use crate::encode::{decode_list, encode_list, Decodable, DecodeError, Encodable, Reader, VarInt};
-use crate::hash::{sha256d, Txid};
+use crate::encode::{
+    decode_list, encode_list, ByteCount, Decodable, DecodeError, Encodable, Reader, Sink, VarInt,
+};
+use crate::hash::{Sha256, Txid};
 use crate::script::Script;
 
 /// A Bitcoin amount in satoshis.
@@ -76,7 +78,7 @@ impl fmt::Display for Amount {
 }
 
 impl Encodable for Amount {
-    fn encode(&self, out: &mut Vec<u8>) {
+    fn encode<S: Sink + ?Sized>(&self, out: &mut S) {
         self.0.encode(out);
     }
 }
@@ -127,7 +129,7 @@ impl fmt::Display for OutPoint {
 }
 
 impl Encodable for OutPoint {
-    fn encode(&self, out: &mut Vec<u8>) {
+    fn encode<S: Sink + ?Sized>(&self, out: &mut S) {
         self.txid.0.encode(out);
         self.vout.encode(out);
     }
@@ -168,7 +170,7 @@ impl TxIn {
 }
 
 impl Encodable for TxIn {
-    fn encode(&self, out: &mut Vec<u8>) {
+    fn encode<S: Sink + ?Sized>(&self, out: &mut S) {
         self.previous_output.encode(out);
         self.script_sig.encode(out);
         self.sequence.encode(out);
@@ -203,9 +205,9 @@ impl TxOut {
 }
 
 impl Encodable for TxOut {
-    fn encode(&self, out: &mut Vec<u8>) {
+    fn encode<S: Sink + ?Sized>(&self, out: &mut S) {
         self.value.encode(out);
-        self.script_pubkey.as_bytes().to_vec().encode(out);
+        self.script_pubkey.as_bytes().encode(out);
     }
 }
 
@@ -273,27 +275,30 @@ impl Transaction {
         self.inputs.iter().any(|i| !i.witness.is_empty())
     }
 
-    /// Serializes without witness data (the txid preimage).
-    pub fn encode_without_witness(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        self.version.encode(&mut out);
-        encode_list(&self.inputs, &mut out);
-        encode_list(&self.outputs, &mut out);
-        self.lock_time.encode(&mut out);
-        out
+    /// Writes the serialization without witness data: the txid preimage,
+    /// and the whole encoding of a transaction without witnesses.
+    fn encode_base<S: Sink + ?Sized>(&self, out: &mut S) {
+        self.version.encode(out);
+        encode_list(&self.inputs, out);
+        encode_list(&self.outputs, out);
+        self.lock_time.encode(out);
     }
 
     /// Computes the transaction id (double SHA-256 of the non-witness
     /// serialization).
     pub fn txid(&self) -> Txid {
-        Txid(sha256d(&self.encode_without_witness()))
+        let mut hasher = Sha256::new();
+        self.encode_base(&mut hasher);
+        Txid(hasher.finalize_double())
     }
 
     /// Computes the witness transaction id (double SHA-256 of the full
     /// serialization); equals [`Transaction::txid`] for non-segwit
     /// transactions.
     pub fn wtxid(&self) -> Txid {
-        Txid(sha256d(&self.encode_to_vec()))
+        let mut hasher = Sha256::new();
+        self.encode(&mut hasher);
+        Txid(hasher.finalize_double())
     }
 
     /// Total serialized size in bytes (including witness data).
@@ -303,7 +308,9 @@ impl Transaction {
 
     /// Size of the non-witness serialization in bytes.
     pub fn base_size(&self) -> usize {
-        self.encode_without_witness().len()
+        let mut count = ByteCount(0);
+        self.encode_base(&mut count);
+        count.0
     }
 
     /// BIP-141 transaction weight: `3 × base size + total size`.
@@ -325,20 +332,18 @@ impl Transaction {
 }
 
 impl Encodable for Transaction {
-    fn encode(&self, out: &mut Vec<u8>) {
+    fn encode<S: Sink + ?Sized>(&self, out: &mut S) {
         if !self.has_witness() {
-            out.extend_from_slice(&self.encode_without_witness());
-            return;
+            return self.encode_base(out);
         }
         self.version.encode(out);
-        out.push(0x00); // segwit marker
-        out.push(0x01); // segwit flag
+        out.write(&[0x00, 0x01]); // segwit marker and flag
         encode_list(&self.inputs, out);
         encode_list(&self.outputs, out);
         for input in &self.inputs {
             VarInt(input.witness.len() as u64).encode(out);
             for item in &input.witness {
-                item.clone().encode(out);
+                item.encode(out);
             }
         }
         self.lock_time.encode(out);
@@ -350,17 +355,21 @@ impl Decodable for Transaction {
         let version = i32::decode(r)?;
         // A 0x00 where the input-count varint would sit marks the segwit
         // format (no transaction has zero inputs in legacy encoding).
-        let first = {
-            let bytes = r.take(1)?;
-            bytes[0]
-        };
-        if first == 0x00 {
-            let flag = r.take(1)?[0];
-            if flag != 0x01 {
+        let segwit = r.peek()? == 0x00;
+        let mut inputs: Vec<TxIn> = if segwit {
+            if r.take_array()? != [0x00, 0x01] {
                 return Err(DecodeError::InvalidValue("segwit flag"));
             }
-            let mut inputs: Vec<TxIn> = decode_list(r)?;
-            let outputs: Vec<TxOut> = decode_list(r)?;
+            decode_list(r)?
+        } else {
+            let count = VarInt::decode(r)?.0;
+            if count > 100_000 {
+                return Err(DecodeError::OversizedLength(count));
+            }
+            (0..count).map(|_| TxIn::decode(r)).collect::<Result<_, _>>()?
+        };
+        let outputs: Vec<TxOut> = decode_list(r)?;
+        if segwit {
             for input in &mut inputs {
                 let items = VarInt::decode(r)?.0;
                 if items > 1000 {
@@ -370,44 +379,14 @@ impl Decodable for Transaction {
                     input.witness.push(Vec::<u8>::decode(r)?);
                 }
             }
-            let lock_time = u32::decode(r)?;
-            Ok(Transaction { version, inputs, outputs, lock_time })
-        } else {
-            // Legacy: the byte we consumed is the input-count varint tag.
-            let count = match first {
-                0xfd => {
-                    let v = u16::from_le_bytes(r.take_array()?) as u64;
-                    if v < 0xfd {
-                        return Err(DecodeError::NonCanonicalVarInt);
-                    }
-                    v
-                }
-                0xfe => {
-                    let v = u32::from_le_bytes(r.take_array()?) as u64;
-                    if v <= 0xffff {
-                        return Err(DecodeError::NonCanonicalVarInt);
-                    }
-                    v
-                }
-                0xff => return Err(DecodeError::OversizedLength(u64::MAX)),
-                b => b as u64,
-            };
-            if count > 100_000 {
-                return Err(DecodeError::OversizedLength(count));
-            }
-            let mut inputs = Vec::with_capacity(count.min(1024) as usize);
-            for _ in 0..count {
-                inputs.push(TxIn::decode(r)?);
-            }
-            let outputs: Vec<TxOut> = decode_list(r)?;
-            let lock_time = u32::decode(r)?;
-            Ok(Transaction { version, inputs, outputs, lock_time })
         }
+        let lock_time = u32::decode(r)?;
+        Ok(Transaction { version, inputs, outputs, lock_time })
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::script::Script;
 
@@ -519,6 +498,27 @@ mod tests {
     }
 
     #[test]
+    fn legacy_input_count_follows_the_varint_rules() {
+        let legacy = |count: &[u8]| {
+            let mut bytes = 2i32.encode_to_vec();
+            bytes.extend_from_slice(count);
+            bytes.extend_from_slice(&sample_tx(false).encode_to_vec()[5..]);
+            Transaction::decode_exact(&bytes)
+        };
+        assert_eq!(legacy(&[0x01]), Ok(sample_tx(false)));
+        // One input spelled with the 3-byte tag.
+        assert_eq!(legacy(&[0xfd, 0x01, 0x00]), Err(DecodeError::NonCanonicalVarInt));
+        // An 8-byte count is either non-canonical or past the input bound.
+        assert!(legacy(&[0xff, 1, 0, 0, 0, 0, 0, 0, 0]).is_err());
+        assert!(legacy(&[0xff; 9]).is_err());
+        let past_bound = 100_001u32.to_le_bytes();
+        assert_eq!(
+            legacy(&[0xfe, past_bound[0], past_bound[1], past_bound[2], past_bound[3]]),
+            Err(DecodeError::OversizedLength(100_001))
+        );
+    }
+
+    #[test]
     fn truncated_tx_rejected() {
         let bytes = sample_tx(true).encode_to_vec();
         for cut in [1, 5, 10, bytes.len() - 1] {
@@ -526,8 +526,9 @@ mod tests {
         }
     }
 
-    mod properties {
+    pub(crate) mod properties {
         use super::*;
+        use crate::hash::sha256d;
         use icbtc_sim::testkit;
         use icbtc_sim::SimRng;
 
@@ -548,13 +549,47 @@ mod tests {
             TxOut::new(Amount::from_sat(v), Script::from_bytes(testkit::bytes(rng, 0..40)))
         }
 
-        fn arb_tx(rng: &mut SimRng) -> Transaction {
+        pub(crate) fn arb_tx(rng: &mut SimRng) -> Transaction {
             Transaction {
                 version: testkit::i32_any(rng),
                 inputs: testkit::vec_with(rng, 1..5, arb_txin),
                 outputs: testkit::vec_with(rng, 1..5, arb_txout),
                 lock_time: testkit::u32_any(rng),
             }
+        }
+
+        /// Writes `value` into each sink and checks them against
+        /// `encode_to_vec`: a buffer gains the same bytes after what it
+        /// held, a hasher ends at their double SHA-256, and
+        /// `encoded_len` counts them. Returns the bytes.
+        pub(crate) fn assert_sinks_agree<T: Encodable + ?Sized>(value: &T) -> Vec<u8> {
+            let bytes = value.encode_to_vec();
+            let mut buffer = vec![0xee];
+            value.encode(&mut buffer);
+            assert_eq!(buffer[1..], bytes[..]);
+            let mut hasher = Sha256::new();
+            value.encode(&mut hasher);
+            assert_eq!(hasher.finalize_double(), sha256d(&bytes));
+            assert_eq!(value.encoded_len(), bytes.len());
+            bytes
+        }
+
+        /// Every sink sees the wire bytes, and the ids and sizes streamed
+        /// from them match the buffered encodings with and without the
+        /// witnesses.
+        #[test]
+        fn sinks_agree_with_the_encoding() {
+            testkit::check(0x7C_0006, testkit::DEFAULT_CASES, |rng| {
+                let tx = arb_tx(rng);
+                let bytes = assert_sinks_agree(&tx);
+                let mut stripped = tx.clone();
+                stripped.inputs.iter_mut().for_each(|input| input.witness.clear());
+                let base = assert_sinks_agree(&stripped);
+                assert_eq!(tx.wtxid().0, sha256d(&bytes));
+                assert_eq!(tx.txid().0, sha256d(&base));
+                assert_eq!((tx.total_size(), tx.base_size()), (bytes.len(), base.len()));
+                assert_eq!(tx.has_witness(), bytes != base);
+            });
         }
 
         /// Wire encoding round-trips for arbitrary transactions.

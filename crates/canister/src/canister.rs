@@ -4,7 +4,7 @@
 //! typed method interface, instruction metering per call, and cycles
 //! charges per the fee schedule (§IV-B).
 
-use icbtc_bitcoin::hash::{sha256, Sha256};
+use icbtc_bitcoin::hash::Sha256;
 use icbtc_bitcoin::Address;
 use icbtc_core::GetSuccessorsResponse;
 use icbtc_ic::cycles::{self, Cycles};
@@ -261,7 +261,7 @@ impl BitcoinCanister {
         hasher.update(&self.cycles_burned.to_be_bytes());
         hasher.update(&self.instructions_total.to_be_bytes());
         hasher.update(&self.state.state_hash());
-        sha256(&hasher.finalize())
+        hasher.finalize_double()
     }
 
     /// Rebuilds a canister from [`BitcoinCanister::checkpoint_bytes`], as

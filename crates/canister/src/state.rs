@@ -11,8 +11,8 @@
 use std::cell::Cell;
 use std::collections::BTreeMap;
 
-use icbtc_bitcoin::encode::{Decodable, Encodable};
-use icbtc_bitcoin::hash::{sha256, Sha256};
+use icbtc_bitcoin::encode::{Decodable, Encodable, Sink};
+use icbtc_bitcoin::hash::Sha256;
 use icbtc_bitcoin::pow::{self, HeaderError};
 use icbtc_bitcoin::{txids, Block, BlockHash, BlockHeader, HeaderTree, Transaction, Txid};
 use icbtc_core::stability;
@@ -320,7 +320,7 @@ impl BitcoinCanisterState {
             meter.charge(metering::INGEST_DEDUP_PER_ITEM);
             hasher.update(&header.block_hash().0);
         }
-        Some(sha256(&hasher.finalize()))
+        Some(hasher.finalize_double())
     }
 
     /// Processes an adapter response `(B, N)` per **Algorithm 2**:
@@ -512,59 +512,57 @@ impl BitcoinCanisterState {
     /// list backs both [`BitcoinCanisterState::serialize`] and
     /// [`BitcoinCanisterState::state_hash`]; they differ only in how
     /// `utxos` emits the UTXO section.
-    fn snapshot_into(&self, utxos: UtxoSection, sink: &mut dyn FnMut(&[u8])) {
-        sink(STATE_MAGIC);
-        sink(&STATE_VERSION.to_be_bytes());
-        sink(&[codec::network_tag(self.params.network)]);
-        sink(&self.params.stability_delta.to_be_bytes());
-        sink(&self.params.tau.to_be_bytes());
-        sink(&(self.params.connections as u64).to_be_bytes());
-        sink(&(self.params.addr_low_watermark as u64).to_be_bytes());
-        sink(&(self.params.addr_high_watermark as u64).to_be_bytes());
-        sink(&self.params.bulk_sync_height.to_be_bytes());
-        sink(&self.params.tx_cache_expiry_secs.to_be_bytes());
+    fn snapshot_into(&self, utxos: UtxoSection, sink: &mut dyn Sink) {
+        sink.write(STATE_MAGIC);
+        sink.write(&STATE_VERSION.to_be_bytes());
+        sink.write(&[codec::network_tag(self.params.network)]);
+        sink.write(&self.params.stability_delta.to_be_bytes());
+        sink.write(&self.params.tau.to_be_bytes());
+        sink.write(&(self.params.connections as u64).to_be_bytes());
+        sink.write(&(self.params.addr_low_watermark as u64).to_be_bytes());
+        sink.write(&(self.params.addr_high_watermark as u64).to_be_bytes());
+        sink.write(&self.params.bulk_sync_height.to_be_bytes());
+        sink.write(&self.params.tx_cache_expiry_secs.to_be_bytes());
         match utxos {
             UtxoSection::Snapshot => {
-                sink(&self.utxos.snapshot_len().to_be_bytes());
+                sink.write(&self.utxos.snapshot_len().to_be_bytes());
                 self.utxos.snapshot_into(sink);
             }
-            UtxoSection::Hash => sink(&self.utxos.state_hash()),
+            UtxoSection::Hash => sink.write(&self.utxos.state_hash()),
         }
-        sink(&(self.stable_headers.len() as u64).to_be_bytes());
+        sink.write(&(self.stable_headers.len() as u64).to_be_bytes());
         for header in &self.stable_headers {
-            sink(&header.encode_to_vec());
+            header.encode(sink);
         }
         // Unstable headers, excluding the root (the anchor is already the
         // last stable header), in arrival order: parents precede children,
         // and a restore that reinserts in stream order keeps the
         // first-seen tip of an equal-work fork.
         let unstable = self.tree.insertion_order();
-        sink(&(unstable.len() as u64 - 1).to_be_bytes());
+        sink.write(&(unstable.len() as u64 - 1).to_be_bytes());
         for header in unstable[1..].iter().filter_map(|h| self.tree.header(h)) {
-            sink(&header.encode_to_vec());
+            header.encode(sink);
         }
-        sink(&(self.blocks.len() as u64).to_be_bytes());
+        sink.write(&(self.blocks.len() as u64).to_be_bytes());
         for body in self.blocks.values() {
-            let bytes = body.block.encode_to_vec();
-            sink(&(bytes.len() as u64).to_be_bytes());
-            sink(&bytes);
+            sink.write(&(body.block.encoded_len() as u64).to_be_bytes());
+            body.block.encode(sink);
         }
-        sink(&(self.outbound.len() as u64).to_be_bytes());
+        sink.write(&(self.outbound.len() as u64).to_be_bytes());
         for tx in &self.outbound {
-            let bytes = tx.encode_to_vec();
-            sink(&(bytes.len() as u64).to_be_bytes());
-            sink(&bytes);
+            sink.write(&(tx.encoded_len() as u64).to_be_bytes());
+            tx.encode(sink);
         }
-        sink(&[self.synced as u8]);
+        sink.write(&[self.synced as u8]);
         // Derived from the stable headers, and kept in the envelope so
         // its layout and every state hash stay as they were.
-        sink(&self.blocks_stabilized().to_be_bytes());
+        sink.write(&self.blocks_stabilized().to_be_bytes());
         match &self.last_response_fingerprint {
-            None => sink(&[0u8]),
+            None => sink.write(&[0u8]),
             Some((tip, content)) => {
-                sink(&[1u8]);
-                sink(&tip.0);
-                sink(content);
+                sink.write(&[1u8]);
+                sink.write(&tip.0);
+                sink.write(content);
             }
         }
     }
@@ -578,27 +576,25 @@ impl BitcoinCanisterState {
     }
 
     /// Appends [`BitcoinCanisterState::serialize`]'s bytes to `out`,
-    /// streaming the UTXO snapshot straight into it. Room for the
-    /// sections of known length is reserved first, so the image is not
-    /// regrown while the UTXO section streams.
+    /// streaming every section straight into it. The exact image length
+    /// is reserved first, so the buffer is never regrown.
     pub(crate) fn serialize_into(&self, out: &mut Vec<u8>) {
         out.reserve(self.sized_len());
-        self.snapshot_into(UtxoSection::Snapshot, &mut |bytes| out.extend_from_slice(bytes));
+        self.snapshot_into(UtxoSection::Snapshot, out);
     }
 
-    /// Length of [`BitcoinCanisterState::serialize`]'s output less the
-    /// unstable block bodies and outbound transactions, which are sized
-    /// only by encoding them (their length prefixes are counted). Every
-    /// other section is fixed or known exactly: the UTXO section from
-    /// [`UtxoSet::snapshot_len`], each header at 80 bytes.
+    /// Exact length of [`BitcoinCanisterState::serialize`]'s output: the
+    /// UTXO section from [`UtxoSet::snapshot_len`], each header at 80
+    /// bytes, and each block body and outbound transaction counted by
+    /// [`Encodable::encoded_len`] behind its 8-byte length prefix.
     fn sized_len(&self) -> usize {
         let params = 8 + 2 + 1 + 7 * 8;
         let utxos = 8 + self.utxos.snapshot_len() as usize;
         let headers = 8 + 8 + 80 * (self.stable_headers.len() + self.tree.len() - 1);
-        let bodies = 8 + 8 * self.blocks.len();
-        let outbound = 8 + 8 * self.outbound.len();
+        let bodies: usize = self.blocks.values().map(|body| 8 + body.block.encoded_len()).sum();
+        let outbound: usize = self.outbound.iter().map(|tx| 8 + tx.encoded_len()).sum();
         let fingerprint = if self.last_response_fingerprint.is_some() { 65 } else { 1 };
-        params + utxos + headers + bodies + outbound + 1 + 8 + fingerprint
+        params + utxos + headers + 8 + bodies + 8 + outbound + 1 + 8 + fingerprint
     }
 
     /// SHA-256d over the snapshot's sections with the UTXO section
@@ -612,8 +608,8 @@ impl BitcoinCanisterState {
     /// detector compares every round.
     pub fn state_hash(&self) -> [u8; 32] {
         let mut hasher = Sha256::new();
-        self.snapshot_into(UtxoSection::Hash, &mut |bytes| hasher.update(bytes));
-        sha256(&hasher.finalize())
+        self.snapshot_into(UtxoSection::Hash, &mut hasher);
+        hasher.finalize_double()
     }
 
     /// Rebuilds a state from [`BitcoinCanisterState::serialize`] bytes,
@@ -1192,12 +1188,10 @@ mod tests {
     }
 
     #[test]
-    fn sized_len_is_the_length_less_bodies_and_outbound() {
+    fn sized_len_is_the_serialized_length() {
         let state = populated_state();
-        let encoded: usize = state.blocks.values().map(|b| b.block.encoded_len()).sum::<usize>()
-            + state.outbound.iter().map(Transaction::encoded_len).sum::<usize>();
-        assert!(encoded > 0, "the state has bodies or outbound transactions");
-        assert_eq!(state.sized_len() + encoded, state.serialize().len());
+        assert!(!state.blocks.is_empty() && !state.outbound.is_empty());
+        assert_eq!(state.sized_len(), state.serialize().len());
         let fresh = BitcoinCanisterState::new(params());
         assert_eq!(fresh.sized_len(), fresh.serialize().len());
     }

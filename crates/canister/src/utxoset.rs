@@ -16,7 +16,8 @@
 
 use std::cell::OnceCell;
 
-use icbtc_bitcoin::hash::{sha256, Sha256};
+use icbtc_bitcoin::encode::Sink;
+use icbtc_bitcoin::hash::Sha256;
 use icbtc_bitcoin::{Address, Amount, Network, OutPoint, Script, Transaction, TxOut, Txid};
 use icbtc_ic::Meter;
 
@@ -366,20 +367,20 @@ impl UtxoSet {
     /// [`UtxoSet::serialize`], [`UtxoSet::state_hash`] and the full-state
     /// envelope, so the hash is always the hash of the exact serialized
     /// bytes.
-    pub(crate) fn snapshot_into(&self, sink: &mut dyn FnMut(&[u8])) {
-        sink(SNAPSHOT_MAGIC);
-        sink(&SNAPSHOT_VERSION.to_be_bytes());
-        sink(&[codec::network_tag(self.network)]);
-        sink(&(self.pool.page_size() as u32).to_be_bytes());
-        sink(&self.pool.config().byte_budget.to_be_bytes());
-        sink(&self.next_height.to_be_bytes());
+    pub(crate) fn snapshot_into(&self, sink: &mut dyn Sink) {
+        sink.write(SNAPSHOT_MAGIC);
+        sink.write(&SNAPSHOT_VERSION.to_be_bytes());
+        sink.write(&[codec::network_tag(self.network)]);
+        sink.write(&(self.pool.page_size() as u32).to_be_bytes());
+        sink.write(&self.pool.config().byte_budget.to_be_bytes());
+        sink.write(&self.next_height.to_be_bytes());
         for map in [&self.by_outpoint, &self.by_address] {
-            sink(&map.len().to_be_bytes());
+            sink.write(&map.len().to_be_bytes());
             for (key, value) in map.iter(&self.pool) {
-                sink(&(key.len() as u16).to_be_bytes());
-                sink(key);
-                sink(&(value.len() as u16).to_be_bytes());
-                sink(value);
+                sink.write(&(key.len() as u16).to_be_bytes());
+                sink.write(key);
+                sink.write(&(value.len() as u16).to_be_bytes());
+                sink.write(value);
             }
         }
     }
@@ -392,7 +393,7 @@ impl UtxoSet {
     /// layout history.
     pub fn serialize(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.snapshot_len() as usize);
-        self.snapshot_into(&mut |bytes| out.extend_from_slice(bytes));
+        self.snapshot_into(&mut out);
         out
     }
 
@@ -412,8 +413,8 @@ impl UtxoSet {
     pub fn state_hash(&self) -> [u8; 32] {
         *self.hash_memo.get_or_init(|| {
             let mut hasher = Sha256::new();
-            self.snapshot_into(&mut |bytes| hasher.update(bytes));
-            sha256(&hasher.finalize())
+            self.snapshot_into(&mut hasher);
+            hasher.finalize_double()
         })
     }
 
