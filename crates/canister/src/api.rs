@@ -946,6 +946,26 @@ mod tests {
         assert!(small.instructions() >= metering::QUERY_BASE);
     }
 
+    /// The first page token of the 25-UTXO address at page size 10,
+    /// pinned byte for byte: version, min_confirmations, tip hash, cursor
+    /// height and cursor outpoint, all little-endian.
+    #[test]
+    fn page_token_bytes_are_pinned() {
+        let state = state_with_25_utxos_for_addr3();
+        let first = state.get_utxos_paged(&addr(3), None, 10, &mut Meter::new()).unwrap();
+        let token = first.next_page.expect("25 UTXOs span three pages of 10");
+        let hex: String = token.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(
+            hex,
+            "02\
+             00000000\
+             08c8430215c49a45fa3fc1f9426ca1a902e50ed39db8abef5589c5f233c9131d\
+             0100000000000000\
+             bdad47a5f269e98c044dfdd2e6849c048fbbf3e0acdfe54b50f453ab474df3d7\
+             09000000"
+        );
+    }
+
     mod properties {
         use super::*;
         use icbtc_sim::testkit;

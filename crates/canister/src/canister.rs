@@ -954,6 +954,25 @@ mod tests {
             c.checkpoint_bytes()
         }
 
+        /// The checkpoint image and the state hash of the three-block
+        /// canister, pinned so a byte change in any envelope layer fails
+        /// here rather than only in the benchmark gates.
+        #[test]
+        fn checkpoint_bytes_and_state_hash_are_pinned() {
+            let hex = |bytes: &[u8]| bytes.iter().map(|b| format!("{b:02x}")).collect::<String>();
+            let good = checkpoint();
+            let restored = BitcoinCanister::restore(&good).unwrap();
+            assert_eq!(good.len(), 1151);
+            assert_eq!(
+                hex(&icbtc_bitcoin::hash::sha256(&good)),
+                "22437a2fc8f2b402a5be55cd5d7d5214931e8cfbfda953782b47c7d063b4b116"
+            );
+            assert_eq!(
+                hex(&restored.state_hash()),
+                "5d99364d31e19fee830e2f327280ddf50c0afde38d1534d1f8388c730f23ba24"
+            );
+        }
+
         /// Restore reads stable memory or a peer's checkpoint: every
         /// truncation is a typed error, and a flipped byte is either an
         /// error or restores a canister whose checkpoint is exactly those
