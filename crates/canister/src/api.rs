@@ -274,9 +274,7 @@ impl BitcoinCanisterState {
         overlay.created.retain(|u| !spent.contains(&u.outpoint));
         // Pagination order. All created entries sit above the anchor, so
         // they precede every stable entry.
-        overlay
-            .created
-            .sort_by(|a, b| b.height.cmp(&a.height).then(a.outpoint.cmp(&b.outpoint)));
+        overlay.created.sort_by(|a, b| b.height.cmp(&a.height).then(a.outpoint.cmp(&b.outpoint)));
         Ok(overlay)
     }
 
@@ -358,9 +356,7 @@ impl BitcoinCanisterState {
         }
         meter.frame_end(scan);
         let next_page = match (more, page.last()) {
-            (true, Some(last)) => {
-                Some(encode_page(min_confirmations, &overlay.tip_hash, last))
-            }
+            (true, Some(last)) => Some(encode_page(min_confirmations, &overlay.tip_hash, last)),
             _ => None,
         };
         Ok(GetUtxosResponse {
@@ -422,10 +418,8 @@ impl BitcoinCanisterState {
                 total.saturating_add(u.value)
             });
         meter.frame_end(scan);
-        let unstable = overlay
-            .created
-            .iter()
-            .fold(Amount::ZERO, |total, u| total.saturating_add(u.value));
+        let unstable =
+            overlay.created.iter().fold(Amount::ZERO, |total, u| total.saturating_add(u.value));
         Ok(GetBalanceResponse {
             balance: stable.saturating_add(unstable),
             tip_height: overlay.tip_height,
@@ -643,7 +637,8 @@ mod tests {
         let mut chain = ChainStore::new(Network::Regtest);
         let mut blocks = Vec::new();
         for i in 0..5 {
-            let block = mine_block_on(&chain, chain.tip_hash(), Vec::new(), addr(7).script_pubkey(), i);
+            let block =
+                mine_block_on(&chain, chain.tip_hash(), Vec::new(), addr(7).script_pubkey(), i);
             chain.accept_block(block.clone(), NOW).unwrap();
             blocks.push(block);
         }
@@ -653,7 +648,8 @@ mod tests {
             outputs: vec![TxOut::new(Amount::from_sat(1000), addr(9).script_pubkey())],
             lock_time: 0,
         };
-        let block6 = mine_block_on(&chain, chain.tip_hash(), vec![spend], Script::new_op_return(b"m"), 99);
+        let block6 =
+            mine_block_on(&chain, chain.tip_hash(), vec![spend], Script::new_op_return(b"m"), 99);
         chain.accept_block(block6.clone(), NOW).unwrap();
         blocks.push(block6);
 
@@ -673,16 +669,16 @@ mod tests {
     /// One block whose transaction pays addr(3) 25 outputs.
     fn state_with_25_utxos_for_addr3() -> BitcoinCanisterState {
         let chain = ChainStore::new(Network::Regtest);
-        let outputs: Vec<TxOut> = (0..25)
-            .map(|_| TxOut::new(Amount::from_sat(10), addr(3).script_pubkey()))
-            .collect();
+        let outputs: Vec<TxOut> =
+            (0..25).map(|_| TxOut::new(Amount::from_sat(10), addr(3).script_pubkey())).collect();
         let big_tx = Transaction {
             version: 2,
             inputs: vec![TxIn::new(OutPoint::new(Txid([9; 32]), 0))],
             outputs,
             lock_time: 0,
         };
-        let block = mine_block_on(&chain, chain.tip_hash(), vec![big_tx], Script::new_op_return(b"m"), 0);
+        let block =
+            mine_block_on(&chain, chain.tip_hash(), vec![big_tx], Script::new_op_return(b"m"), 0);
         let mut state = BitcoinCanisterState::new(params(2));
         state.process_response(
             GetSuccessorsResponse { blocks: vec![block], next: Vec::new() },
@@ -706,9 +702,8 @@ mod tests {
         let mut stitched = Vec::new();
         let mut filter = None;
         loop {
-            let page = state
-                .get_utxos_paged(&addr(3), filter.clone(), 10, &mut Meter::new())
-                .unwrap();
+            let page =
+                state.get_utxos_paged(&addr(3), filter.clone(), 10, &mut Meter::new()).unwrap();
             stitched.extend(page.utxos);
             match page.next_page {
                 Some(token) => filter = Some(UtxosFilter::Page(token)),
@@ -831,10 +826,7 @@ mod tests {
     fn unsynced_state_rejects_requests() {
         let (mut state, _) = state_with_chain(3, 2);
         state.force_unsynced();
-        assert_eq!(
-            state.get_balance(&addr(7), 0, &mut Meter::new()),
-            Err(ApiError::NotSynced)
-        );
+        assert_eq!(state.get_balance(&addr(7), 0, &mut Meter::new()), Err(ApiError::NotSynced));
         assert!(matches!(
             state.get_utxos(&addr(7), None, &mut Meter::new()),
             Err(ApiError::NotSynced)
@@ -883,7 +875,8 @@ mod tests {
             lock_time: 0,
         };
         let expected_rate = 10_000u64 * 1000 / spend.vsize() as u64;
-        let b2 = mine_block_on(&chain, chain.tip_hash(), vec![spend], Script::new_op_return(b"m"), 1);
+        let b2 =
+            mine_block_on(&chain, chain.tip_hash(), vec![spend], Script::new_op_return(b"m"), 1);
         chain.accept_block(b2.clone(), NOW).unwrap();
 
         let mut state = BitcoinCanisterState::new(params(10)); // all unstable

@@ -546,7 +546,11 @@ impl StateMachine for BitcoinCanister {
     /// Queries route through the tip-keyed cache. The cache and its
     /// counters are node-local (single serving replica in this
     /// simulation), never part of replicated state.
-    fn execute_query(&mut self, input: CanisterCall, ctx: &mut ExecutionContext<'_>) -> CallOutcome {
+    fn execute_query(
+        &mut self,
+        input: CanisterCall,
+        ctx: &mut ExecutionContext<'_>,
+    ) -> CallOutcome {
         self.query_cached(&input, ctx.meter)
     }
 
@@ -624,10 +628,8 @@ mod tests {
         let expected = cycles::get_balance_fee(meter.instructions());
         assert_eq!(outcome.cycles_charged, expected);
         // UTXO calls cost more than balance calls (flat fee difference).
-        let utxo_outcome = c.query(
-            &CanisterCall::GetUtxos { address: addr(1), filter: None },
-            &mut Meter::new(),
-        );
+        let utxo_outcome =
+            c.query(&CanisterCall::GetUtxos { address: addr(1), filter: None }, &mut Meter::new());
         assert!(utxo_outcome.cycles_charged > outcome.cycles_charged);
     }
 
@@ -662,7 +664,10 @@ mod tests {
         // at the *same tip* pre-upgrade is gone, so the post-restore
         // canister can never serve a pre-upgrade reply.
         assert!(restored.query_cache().is_empty());
-        assert_eq!(restored.obs().metrics.snapshot_json(), canister().obs().metrics.snapshot_json());
+        assert_eq!(
+            restored.obs().metrics.snapshot_json(),
+            canister().obs().metrics.snapshot_json()
+        );
 
         // Corruption is rejected, not misread.
         assert!(BitcoinCanister::restore(&bytes[..bytes.len() - 1]).is_err());
@@ -769,21 +774,20 @@ mod tests {
 
         // Ingesting any adapter response wipes the cache.
         let mut meter = Meter::new();
-        let mut ctx = ExecutionContext {
-            meter: &mut meter,
-            now: icbtc_sim::SimTime::ZERO,
-            round: 1,
-        };
+        let mut ctx =
+            ExecutionContext { meter: &mut meter, now: icbtc_sim::SimTime::ZERO, round: 1 };
         c.ingest_response(GetSuccessorsResponse::default(), 0, &mut ctx);
         assert!(c.query_cache().is_empty(), "ingest invalidates wholesale");
         let snapshot = c.obs().metrics.snapshot_json();
         assert!(
-            snapshot.contains("\"name\": \"canister_qcache_hits_total\", \"labels\": {}, \"value\": 1"),
+            snapshot
+                .contains("\"name\": \"canister_qcache_hits_total\", \"labels\": {}, \"value\": 1"),
             "{snapshot}"
         );
         assert!(
-            snapshot
-                .contains("\"name\": \"canister_qcache_invalidations_total\", \"labels\": {}, \"value\": 1"),
+            snapshot.contains(
+                "\"name\": \"canister_qcache_invalidations_total\", \"labels\": {}, \"value\": 1"
+            ),
             "{snapshot}"
         );
     }
@@ -989,7 +993,11 @@ mod tests {
                 let at = testkit::usize_in(rng, 0..good.len());
                 flipped[at] ^= testkit::u64_in(rng, 1..256) as u8;
                 if let Ok(restored) = BitcoinCanister::restore(&flipped) {
-                    assert_eq!(restored.checkpoint_bytes(), flipped, "flip at {at} is non-canonical");
+                    assert_eq!(
+                        restored.checkpoint_bytes(),
+                        flipped,
+                        "flip at {at} is non-canonical"
+                    );
                 }
             });
         }

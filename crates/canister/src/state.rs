@@ -440,7 +440,8 @@ impl BitcoinCanisterState {
             if let Err(error) =
                 self.utxos.try_ingest_block(&body.block.txdata, &body.txids, height, meter)
             {
-                panic!("stable UTXO storage failed ingesting height {height}: {error}"); // icbtc-lint: allow(no-panic) -- the budget must fail loudly: continuing past it would silently diverge replicated state
+                // icbtc-lint: allow(no-panic) -- the budget must fail loudly: continuing past it would silently diverge replicated state
+                panic!("stable UTXO storage failed ingesting height {height}: {error}");
             }
             meter.frame_end(ingest);
             self.stable_headers.push(body.block.header);
@@ -486,11 +487,7 @@ impl BitcoinCanisterState {
             "one stable header per ingested height"
         );
         for pair in stable_headers.windows(2) {
-            assert_eq!(
-                pair[1].prev_blockhash,
-                pair[0].block_hash(),
-                "stable headers must chain"
-            );
+            assert_eq!(pair[1].prev_blockhash, pair[0].block_hash(), "stable headers must chain");
         }
         let anchor = *stable_headers.last().expect("non-empty"); // icbtc-lint: allow(no-panic) -- guarded by the is_empty assert above; panics are this API's documented contract
         let anchor_height = stable_headers.len() as u64 - 1;
@@ -855,7 +852,8 @@ mod tests {
 
         // Timestamp too far in the future.
         let future_chain_now = blocks[0].header.time.saturating_sub(3 * 60 * 60);
-        let report = state.process_response(respond_with(&blocks[..1]), future_chain_now, &mut meter);
+        let report =
+            state.process_response(respond_with(&blocks[..1]), future_chain_now, &mut meter);
         assert_eq!(report.rejected, vec![RejectReason::Header(HeaderError::TimestampTooNew)]);
     }
 
@@ -1064,7 +1062,8 @@ mod tests {
             Network::Regtest,
             StorageConfig { page_size: 512, byte_budget: 2 * 512 },
         );
-        utxos.try_ingest_block(&genesis.txdata, &txids(&genesis.txdata), 0, &mut Meter::new())
+        utxos
+            .try_ingest_block(&genesis.txdata, &txids(&genesis.txdata), 0, &mut Meter::new())
             .expect("genesis fits");
         let mut state = BitcoinCanisterState::new(params());
         state.install_snapshot(utxos, vec![genesis.header]);
@@ -1110,10 +1109,8 @@ mod tests {
         // The drop is a true no-op on replicated state.
         assert_eq!(state.state_hash(), hash_after_first);
         // A *different* response at the same tip is not a duplicate.
-        let header_only = GetSuccessorsResponse {
-            blocks: Vec::new(),
-            next: vec![blocks[0].header],
-        };
+        let header_only =
+            GetSuccessorsResponse { blocks: Vec::new(), next: vec![blocks[0].header] };
         let third = state.process_response(header_only, NOW, &mut meter);
         assert!(!third.duplicate_dropped);
     }

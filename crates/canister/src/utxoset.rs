@@ -738,8 +738,7 @@ mod tests {
     #[test]
     fn out_of_order_ingestion_is_a_typed_error() {
         let (mut set, mut meter) = fresh();
-        let err = try_ingest(&mut set, &[pay_tx(None, &[(1, 1)])], 5, &mut meter)
-            .unwrap_err();
+        let err = try_ingest(&mut set, &[pay_tx(None, &[(1, 1)])], 5, &mut meter).unwrap_err();
         assert_eq!(err, StorageError::OutOfOrderIngestion { expected: 0, got: 5 });
         assert!(err.to_string().contains("stable blocks must be ingested in order"), "{err}");
         // Rejected before touching any state: the set stays usable.
@@ -1010,8 +1009,7 @@ mod tests {
     fn fig6_split_is_roughly_even_on_balanced_blocks() {
         let (mut set, mut meter) = fresh();
         // Block 0: create 50 outputs.
-        let creators: Vec<Transaction> =
-            (0..50).map(|i| pay_tx(None, &[(i as u8, 100)])).collect();
+        let creators: Vec<Transaction> = (0..50).map(|i| pay_tx(None, &[(i as u8, 100)])).collect();
         ingest(&mut set, &creators, 0, &mut meter);
         // Block 1: spend all 50, creating 50 new ones.
         let spends: Vec<Transaction> = creators
