@@ -532,21 +532,33 @@ pub(crate) mod tests {
         use icbtc_sim::testkit;
         use icbtc_sim::SimRng;
 
+        /// A script or witness item: mostly short, six in 64 behind a
+        /// 3-byte `CompactSize` prefix (253 bytes and up), and one in 64
+        /// behind a 5-byte one (65,536 bytes and up).
+        fn arb_item(rng: &mut SimRng) -> Vec<u8> {
+            let len = match testkit::u64_in(rng, 0..64) {
+                0 => 0x1_0000..0x1_0100,
+                1..=6 => 0xfd..0x300,
+                _ => 0..40,
+            };
+            testkit::bytes(rng, len)
+        }
+
         fn arb_txin(rng: &mut SimRng) -> TxIn {
             TxIn {
                 previous_output: OutPoint::new(
                     Txid(testkit::byte_array(rng)),
                     testkit::u32_any(rng),
                 ),
-                script_sig: testkit::bytes(rng, 0..40),
+                script_sig: arb_item(rng),
                 sequence: testkit::u32_any(rng),
-                witness: testkit::vec_with(rng, 0..4, |r| testkit::bytes(r, 0..40)),
+                witness: testkit::vec_with(rng, 0..4, arb_item),
             }
         }
 
         fn arb_txout(rng: &mut SimRng) -> TxOut {
             let v = testkit::u64_in(rng, 0..Amount::MAX_MONEY.to_sat());
-            TxOut::new(Amount::from_sat(v), Script::from_bytes(testkit::bytes(rng, 0..40)))
+            TxOut::new(Amount::from_sat(v), Script::from_bytes(arb_item(rng)))
         }
 
         pub(crate) fn arb_tx(rng: &mut SimRng) -> Transaction {

@@ -9,7 +9,7 @@
 
 use std::collections::BTreeSet;
 
-use icbtc_bitcoin::encode::Decodable;
+use icbtc_bitcoin::encode::{Decodable, DecodeError, Encodable, Reader, Sink};
 use icbtc_bitcoin::{Address, Amount, BlockHash, OutPoint, Transaction, Txid};
 use icbtc_core::stability;
 use icbtc_ic::Meter;
@@ -127,10 +127,6 @@ impl std::error::Error for ApiError {}
 /// tokens from older deployments decode to [`ApiError::MalformedPage`].
 const PAGE_TOKEN_VERSION: u8 = 2;
 
-/// Encoded token length: version ‖ min_confirmations ‖ tip hash ‖
-/// cursor height ‖ cursor txid ‖ cursor vout.
-const PAGE_TOKEN_LEN: usize = 1 + 4 + 32 + 8 + 32 + 4;
-
 /// A decoded pagination token: the filter's confirmation requirement,
 /// the tip the previous page was computed at, and the address-index key
 /// of the last UTXO returned. The next page resumes *strictly after*
@@ -143,37 +139,30 @@ struct PageToken {
     outpoint: OutPoint,
 }
 
-fn encode_page(min_confirmations: u32, tip: &BlockHash, last: &Utxo) -> Vec<u8> {
-    let mut out = Vec::with_capacity(PAGE_TOKEN_LEN);
-    out.push(PAGE_TOKEN_VERSION);
-    out.extend_from_slice(&min_confirmations.to_le_bytes());
-    out.extend_from_slice(&tip.0);
-    out.extend_from_slice(&last.height.to_le_bytes());
-    out.extend_from_slice(&last.outpoint.txid.0);
-    out.extend_from_slice(&last.outpoint.vout.to_le_bytes());
-    out
+/// Wire layout: version ‖ min_confirmations ‖ tip hash ‖ cursor height ‖
+/// cursor outpoint, little-endian as the Bitcoin codec writes them.
+impl Encodable for PageToken {
+    fn encode<S: Sink + ?Sized>(&self, out: &mut S) {
+        PAGE_TOKEN_VERSION.encode(out);
+        self.min_confirmations.encode(out);
+        self.tip.0.encode(out);
+        self.height.encode(out);
+        self.outpoint.encode(out);
+    }
 }
 
-fn decode_page(bytes: &[u8]) -> Option<PageToken> {
-    if bytes.len() != PAGE_TOKEN_LEN || bytes[0] != PAGE_TOKEN_VERSION {
-        return None;
+impl Decodable for PageToken {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        if u8::decode(r)? != PAGE_TOKEN_VERSION {
+            return Err(DecodeError::InvalidValue("page token version"));
+        }
+        Ok(PageToken {
+            min_confirmations: u32::decode(r)?,
+            tip: BlockHash(<[u8; 32]>::decode(r)?),
+            height: u64::decode(r)?,
+            outpoint: OutPoint::decode(r)?,
+        })
     }
-    let mut min_confirmations = [0u8; 4];
-    min_confirmations.copy_from_slice(&bytes[1..5]);
-    let mut tip = [0u8; 32];
-    tip.copy_from_slice(&bytes[5..37]);
-    let mut height = [0u8; 8];
-    height.copy_from_slice(&bytes[37..45]);
-    let mut txid = [0u8; 32];
-    txid.copy_from_slice(&bytes[45..77]);
-    let mut vout = [0u8; 4];
-    vout.copy_from_slice(&bytes[77..81]);
-    Some(PageToken {
-        min_confirmations: u32::from_le_bytes(min_confirmations),
-        tip: BlockHash(tip),
-        height: u64::from_le_bytes(height),
-        outpoint: OutPoint::new(Txid(txid), u32::from_le_bytes(vout)),
-    })
 }
 
 /// Charges the flat per-query base cost, attributed to its two profiler
@@ -317,7 +306,8 @@ impl BitcoinCanisterState {
             Some(UtxosFilter::Page(bytes)) => {
                 // A token carrying c > δ was never issued here: report the
                 // token, not a confirmation bound the caller never asked for.
-                let token = decode_page(bytes)
+                let token = PageToken::decode_exact(bytes)
+                    .ok()
                     .filter(|t| u64::from(t.min_confirmations) <= self.params().stability_delta)
                     .ok_or(ApiError::MalformedPage)?;
                 (token.min_confirmations, Some(token))
@@ -356,7 +346,15 @@ impl BitcoinCanisterState {
         }
         meter.frame_end(scan);
         let next_page = match (more, page.last()) {
-            (true, Some(last)) => Some(encode_page(min_confirmations, &overlay.tip_hash, last)),
+            (true, Some(last)) => Some(
+                PageToken {
+                    min_confirmations,
+                    tip: overlay.tip_hash,
+                    height: last.height,
+                    outpoint: last.outpoint,
+                }
+                .encode_to_vec(),
+            ),
             _ => None,
         };
         Ok(GetUtxosResponse {

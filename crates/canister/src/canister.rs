@@ -4,6 +4,7 @@
 //! typed method interface, instruction metering per call, and cycles
 //! charges per the fee schedule (§IV-B).
 
+use icbtc_bitcoin::encode::{Reader, Sink};
 use icbtc_bitcoin::hash::Sha256;
 use icbtc_bitcoin::Address;
 use icbtc_core::GetSuccessorsResponse;
@@ -15,9 +16,8 @@ use icbtc_sim::obs::{FieldValue, Obs, INSTRUCTION_BOUNDS};
 use crate::api::{ApiError, GetBalanceResponse, GetMetricsResponse, GetUtxosResponse, UtxosFilter};
 use crate::metering;
 use crate::qcache::QueryCache;
-use crate::state::{BitcoinCanisterState, IngestReport};
+use crate::state::{take_sized, BitcoinCanisterState, IngestReport, Section};
 use crate::storage::StorageError;
-use crate::utxoset::SnapshotReader;
 
 /// Magic prefix of the canister checkpoint envelope, wrapping the
 /// full-state snapshot plus the replicated counters.
@@ -224,6 +224,26 @@ impl BitcoinCanister {
         }
     }
 
+    /// Streams the checkpoint envelope into `sink`: magic, version, the
+    /// replicated counters, then the full state as `state` asks. The one
+    /// section list backs both [`BitcoinCanister::checkpoint_bytes`] and
+    /// [`BitcoinCanister::state_hash`], as
+    /// [`BitcoinCanisterState::serialize`] and
+    /// [`BitcoinCanisterState::state_hash`] share theirs one layer down.
+    fn envelope_into(&self, state: Section, sink: &mut dyn Sink) {
+        sink.write(CHECKPOINT_MAGIC);
+        sink.write(&CHECKPOINT_VERSION.to_be_bytes());
+        sink.write(&self.cycles_burned.to_be_bytes());
+        sink.write(&self.instructions_total.to_be_bytes());
+        match state {
+            Section::Image => {
+                sink.write(&(self.state.sized_len() as u64).to_be_bytes());
+                self.state.snapshot_into(Section::Image, sink);
+            }
+            Section::Digest => sink.write(&self.state.state_hash()),
+        }
+    }
+
     /// The canister checkpoint as one contiguous buffer — what
     /// `pre_upgrade` writes to stable memory and what the subnet's
     /// periodic checkpointer stores for crash catch-up: magic, version,
@@ -233,17 +253,9 @@ impl BitcoinCanister {
     /// node-local and deliberately absent, which is what makes an
     /// upgrade equivalent to dropping them.
     pub fn checkpoint_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(CHECKPOINT_MAGIC);
-        out.extend_from_slice(&CHECKPOINT_VERSION.to_be_bytes());
-        out.extend_from_slice(&self.cycles_burned.to_be_bytes());
-        out.extend_from_slice(&self.instructions_total.to_be_bytes());
-        // The state is streamed in place; its length is patched in after.
-        let len_at = out.len();
-        out.extend_from_slice(&0u64.to_be_bytes());
-        self.state.serialize_into(&mut out);
-        let state_len = (out.len() - len_at - 8) as u64;
-        out[len_at..len_at + 8].copy_from_slice(&state_len.to_be_bytes());
+        // Magic, version, both counters and the state length, then the state.
+        let mut out = Vec::with_capacity(8 + 2 + 16 + 8 + 8 + self.state.sized_len());
+        self.envelope_into(Section::Image, &mut out);
         out
     }
 
@@ -256,11 +268,7 @@ impl BitcoinCanister {
     /// [`BitcoinCanisterState::state_hash`]).
     pub fn state_hash(&self) -> [u8; 32] {
         let mut hasher = Sha256::new();
-        hasher.update(CHECKPOINT_MAGIC);
-        hasher.update(&CHECKPOINT_VERSION.to_be_bytes());
-        hasher.update(&self.cycles_burned.to_be_bytes());
-        hasher.update(&self.instructions_total.to_be_bytes());
-        hasher.update(&self.state.state_hash());
+        self.envelope_into(Section::Digest, &mut hasher);
         hasher.finalize_double()
     }
 
@@ -274,18 +282,17 @@ impl BitcoinCanister {
     /// [`StorageError::Corrupt`] on a bad magic, version, embedded state
     /// snapshot, or trailing bytes.
     pub fn restore(bytes: &[u8]) -> Result<BitcoinCanister, StorageError> {
-        let mut cursor = SnapshotReader { bytes, pos: 0 };
-        if cursor.take(8)? != CHECKPOINT_MAGIC {
+        let mut r = Reader::new(bytes);
+        if r.take(8)? != CHECKPOINT_MAGIC {
             return Err(StorageError::Corrupt("bad checkpoint magic"));
         }
-        if cursor.u16()? != CHECKPOINT_VERSION {
+        if u16::from_be_bytes(r.take_array()?) != CHECKPOINT_VERSION {
             return Err(StorageError::Corrupt("unsupported checkpoint version"));
         }
-        let cycles_burned = cursor.u128()?;
-        let instructions_total = cursor.u64()?;
-        let state_len = cursor.u64()? as usize;
-        let state = BitcoinCanisterState::deserialize(cursor.take(state_len)?)?;
-        if cursor.pos != bytes.len() {
+        let cycles_burned = u128::from_be_bytes(r.take_array()?);
+        let instructions_total = u64::from_be_bytes(r.take_array()?);
+        let state = BitcoinCanisterState::deserialize(take_sized(&mut r)?)?;
+        if r.remaining() > 0 {
             return Err(StorageError::Corrupt("trailing bytes in checkpoint"));
         }
         let mut canister = BitcoinCanister::from_state(state);
@@ -566,7 +573,10 @@ impl StateMachine for BitcoinCanister {
     }
 
     fn restore(&mut self, bytes: &[u8]) -> Result<(), &'static str> {
-        *self = BitcoinCanister::restore(bytes).map_err(|_| "corrupt checkpoint")?;
+        *self = BitcoinCanister::restore(bytes).map_err(|error| match error {
+            StorageError::Corrupt(why) => why,
+            _ => "checkpoint does not fit its own storage configuration",
+        })?;
         Ok(())
     }
 
@@ -669,8 +679,11 @@ mod tests {
             canister().obs().metrics.snapshot_json()
         );
 
-        // Corruption is rejected, not misread.
+        // Corruption is rejected, not misread, and the subnet hears why.
         assert!(BitcoinCanister::restore(&bytes[..bytes.len() - 1]).is_err());
+        let mut replica = canister();
+        let truncated = StateMachine::restore(&mut replica, &bytes[..bytes.len() - 1]);
+        assert_eq!(truncated, Err("truncated snapshot"));
         let mut bad = bytes.clone();
         bad[3] ^= 0x40;
         assert!(BitcoinCanister::restore(&bad).is_err());

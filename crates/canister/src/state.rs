@@ -11,7 +11,7 @@
 use std::cell::Cell;
 use std::collections::BTreeMap;
 
-use icbtc_bitcoin::encode::{Decodable, Encodable, Sink};
+use icbtc_bitcoin::encode::{Decodable, DecodeError, Encodable, Reader, Sink};
 use icbtc_bitcoin::hash::Sha256;
 use icbtc_bitcoin::pow::{self, HeaderError};
 use icbtc_bitcoin::{txids, Block, BlockHash, BlockHeader, HeaderTree, Transaction, Txid};
@@ -21,7 +21,7 @@ use icbtc_ic::Meter;
 
 use crate::metering;
 use crate::storage::{codec, StorageError};
-use crate::utxoset::{SnapshotReader, UtxoSet};
+use crate::utxoset::UtxoSet;
 
 /// Why a header or block from the adapter was rejected. Rejections are
 /// not errors of the canister — malicious replicas may relay garbage —
@@ -509,7 +509,7 @@ impl BitcoinCanisterState {
     /// list backs both [`BitcoinCanisterState::serialize`] and
     /// [`BitcoinCanisterState::state_hash`]; they differ only in how
     /// `utxos` emits the UTXO section.
-    fn snapshot_into(&self, utxos: UtxoSection, sink: &mut dyn Sink) {
+    pub(crate) fn snapshot_into(&self, utxos: Section, sink: &mut dyn Sink) {
         sink.write(STATE_MAGIC);
         sink.write(&STATE_VERSION.to_be_bytes());
         sink.write(&[codec::network_tag(self.params.network)]);
@@ -521,11 +521,11 @@ impl BitcoinCanisterState {
         sink.write(&self.params.bulk_sync_height.to_be_bytes());
         sink.write(&self.params.tx_cache_expiry_secs.to_be_bytes());
         match utxos {
-            UtxoSection::Snapshot => {
+            Section::Image => {
                 sink.write(&self.utxos.snapshot_len().to_be_bytes());
                 self.utxos.snapshot_into(sink);
             }
-            UtxoSection::Hash => sink.write(&self.utxos.state_hash()),
+            Section::Digest => sink.write(&self.utxos.state_hash()),
         }
         sink.write(&(self.stable_headers.len() as u64).to_be_bytes());
         for header in &self.stable_headers {
@@ -542,13 +542,11 @@ impl BitcoinCanisterState {
         }
         sink.write(&(self.blocks.len() as u64).to_be_bytes());
         for body in self.blocks.values() {
-            sink.write(&(body.block.encoded_len() as u64).to_be_bytes());
-            body.block.encode(sink);
+            sized_into(&body.block, sink);
         }
         sink.write(&(self.outbound.len() as u64).to_be_bytes());
         for tx in &self.outbound {
-            sink.write(&(tx.encoded_len() as u64).to_be_bytes());
-            tx.encode(sink);
+            sized_into(tx, sink);
         }
         sink.write(&[self.synced as u8]);
         // Derived from the stable headers, and kept in the envelope so
@@ -565,26 +563,19 @@ impl BitcoinCanisterState {
     }
 
     /// The full-state snapshot as one contiguous buffer — what a canister
-    /// upgrade writes to stable memory in `pre_upgrade`.
+    /// upgrade writes to stable memory in `pre_upgrade`. The exact image
+    /// length is reserved first, so the buffer is never regrown.
     pub fn serialize(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        self.serialize_into(&mut out);
+        let mut out = Vec::with_capacity(self.sized_len());
+        self.snapshot_into(Section::Image, &mut out);
         out
-    }
-
-    /// Appends [`BitcoinCanisterState::serialize`]'s bytes to `out`,
-    /// streaming every section straight into it. The exact image length
-    /// is reserved first, so the buffer is never regrown.
-    pub(crate) fn serialize_into(&self, out: &mut Vec<u8>) {
-        out.reserve(self.sized_len());
-        self.snapshot_into(UtxoSection::Snapshot, out);
     }
 
     /// Exact length of [`BitcoinCanisterState::serialize`]'s output: the
     /// UTXO section from [`UtxoSet::snapshot_len`], each header at 80
     /// bytes, and each block body and outbound transaction counted by
     /// [`Encodable::encoded_len`] behind its 8-byte length prefix.
-    fn sized_len(&self) -> usize {
+    pub(crate) fn sized_len(&self) -> usize {
         let params = 8 + 2 + 1 + 7 * 8;
         let utxos = 8 + self.utxos.snapshot_len() as usize;
         let headers = 8 + 8 + 80 * (self.stable_headers.len() + self.tree.len() - 1);
@@ -605,7 +596,7 @@ impl BitcoinCanisterState {
     /// detector compares every round.
     pub fn state_hash(&self) -> [u8; 32] {
         let mut hasher = Sha256::new();
-        self.snapshot_into(UtxoSection::Hash, &mut hasher);
+        self.snapshot_into(Section::Digest, &mut hasher);
         hasher.finalize_double()
     }
 
@@ -621,38 +612,36 @@ impl BitcoinCanisterState {
     /// and Merkle rules ingest applies, or trailing bytes. The bodies'
     /// txids are recomputed here, never read from `bytes`.
     pub fn deserialize(bytes: &[u8]) -> Result<BitcoinCanisterState, StorageError> {
-        let mut cursor = SnapshotReader { bytes, pos: 0 };
-        if cursor.take(8)? != STATE_MAGIC {
+        let mut r = Reader::new(bytes);
+        if r.take(8)? != STATE_MAGIC {
             return Err(StorageError::Corrupt("bad state magic"));
         }
-        if cursor.u16()? != STATE_VERSION {
+        if u16::from_be_bytes(r.take_array()?) != STATE_VERSION {
             return Err(StorageError::Corrupt("unsupported state snapshot version"));
         }
-        let network = codec::network_from_tag(cursor.u8()?)?;
+        let network = codec::network_from_tag(u8::from_be_bytes(r.take_array()?))?;
         let mut params = IntegrationParams::for_network(network);
-        params.stability_delta = cursor.u64()?;
-        params.tau = cursor.u64()?;
-        params.connections = cursor.u64()? as usize;
-        params.addr_low_watermark = cursor.u64()? as usize;
-        params.addr_high_watermark = cursor.u64()? as usize;
-        params.bulk_sync_height = cursor.u64()?;
-        params.tx_cache_expiry_secs = cursor.u64()?;
-        let utxo_len = cursor.u64()? as usize;
-        let utxos = UtxoSet::deserialize(cursor.take(utxo_len)?)?;
+        params.stability_delta = u64::from_be_bytes(r.take_array()?);
+        params.tau = u64::from_be_bytes(r.take_array()?);
+        params.connections = u64::from_be_bytes(r.take_array()?) as usize;
+        params.addr_low_watermark = u64::from_be_bytes(r.take_array()?) as usize;
+        params.addr_high_watermark = u64::from_be_bytes(r.take_array()?) as usize;
+        params.bulk_sync_height = u64::from_be_bytes(r.take_array()?);
+        params.tx_cache_expiry_secs = u64::from_be_bytes(r.take_array()?);
+        let utxos = UtxoSet::deserialize(take_sized(&mut r)?)?;
         if utxos.network() != network {
             return Err(StorageError::Corrupt("utxo snapshot network mismatch"));
         }
-        let stable_count = cursor.u64()? as usize;
+        let stable_count = u64::from_be_bytes(r.take_array()?);
         if stable_count == 0 {
             return Err(StorageError::Corrupt("empty stable chain"));
         }
-        if stable_count as u64 != utxos.next_height() {
+        if stable_count != utxos.next_height() {
             return Err(StorageError::Corrupt("stable chain length disagrees with utxo height"));
         }
         let mut stable_headers: Vec<BlockHeader> = Vec::new();
         for _ in 0..stable_count {
-            let header = BlockHeader::decode_exact(cursor.take(80)?)
-                .map_err(|_| StorageError::Corrupt("bad stable header"))?;
+            let header = BlockHeader::decode(&mut r)?;
             if let Some(prev) = stable_headers.last() {
                 if header.prev_blockhash != prev.block_hash() {
                     return Err(StorageError::Corrupt("stable headers do not chain"));
@@ -661,24 +650,18 @@ impl BitcoinCanisterState {
             stable_headers.push(header);
         }
         let anchor = *stable_headers.last().expect("non-empty"); // icbtc-lint: allow(no-panic) -- guarded by the stable_count == 0 check above
-        let anchor_height = stable_count as u64 - 1;
+        let anchor_height = stable_count - 1;
         let mut tree = HeaderTree::with_root_height(anchor, anchor_height);
-        let unstable_count = cursor.u64()? as usize;
-        for _ in 0..unstable_count {
-            let header = BlockHeader::decode_exact(cursor.take(80)?)
-                .map_err(|_| StorageError::Corrupt("bad unstable header"))?;
-            match tree.insert(header) {
+        for _ in 0..u64::from_be_bytes(r.take_array()?) {
+            match tree.insert(BlockHeader::decode(&mut r)?) {
                 Ok(true) => {}
                 Ok(false) => return Err(StorageError::Corrupt("duplicate unstable header")),
                 Err(_) => return Err(StorageError::Corrupt("orphan unstable header")),
             }
         }
-        let block_count = cursor.u64()? as usize;
         let mut blocks = BTreeMap::new();
-        for _ in 0..block_count {
-            let len = cursor.u64()? as usize;
-            let block = Block::decode_exact(cursor.take(len)?)
-                .map_err(|_| StorageError::Corrupt("bad unstable block"))?;
+        for _ in 0..u64::from_be_bytes(r.take_array()?) {
+            let block: Block = sized_from(&mut r, "bad unstable block")?;
             let hash = block.block_hash();
             if !tree.contains(&hash) || hash == tree.root() {
                 return Err(StorageError::Corrupt("block body without unstable header"));
@@ -687,34 +670,24 @@ impl BitcoinCanisterState {
                 .ok_or(StorageError::Corrupt("malformed unstable block"))?;
             blocks.insert(hash, body);
         }
-        let outbound_count = cursor.u64()? as usize;
         let mut outbound: Vec<Transaction> = Vec::new();
-        for _ in 0..outbound_count {
-            let len = cursor.u64()? as usize;
-            let tx = Transaction::decode_exact(cursor.take(len)?)
-                .map_err(|_| StorageError::Corrupt("bad outbound transaction"))?;
-            outbound.push(tx);
+        for _ in 0..u64::from_be_bytes(r.take_array()?) {
+            outbound.push(sized_from(&mut r, "bad outbound transaction")?);
         }
-        let synced = match cursor.u8()? {
+        let synced = match u8::from_be_bytes(r.take_array()?) {
             0 => false,
             1 => true,
             _ => return Err(StorageError::Corrupt("bad synced flag")),
         };
-        if cursor.u64()? != anchor_height + 1 {
+        if u64::from_be_bytes(r.take_array()?) != anchor_height + 1 {
             return Err(StorageError::Corrupt("blocks_stabilized disagrees with anchor height"));
         }
-        let last_response_fingerprint = match cursor.u8()? {
+        let last_response_fingerprint = match u8::from_be_bytes(r.take_array()?) {
             0 => None,
-            1 => {
-                let mut tip = [0u8; 32];
-                tip.copy_from_slice(cursor.take(32)?);
-                let mut content = [0u8; 32];
-                content.copy_from_slice(cursor.take(32)?);
-                Some((BlockHash(tip), content))
-            }
+            1 => Some((BlockHash(r.take_array()?), r.take_array()?)),
             _ => return Err(StorageError::Corrupt("bad fingerprint tag")),
         };
-        if cursor.pos != bytes.len() {
+        if r.remaining() > 0 {
             return Err(StorageError::Corrupt("trailing bytes in state snapshot"));
         }
         Ok(BitcoinCanisterState {
@@ -730,12 +703,33 @@ impl BitcoinCanisterState {
     }
 }
 
-/// How [`BitcoinCanisterState::snapshot_into`] emits the UTXO section.
-enum UtxoSection {
-    /// `len ‖ snapshot bytes`, what a restore reads back.
-    Snapshot,
-    /// The set's 32-byte [`UtxoSet::state_hash`], for hashing.
-    Hash,
+/// How an envelope emits the layer nested in it: the state envelope's
+/// UTXO set, or the checkpoint envelope's full state.
+pub(crate) enum Section {
+    /// `len ‖ image bytes`, what a restore reads back.
+    Image,
+    /// The nested layer's 32-byte state hash, for hashing.
+    Digest,
+}
+
+/// Writes `item` behind its 8-byte big-endian encoded length.
+fn sized_into(item: &impl Encodable, sink: &mut dyn Sink) {
+    sink.write(&(item.encoded_len() as u64).to_be_bytes());
+    item.encode(sink);
+}
+
+/// Reads an item [`sized_into`] wrote; `what` names a value that does
+/// not decode to exactly its stated length.
+fn sized_from<T: Decodable>(r: &mut Reader<'_>, what: &'static str) -> Result<T, StorageError> {
+    T::decode_exact(take_sized(r)?).map_err(|_| StorageError::Corrupt(what))
+}
+
+/// Takes the bytes behind an 8-byte big-endian length: a nested image,
+/// or an item [`sized_into`] wrote.
+pub(crate) fn take_sized<'a>(r: &mut Reader<'a>) -> Result<&'a [u8], DecodeError> {
+    let len = u64::from_be_bytes(r.take_array()?);
+    // A length past the address space is past the end of the input too.
+    r.take(usize::try_from(len).unwrap_or(usize::MAX))
 }
 
 /// Magic prefix of the full-state snapshot envelope.

@@ -32,6 +32,8 @@ pub(crate) mod page;
 
 use std::fmt;
 
+use icbtc_bitcoin::encode::DecodeError;
+
 pub use btree::PagedMap;
 pub use page::PagePool;
 
@@ -138,6 +140,17 @@ impl fmt::Display for StorageError {
 }
 
 impl std::error::Error for StorageError {}
+
+/// A snapshot decoded through the wire codec's reader: bytes that end
+/// early are a truncated snapshot, anything else a malformed one.
+impl From<DecodeError> for StorageError {
+    fn from(error: DecodeError) -> StorageError {
+        StorageError::Corrupt(match error {
+            DecodeError::UnexpectedEnd => "truncated snapshot",
+            _ => "malformed snapshot",
+        })
+    }
+}
 
 /// Point-in-time footprint of the paged store, exported as canister
 /// gauges (`canister_storage_*`) and in the fig5 bench report.

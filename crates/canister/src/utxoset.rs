@@ -16,7 +16,7 @@
 
 use std::cell::OnceCell;
 
-use icbtc_bitcoin::encode::Sink;
+use icbtc_bitcoin::encode::{Reader, Sink};
 use icbtc_bitcoin::hash::Sha256;
 use icbtc_bitcoin::{Address, Amount, Network, OutPoint, Script, Transaction, TxOut, Txid};
 use icbtc_ic::Meter;
@@ -432,17 +432,17 @@ impl UtxoSet {
     /// duplicate entry; [`StorageError::BudgetExhausted`] if the snapshot
     /// does not fit its own declared budget.
     pub fn deserialize(bytes: &[u8]) -> Result<UtxoSet, StorageError> {
-        let mut cursor = SnapshotReader { bytes, pos: 0 };
-        if cursor.take(8)? != SNAPSHOT_MAGIC {
+        let mut r = Reader::new(bytes);
+        if r.take(8)? != SNAPSHOT_MAGIC {
             return Err(StorageError::Corrupt("bad magic"));
         }
-        if cursor.u16()? != SNAPSHOT_VERSION {
+        if u16::from_be_bytes(r.take_array()?) != SNAPSHOT_VERSION {
             return Err(StorageError::Corrupt("unknown snapshot version"));
         }
-        let network = codec::network_from_tag(cursor.u8()?)?;
-        let page_size = cursor.u32()? as usize;
-        let byte_budget = cursor.u64()?;
-        let next_height = cursor.u64()?;
+        let network = codec::network_from_tag(u8::from_be_bytes(r.take_array()?))?;
+        let page_size = u32::from_be_bytes(r.take_array()?) as usize;
+        let byte_budget = u64::from_be_bytes(r.take_array()?);
+        let next_height = u64::from_be_bytes(r.take_array()?);
         let mut set = UtxoSet::with_config(network, StorageConfig { page_size, byte_budget });
         if set.pool.page_size() != page_size {
             return Err(StorageError::Corrupt("page size out of range"));
@@ -451,11 +451,11 @@ impl UtxoSet {
         for is_index in [false, true] {
             let mut map = btree::Appender::new();
             let mut last: &[u8] = &[];
-            for _ in 0..cursor.u64()? {
-                let klen = cursor.u16()? as usize;
-                let key = cursor.take(klen)?;
-                let vlen = cursor.u16()? as usize;
-                let value = cursor.take(vlen)?;
+            for _ in 0..u64::from_be_bytes(r.take_array()?) {
+                let key_len = u16::from_be_bytes(r.take_array()?);
+                let key = r.take(key_len as usize)?;
+                let value_len = u16::from_be_bytes(r.take_array()?);
+                let value = r.take(value_len as usize)?;
                 // Key order rules out duplicates; the lengths are what the
                 // codec's decoders index into without further checks.
                 let well_formed = if is_index {
@@ -471,57 +471,10 @@ impl UtxoSet {
             }
             *if is_index { &mut set.by_address } else { &mut set.by_outpoint } = map.finish();
         }
-        if cursor.pos != bytes.len() {
+        if r.remaining() > 0 {
             return Err(StorageError::Corrupt("trailing bytes"));
         }
         Ok(set)
-    }
-}
-
-/// Minimal bounds-checked reader for snapshot deserialization, shared
-/// with the full-state checkpoint envelope in [`crate::state`] and the
-/// canister-level wrapper in [`crate::canister`].
-pub(crate) struct SnapshotReader<'a> {
-    pub(crate) bytes: &'a [u8],
-    pub(crate) pos: usize,
-}
-
-impl<'a> SnapshotReader<'a> {
-    pub(crate) fn take(&mut self, len: usize) -> Result<&'a [u8], StorageError> {
-        let end = self
-            .pos
-            .checked_add(len)
-            .filter(|end| *end <= self.bytes.len())
-            .ok_or(StorageError::Corrupt("truncated snapshot"))?;
-        let slice = &self.bytes[self.pos..end];
-        self.pos = end;
-        Ok(slice)
-    }
-
-    pub(crate) fn u8(&mut self) -> Result<u8, StorageError> {
-        Ok(self.take(1)?[0])
-    }
-
-    pub(crate) fn u16(&mut self) -> Result<u16, StorageError> {
-        let b = self.take(2)?;
-        Ok(u16::from_be_bytes([b[0], b[1]]))
-    }
-
-    pub(crate) fn u32(&mut self) -> Result<u32, StorageError> {
-        let b = self.take(4)?;
-        Ok(u32::from_be_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    pub(crate) fn u64(&mut self) -> Result<u64, StorageError> {
-        let b = self.take(8)?;
-        Ok(u64::from_be_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]))
-    }
-
-    pub(crate) fn u128(&mut self) -> Result<u128, StorageError> {
-        let b = self.take(16)?;
-        let mut raw = [0u8; 16];
-        raw.copy_from_slice(b);
-        Ok(u128::from_be_bytes(raw))
     }
 }
 
