@@ -317,7 +317,8 @@ mod tests {
         .is_none());
         assert!(QueryCache::key_for(&CanisterCall::GetMetrics, tip).is_none());
         // Bare get_utxos and MinConfirmations(0) normalize identically.
-        let bare = QueryCache::key_for(&CanisterCall::GetUtxos { address: addr(1), filter: None }, tip);
+        let bare =
+            QueryCache::key_for(&CanisterCall::GetUtxos { address: addr(1), filter: None }, tip);
         let zero = QueryCache::key_for(
             &CanisterCall::GetUtxos {
                 address: addr(1),

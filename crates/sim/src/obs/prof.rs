@@ -309,7 +309,9 @@ impl Profiler {
     pub fn render_report(&self, top_n: usize) -> String {
         let frames = self.frames();
         let mut out = String::new();
-        out.push_str("# profile report (deterministic, units = instructions / modeled service units)\n");
+        out.push_str(
+            "# profile report (deterministic, units = instructions / modeled service units)\n",
+        );
         out.push_str(&format!(
             "frames: {}  max_depth: {}  root_total: {}\n",
             frames.len(),

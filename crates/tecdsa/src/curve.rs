@@ -101,9 +101,7 @@ impl AffinePoint {
 
     /// Adds two points.
     pub fn add(&self, other: &AffinePoint) -> AffinePoint {
-        JacobianPoint::from_affine(*self)
-            .add(&JacobianPoint::from_affine(*other))
-            .to_affine()
+        JacobianPoint::from_affine(*self).add(&JacobianPoint::from_affine(*other)).to_affine()
     }
 
     /// Multiplies the point by a scalar via Jacobian double-and-add.
@@ -323,20 +321,12 @@ mod tests {
     fn known_multiples_of_g() {
         // 2G x-coordinate (published test vector).
         let two_g = AffinePoint::generator().mul(Scalar::from_u64(2));
-        let x_hex: String =
-            two_g.x().to_be_bytes().iter().map(|b| format!("{b:02X}")).collect();
-        assert_eq!(
-            x_hex,
-            "C6047F9441ED7D6D3045406E95C07CD85C778E4B8CEF3CA7ABAC09B95C709EE5"
-        );
+        let x_hex: String = two_g.x().to_be_bytes().iter().map(|b| format!("{b:02X}")).collect();
+        assert_eq!(x_hex, "C6047F9441ED7D6D3045406E95C07CD85C778E4B8CEF3CA7ABAC09B95C709EE5");
         // 3G x-coordinate.
         let three_g = AffinePoint::generator().mul(Scalar::from_u64(3));
-        let x3_hex: String =
-            three_g.x().to_be_bytes().iter().map(|b| format!("{b:02X}")).collect();
-        assert_eq!(
-            x3_hex,
-            "F9308A019258C31049344F85F89D5229B531C845836F99B08601F113BCE036F9"
-        );
+        let x3_hex: String = three_g.x().to_be_bytes().iter().map(|b| format!("{b:02X}")).collect();
+        assert_eq!(x3_hex, "F9308A019258C31049344F85F89D5229B531C845836F99B08601F113BCE036F9");
     }
 
     #[test]
@@ -406,15 +396,9 @@ mod tests {
 
     #[test]
     fn generator_known_compressed_encoding() {
-        let hex: String = AffinePoint::generator()
-            .to_compressed()
-            .iter()
-            .map(|b| format!("{b:02x}"))
-            .collect();
-        assert_eq!(
-            hex,
-            "0279be667ef9dcbbac55a06295ce870b07029bfcdb2dce28d959f2815b16f81798"
-        );
+        let hex: String =
+            AffinePoint::generator().to_compressed().iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex, "0279be667ef9dcbbac55a06295ce870b07029bfcdb2dce28d959f2815b16f81798");
     }
 
     mod properties {

@@ -97,12 +97,16 @@ if rustfmt --version >/dev/null 2>&1; then
         crates/bitcoin/src/tx.rs \
         crates/canister/src/api.rs \
         crates/canister/src/canister.rs \
+        crates/canister/src/qcache.rs \
         crates/canister/src/state.rs \
         crates/canister/src/storage/btree.rs \
         crates/canister/src/storage/codec.rs \
         crates/canister/src/storage/mod.rs \
         crates/canister/src/storage/page.rs \
-        crates/canister/src/utxoset.rs
+        crates/canister/src/utxoset.rs \
+        crates/ic/src/meter.rs \
+        crates/sim/src/obs/prof.rs \
+        crates/tecdsa/src/curve.rs
 else
     echo "WARNING: rustfmt not installed in this toolchain; skipping the formatting gate" >&2
 fi
