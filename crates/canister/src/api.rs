@@ -7,15 +7,13 @@
 //! view to confirmation-based c-stable blocks, and responses above the
 //! page size carry an opaque continuation token.
 
-use std::collections::BTreeSet;
-
 use icbtc_bitcoin::encode::{Decodable, DecodeError, Encodable, Reader, Sink};
 use icbtc_bitcoin::{Address, Amount, BlockHash, OutPoint, Transaction, Txid};
 use icbtc_core::stability;
 use icbtc_ic::Meter;
 
 use crate::metering;
-use crate::state::BitcoinCanisterState;
+use crate::state::{BitcoinCanisterState, UnstableBlock};
 use crate::utxoset::Utxo;
 
 /// Maximum UTXOs returned per `get_utxos` page — the production
@@ -191,29 +189,45 @@ fn after_cursor(utxo: &Utxo, cursor: Option<(u64, OutPoint)>) -> bool {
 
 /// The unstable-region view for one address under a confirmation
 /// requirement: the UTXOs the considered unstable blocks *create* for
-/// the address (net of in-region spends, in pagination order) plus every
-/// outpoint those blocks *spend* (stable entries must be masked by it).
+/// the address (net of in-region spends, in pagination order) plus what
+/// answers whether those blocks *spend* an outpoint (stable entries must
+/// be masked by it).
 ///
-/// Its size — and the cost of building it — is bounded by the δ unstable
+/// Its size, and the cost of building it, is bounded by the δ unstable
 /// blocks, independent of how many stable UTXOs the address owns.
-struct UnstableOverlay {
+struct UnstableOverlay<S> {
     created: Vec<Utxo>,
-    spent: BTreeSet<OutPoint>,
+    spent: S,
     tip_hash: BlockHash,
     tip_height: u64,
+}
+
+/// Whether the considered unstable blocks spend an outpoint.
+trait Spent {
+    fn contains(&self, outpoint: &OutPoint) -> bool;
+}
+
+/// The considered blocks themselves: each answers from its own index.
+impl Spent for Vec<&UnstableBlock> {
+    fn contains(&self, outpoint: &OutPoint) -> bool {
+        self.iter().any(|block| block.spends(outpoint))
+    }
 }
 
 impl BitcoinCanisterState {
     /// Builds the [`UnstableOverlay`] of `address` by walking the best
     /// chain above the anchor, stopping at the first block that misses
-    /// the confirmation requirement (or whose body is absent). The
-    /// bodies carry their txids, so nothing here hashes.
+    /// the confirmation requirement (or whose body is absent). Each block
+    /// binary-searches its own index of outputs by script and spends by
+    /// outpoint, so nothing here hashes, copies an input or compares every
+    /// output: host work is O(c·log n + matches) for c blocks of n outputs,
+    /// what the model charges.
     fn unstable_overlay(
         &self,
         address: &Address,
         min_confirmations: u32,
         meter: &mut Meter,
-    ) -> Result<UnstableOverlay, ApiError> {
+    ) -> Result<UnstableOverlay<Vec<&UnstableBlock>>, ApiError> {
         let delta = self.params().stability_delta;
         if min_confirmations as u64 > delta {
             return Err(ApiError::MinConfirmationsTooLarge {
@@ -230,7 +244,7 @@ impl BitcoinCanisterState {
         };
         let mut overlay = UnstableOverlay {
             created: Vec::new(),
-            spent: BTreeSet::new(),
+            spent: Vec::new(),
             tip_hash: tree.root(),
             tip_height: self.anchor_height(),
         };
@@ -238,23 +252,11 @@ impl BitcoinCanisterState {
             let Some(body) = self.block(hash) else { break };
             meter.charge(metering::UNSTABLE_BLOCK_SCAN);
             let height = self.anchor_height() + i as u64;
-            for (tx, txid) in body.transactions() {
-                if !tx.is_coinbase() {
-                    for input in &tx.inputs {
-                        overlay.spent.insert(input.previous_output);
-                    }
-                }
-                for (vout, output) in tx.outputs.iter().enumerate() {
-                    if output.script_pubkey == script {
-                        meter.charge(metering::UNSTABLE_UTXO_FETCH);
-                        overlay.created.push(Utxo {
-                            outpoint: OutPoint::new(txid, vout as u32),
-                            value: output.value,
-                            height,
-                        });
-                    }
-                }
+            for (outpoint, output) in body.outputs_paying(&script) {
+                meter.charge(metering::UNSTABLE_UTXO_FETCH);
+                overlay.created.push(Utxo { outpoint, value: output.value, height });
             }
+            overlay.spent.push(body);
             overlay.tip_hash = *hash;
             overlay.tip_height = height;
         }
@@ -295,6 +297,20 @@ impl BitcoinCanisterState {
         page_size: usize,
         meter: &mut Meter,
     ) -> Result<GetUtxosResponse, ApiError> {
+        let overlay = |c, meter: &mut Meter| self.unstable_overlay(address, c, meter);
+        self.utxos_page(address, filter, page_size, meter, overlay)
+    }
+
+    /// [`BitcoinCanisterState::get_utxos_paged`] over the overlay that
+    /// `overlay` builds for a confirmation requirement.
+    fn utxos_page<S: Spent>(
+        &self,
+        address: &Address,
+        filter: Option<UtxosFilter>,
+        page_size: usize,
+        meter: &mut Meter,
+        overlay: impl FnOnce(u32, &mut Meter) -> Result<UnstableOverlay<S>, ApiError>,
+    ) -> Result<GetUtxosResponse, ApiError> {
         charge_query_base(meter);
         if !self.is_synced() {
             return Err(ApiError::NotSynced);
@@ -314,7 +330,7 @@ impl BitcoinCanisterState {
             }
         };
         let overlay_frame = meter.frame("unstable_overlay");
-        let overlay = self.unstable_overlay(address, min_confirmations, meter)?;
+        let overlay = overlay(min_confirmations, meter)?;
         meter.frame_end(overlay_frame);
         let cursor = match token {
             Some(token) => {
@@ -396,12 +412,24 @@ impl BitcoinCanisterState {
         min_confirmations: u32,
         meter: &mut Meter,
     ) -> Result<GetBalanceResponse, ApiError> {
+        let overlay = |meter: &mut Meter| self.unstable_overlay(address, min_confirmations, meter);
+        self.balance(address, meter, overlay)
+    }
+
+    /// [`BitcoinCanisterState::get_balance`] over the overlay that
+    /// `overlay` builds.
+    fn balance<S: Spent>(
+        &self,
+        address: &Address,
+        meter: &mut Meter,
+        overlay: impl FnOnce(&mut Meter) -> Result<UnstableOverlay<S>, ApiError>,
+    ) -> Result<GetBalanceResponse, ApiError> {
         charge_query_base(meter);
         if !self.is_synced() {
             return Err(ApiError::NotSynced);
         }
         let overlay_frame = meter.frame("unstable_overlay");
-        let overlay = self.unstable_overlay(address, min_confirmations, meter)?;
+        let overlay = overlay(meter)?;
         meter.frame_end(overlay_frame);
         // Saturating accumulation: the canister does not validate
         // issuance (§III-C), so a hostile chain of max-value outputs
@@ -547,12 +575,15 @@ impl BitcoinCanisterState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::state::BitcoinCanisterState;
+    use crate::state::{comparisons, BitcoinCanisterState};
+    use crate::BitcoinCanister;
     use icbtc_bitcoin::encode::Encodable;
     use icbtc_bitcoin::{AddressKind, Network, Script, TxIn, TxOut};
     use icbtc_btcnet::miner::mine_block_on;
     use icbtc_btcnet::ChainStore;
     use icbtc_core::{GetSuccessorsResponse, IntegrationParams};
+    use icbtc_sim::{testkit, SimRng};
+    use std::collections::BTreeSet;
 
     const NOW: u32 = 2_000_000_000;
 
@@ -957,6 +988,181 @@ mod tests {
         );
     }
 
+    /// A state whose unstable region holds `blocks` mainnet-shaped
+    /// blocks: `txs` two-input, two-output transactions each, paying
+    /// random P2WPKH scripts, with every 100th output paying addr(1) and
+    /// every input spending an outpoint outside the region. δ = 1000, so
+    /// nothing stabilizes.
+    fn mainnet_shape_state(blocks: usize, txs: usize) -> BitcoinCanisterState {
+        let mut rng = SimRng::seed_from(blocks as u64);
+        let mut chain = ChainStore::new(Network::Regtest);
+        let mut state = BitcoinCanisterState::new(params(1000));
+        let mut paid = 0u64;
+        for b in 0..blocks {
+            let mut tx = || {
+                let spend =
+                    |rng: &mut SimRng| TxIn::new(OutPoint::new(Txid(testkit::byte_array(rng)), 0));
+                let mut pay = |rng: &mut SimRng| {
+                    paid += 1;
+                    let script = match paid % 100 {
+                        0 => addr(1).script_pubkey(),
+                        _ => Script::new_p2wpkh(&testkit::byte_array(rng)),
+                    };
+                    TxOut::new(Amount::from_sat(1_000), script)
+                };
+                Transaction {
+                    version: 2,
+                    inputs: vec![spend(&mut rng), spend(&mut rng)],
+                    outputs: vec![pay(&mut rng), pay(&mut rng)],
+                    lock_time: 0,
+                }
+            };
+            let transactions = (0..txs).map(|_| tx()).collect();
+            let payout = Script::new_op_return(b"m");
+            let block = mine_block_on(&chain, chain.tip_hash(), transactions, payout, b as u64);
+            chain.accept_header(block.header, NOW).unwrap();
+            let response = GetSuccessorsResponse { blocks: vec![block], next: Vec::new() };
+            assert_eq!(state.process_response(response, NOW, &mut Meter::new()).blocks_accepted, 1);
+        }
+        state
+    }
+
+    /// ⌈log₂ n⌉ for n ≥ 1.
+    fn ceil_log2(n: u64) -> u64 {
+        u64::from(n.next_power_of_two().trailing_zeros())
+    }
+
+    /// A miss costs each considered block a binary search, not a pass
+    /// over its outputs: at 6 and at 144 mainnet-shaped blocks of n
+    /// outputs, `get_balance` compares at most c·(⌈log₂ n⌉ + 1) scripts
+    /// plus one per match, and each created match is checked against
+    /// each block's sorted spends. A scan compares c·n scripts.
+    #[test]
+    fn a_miss_compares_logarithmically_many_scripts_per_block() {
+        for blocks in [6, 144] {
+            let state = mainnet_shape_state(blocks, 500);
+            let bodies: Vec<&UnstableBlock> =
+                state.tree().best_chain()[1..].iter().filter_map(|h| state.block(h)).collect();
+            assert_eq!(bodies.len(), blocks);
+            let widest = |count: fn(&Transaction) -> usize| {
+                let per_block = bodies.iter().map(|b| b.block().txdata.iter().map(count).sum());
+                per_block.max().unwrap_or(0) as u64
+            };
+            let (outputs, inputs) = (widest(|tx| tx.outputs.len()), widest(|tx| tx.inputs.len()));
+            assert!(outputs > 1_000, "{outputs}");
+            let c = blocks as u64;
+            for (n, expected_matches) in [(1, c * 1_000 / 100), (2, 0)] {
+                let address = addr(n);
+                // The first query builds each block's index; the second is
+                // the one counted.
+                let reply = state.get_balance(&address, 0, &mut Meter::new()).unwrap();
+                comparisons::take();
+                assert_eq!(state.get_balance(&address, 0, &mut Meter::new()).unwrap(), reply);
+                let (scripts, outpoints) = comparisons::take();
+                let matches = reply.balance.to_sat() / 1_000;
+                assert_eq!(matches, expected_matches);
+                let bound = c * (ceil_log2(outputs) + 1) + matches;
+                assert!(scripts <= bound, "{blocks} blocks, addr({n}): {scripts} > {bound}");
+                let bound = matches * c * (ceil_log2(inputs) + 1);
+                assert!(outpoints <= bound, "{blocks} blocks, addr({n}): {outpoints} > {bound}");
+            }
+        }
+    }
+
+    /// The overlay as it was built before blocks were indexed, kept as the
+    /// model the index is checked against: every input of every
+    /// considered block goes into one set, and every output script is
+    /// compared.
+    fn scan_overlay(
+        state: &BitcoinCanisterState,
+        address: &Address,
+        min_confirmations: u32,
+        meter: &mut Meter,
+    ) -> Result<UnstableOverlay<BTreeSet<OutPoint>>, ApiError> {
+        let delta = state.params().stability_delta;
+        if min_confirmations as u64 > delta {
+            return Err(ApiError::MinConfirmationsTooLarge {
+                requested: min_confirmations,
+                maximum: delta as u32,
+            });
+        }
+        let script = address.script_pubkey();
+        let tree = state.tree();
+        let considered = match min_confirmations {
+            0 => usize::MAX,
+            c => stability::confirmation_stable_prefix(tree, u64::from(c)),
+        };
+        let mut overlay = UnstableOverlay {
+            created: Vec::new(),
+            spent: BTreeSet::new(),
+            tip_hash: tree.root(),
+            tip_height: state.anchor_height(),
+        };
+        for (i, hash) in tree.best_chain().iter().enumerate().skip(1).take(considered) {
+            let Some(body) = state.block(hash) else { break };
+            meter.charge(metering::UNSTABLE_BLOCK_SCAN);
+            let height = state.anchor_height() + i as u64;
+            for (tx, txid) in body.transactions() {
+                if !tx.is_coinbase() {
+                    for input in &tx.inputs {
+                        overlay.spent.insert(input.previous_output);
+                    }
+                }
+                for (vout, output) in tx.outputs.iter().enumerate() {
+                    if output.script_pubkey == script {
+                        meter.charge(metering::UNSTABLE_UTXO_FETCH);
+                        overlay.created.push(Utxo {
+                            outpoint: OutPoint::new(txid, vout as u32),
+                            value: output.value,
+                            height,
+                        });
+                    }
+                }
+            }
+            overlay.tip_hash = *hash;
+            overlay.tip_height = height;
+        }
+        let spent = &overlay.spent;
+        overlay.created.retain(|u| !spent.contains(&u.outpoint));
+        overlay.created.sort_by(|a, b| b.height.cmp(&a.height).then(a.outpoint.cmp(&b.outpoint)));
+        Ok(overlay)
+    }
+
+    impl Spent for BTreeSet<OutPoint> {
+        fn contains(&self, outpoint: &OutPoint) -> bool {
+            BTreeSet::contains(self, outpoint)
+        }
+    }
+
+    /// Every `get_balance` and every page of `get_utxos` (pages of 2,
+    /// followed to the end) of each address at each c in 0..=δ + 1 is
+    /// the same reply, at the same metered cost and profile, over the
+    /// indexed overlay as over the scan model.
+    fn assert_index_matches_scan(state: &BitcoinCanisterState, addresses: &[Address]) {
+        let delta = state.params().stability_delta as u32;
+        for address in addresses {
+            let model = |c, meter: &mut Meter| scan_overlay(state, address, c, meter);
+            for c in 0..=delta + 1 {
+                let (mut indexed, mut scanned) = (Meter::new(), Meter::new());
+                let balance = state.get_balance(address, c, &mut indexed);
+                assert_eq!(balance, state.balance(address, &mut scanned, |m| model(c, m)));
+                let mut filter = Some(UtxosFilter::MinConfirmations(c));
+                loop {
+                    let page = state.get_utxos_paged(address, filter.clone(), 2, &mut indexed);
+                    assert_eq!(page, state.utxos_page(address, filter, 2, &mut scanned, model));
+                    match page {
+                        Ok(GetUtxosResponse { next_page: Some(token), .. }) => {
+                            filter = Some(UtxosFilter::Page(token));
+                        }
+                        _ => break,
+                    }
+                }
+                assert_eq!(indexed.instructions(), scanned.instructions(), "c = {c}");
+                assert_eq!(indexed.profile().frames(), scanned.profile().frames(), "c = {c}");
+            }
+        }
+    }
+
     mod properties {
         use super::*;
         use icbtc_sim::testkit;
@@ -987,6 +1193,84 @@ mod tests {
                 let at = testkit::usize_in(rng, 0..token.len());
                 flipped[at] ^= testkit::u64_in(rng, 1..256) as u8;
                 check(flipped);
+            });
+        }
+
+        /// A block on `parent` of up to three transactions, each spending
+        /// one or two of `outpoints` (or one outside any block) and paying
+        /// `addresses`; every output it creates joins `outpoints`, so a
+        /// later transaction of the same block may spend it.
+        fn random_block(
+            rng: &mut SimRng,
+            chain: &ChainStore,
+            parent: BlockHash,
+            outpoints: &mut Vec<OutPoint>,
+            addresses: &[Address],
+        ) -> icbtc_bitcoin::Block {
+            let mut transactions = Vec::new();
+            for _ in 0..testkit::usize_in(rng, 0..4) {
+                let mut inputs: Vec<TxIn> = (0..testkit::usize_in(rng, 1..3))
+                    .filter(|_| !outpoints.is_empty())
+                    .map(|_| TxIn::new(outpoints[rng.index(outpoints.len())]))
+                    .collect();
+                if inputs.is_empty() {
+                    inputs.push(TxIn::new(OutPoint::new(Txid(testkit::byte_array(rng)), 0)));
+                }
+                let outputs = (0..testkit::usize_in(rng, 1..4))
+                    .map(|_| {
+                        let value = Amount::from_sat(testkit::u64_in(rng, 1..1_000));
+                        TxOut::new(value, addresses[rng.index(addresses.len())].script_pubkey())
+                    })
+                    .collect();
+                let lock_time = testkit::u32_any(rng);
+                let tx = Transaction { version: 2, inputs, outputs, lock_time };
+                let txid = tx.txid();
+                outpoints.extend((0..tx.outputs.len() as u32).map(|v| OutPoint::new(txid, v)));
+                transactions.push(tx);
+            }
+            let payout = addresses[rng.index(addresses.len())].script_pubkey();
+            let block = mine_block_on(chain, parent, transactions, payout, testkit::u64_any(rng));
+            outpoints.push(OutPoint::new(block.txdata[0].txid(), 0));
+            block
+        }
+
+        /// The indexed overlay answers as the scan model does over random
+        /// chains with forks off recent blocks (equal-work ties, then
+        /// reorgs once a fork grows), spends of stable outputs, of
+        /// outputs of other branches, of earlier unstable blocks and of
+        /// earlier transactions of the same block, and a state replaced
+        /// now and then by `restore(checkpoint_bytes())`, whose indexes
+        /// start empty.
+        #[test]
+        fn indexed_overlay_answers_as_the_scan_does() {
+            testkit::check(0xA9_0002, 48, |rng| {
+                let delta = testkit::u64_in(rng, 1..5);
+                let addresses: Vec<Address> = (0..4).map(addr).collect();
+                let mut chain = ChainStore::new(Network::Regtest);
+                let mut state = BitcoinCanisterState::new(params(delta));
+                let mut outpoints = Vec::new();
+                let mut mined = vec![chain.tip_hash()];
+                for _ in 0..testkit::usize_in(rng, 1..10) {
+                    let mut blocks = Vec::new();
+                    for _ in 0..testkit::usize_in(rng, 1..3) {
+                        let parent = match rng.chance(0.3) {
+                            true => mined[mined.len() - 1 - rng.index(mined.len().min(3))],
+                            false => chain.tip_hash(),
+                        };
+                        let block = random_block(rng, &chain, parent, &mut outpoints, &addresses);
+                        chain.accept_block(block.clone(), NOW).unwrap();
+                        mined.push(block.block_hash());
+                        blocks.push(block);
+                    }
+                    let response = GetSuccessorsResponse { blocks, next: Vec::new() };
+                    state.process_response(response, NOW, &mut Meter::new());
+                    if rng.chance(0.25) {
+                        let checkpoint = BitcoinCanister::from_state(state).checkpoint_bytes();
+                        let restored = BitcoinCanister::restore(&checkpoint).unwrap();
+                        state = restored.state().clone();
+                    }
+                    assert_index_matches_scan(&state, &addresses);
+                }
             });
         }
     }

@@ -444,25 +444,39 @@ impl BitcoinCanister {
     /// ([`metering::QUERY_CACHE_LOOKUP`]) plus a per-byte copy of the
     /// reply that was serialized once at insert
     /// ([`metering::QUERY_CACHE_COPY_PER_BYTE`]), instead of the full
-    /// state walk. Safety against staleness is two-fold: every key embeds the tip
-    /// hash the response was computed at, and
-    /// [`BitcoinCanister::ingest_response`] wholesale-invalidates the
-    /// cache, so a response from a superseded tip can never be served.
+    /// state walk. Safety against staleness is two-fold: the cache drops
+    /// its entries whenever it is asked at a tip other than the one they
+    /// were computed at, and [`BitcoinCanister::ingest_response`]
+    /// wholesale-invalidates it, so a response from a superseded tip can
+    /// never be served.
     ///
     /// Cache traffic is recorded as `canister_qcache_*` counters, and the
-    /// call's instruction profile is folded into the canister's profiler.
-    /// These are per-replica query-plane diagnostics, not replicated
-    /// state; the sim models a single querying replica, so they stay
-    /// deterministic.
+    /// call's instruction profile lands in the canister's profiler: it is
+    /// swapped into `meter` for the call, and whatever profile `meter`
+    /// came with is merged into it after. These are per-replica
+    /// query-plane diagnostics, not replicated state; the sim models a
+    /// single querying replica, so they stay deterministic.
     pub fn query_cached(&mut self, call: &CanisterCall, meter: &mut Meter) -> CallOutcome {
+        meter.swap_profile(&mut self.obs.prof);
+        let outcome = self.serve_cached(call, meter);
+        meter.swap_profile(&mut self.obs.prof);
+        if !meter.profile().is_empty() {
+            self.obs.prof.merge_from(&meter.take_profile());
+        }
+        outcome
+    }
+
+    /// [`BitcoinCanister::query_cached`] with `meter` recording into the
+    /// canister's profiler.
+    fn serve_cached(&mut self, call: &CanisterCall, meter: &mut Meter) -> CallOutcome {
         let outer = meter.frame(call.method());
         let (tip, _) = self.state.best_tip();
-        let key = QueryCache::key_for(call, tip);
+        let key = QueryCache::key_for(call);
         let cached = match &key {
             Some(key) => {
                 let lookup = meter.frame("cache_lookup");
                 meter.charge(metering::QUERY_CACHE_LOOKUP);
-                let cached = self.qcache.get(key);
+                let cached = self.qcache.get(tip, key);
                 meter.frame_end(lookup);
                 cached
             }
@@ -479,7 +493,6 @@ impl BitcoinCanister {
             // recorded pre-optimization flat cost.
             self.obs.metrics.add("canister_qcache_hit_instructions_total", meter.instructions());
             let cycles_charged = Self::query_fee(call, meter.instructions());
-            self.obs.prof.merge_from(&meter.take_profile());
             return CallOutcome { reply: Ok(reply), cycles_charged };
         }
         if key.is_some() {
@@ -488,13 +501,12 @@ impl BitcoinCanister {
         let outcome = self.query(call, meter);
         meter.frame_end(outer);
         if let (Some(key), Ok(reply)) = (key, &outcome.reply) {
-            let evicted = self.qcache.insert(key, reply.clone());
+            let evicted = self.qcache.insert(tip, key, reply.clone());
             let entries = self.qcache.len() as i64;
             let m = &mut self.obs.metrics;
             m.add("canister_qcache_evictions_total", evicted);
             m.set_gauge("canister_qcache_entries", entries);
         }
-        self.obs.prof.merge_from(&meter.take_profile());
         outcome
     }
 
@@ -803,6 +815,114 @@ mod tests {
             ),
             "{snapshot}"
         );
+    }
+
+    /// A fixed sequence of misses, hits, evictions, error replies,
+    /// uncacheable calls and an invalidating ingest through
+    /// `query_cached`, with the canister profiler's frames (path, self
+    /// units, calls) and every `canister_qcache_*` counter pinned: how
+    /// the cache path records its work must not change what it records.
+    #[test]
+    fn query_cached_profile_and_counters_are_pinned() {
+        use icbtc_btcnet::miner::mine_block_on;
+        use icbtc_btcnet::ChainStore;
+
+        let mut chain = ChainStore::new(Network::Regtest);
+        let mut blocks = Vec::new();
+        for i in 0..4 {
+            let block =
+                mine_block_on(&chain, chain.tip_hash(), Vec::new(), addr(i % 3).script_pubkey(), 0);
+            chain.accept_block(block.clone(), 2_000_000_000).unwrap();
+            blocks.push(block);
+        }
+        let ingest = |c: &mut BitcoinCanister, blocks: &[icbtc_bitcoin::Block]| {
+            let mut meter = Meter::new();
+            let mut ctx =
+                ExecutionContext { meter: &mut meter, now: icbtc_sim::SimTime::ZERO, round: 1 };
+            let response = GetSuccessorsResponse { blocks: blocks.to_vec(), next: Vec::new() };
+            c.ingest_response(response, 2_000_000_000, &mut ctx);
+        };
+        let balance = |n, c| CanisterCall::GetBalance { address: addr(n), min_confirmations: c };
+        let utxos = |n| CanisterCall::GetUtxos { address: addr(n), filter: None };
+
+        // δ = 2: the first ingest stabilizes the block paying addr(0).
+        let mut c = BitcoinCanister::new(
+            IntegrationParams::for_network(Network::Regtest).with_stability_delta(2),
+        );
+        c.set_query_cache(QueryCache::with_capacity(2));
+        ingest(&mut c, &blocks[..3]);
+        let before_ingest = [
+            balance(0, 0),
+            balance(0, 0),
+            utxos(1),
+            CanisterCall::GetFeePercentiles,
+            balance(0, 0),
+            utxos(1),
+            balance(1, 1_000),
+            CanisterCall::GetBlockHeaders { start_height: 0, end_height: 1 },
+            CanisterCall::GetMetrics,
+            CanisterCall::GetUtxos {
+                address: addr(1),
+                filter: Some(UtxosFilter::Page(vec![0; 3])),
+            },
+            utxos(1),
+        ];
+        for call in &before_ingest {
+            c.query_cached(call, &mut Meter::new());
+        }
+        ingest(&mut c, &blocks[3..]);
+        for call in [balance(0, 0), balance(0, 0), utxos(2), balance(2, 1)] {
+            c.query_cached(&call, &mut Meter::new());
+        }
+
+        let frames: Vec<(String, u64, u64)> =
+            c.obs().prof.frames().into_iter().map(|f| (f.path, f.self_units, f.calls)).collect();
+        let expected: &[(&str, u64, u64)] = &[
+            ("get_balance", 0, 7),
+            ("get_balance;cache_lookup", 350_000, 7),
+            ("get_balance;query_dispatch", 20_000_000, 5),
+            ("get_balance;range_scan", 44_000, 4),
+            ("get_balance;response_serialize", 7_500_960, 7),
+            ("get_balance;unstable_overlay", 129_000, 5),
+            ("get_block_headers", 120_000, 1),
+            ("get_block_headers;query_dispatch", 4_000_000, 1),
+            ("get_block_headers;response_serialize", 1_500_000, 1),
+            ("get_current_fee_percentiles", 30_000, 1),
+            ("get_current_fee_percentiles;cache_lookup", 50_000, 1),
+            ("get_current_fee_percentiles;query_dispatch", 4_000_000, 1),
+            ("get_current_fee_percentiles;response_serialize", 1_500_000, 1),
+            ("get_metrics", 5_500_000, 1),
+            ("get_utxos", 0, 5),
+            ("get_utxos;cache_lookup", 200_000, 4),
+            ("get_utxos;query_dispatch", 16_000_000, 4),
+            ("get_utxos;range_scan", 132_000, 3),
+            ("get_utxos;response_serialize", 6_003_360, 5),
+            ("get_utxos;unstable_overlay", 90_000, 3),
+            ("ingest_response", 0, 2),
+            ("ingest_response;dedup_probe", 66_000, 2),
+            ("ingest_response;hashing", 280_000, 4),
+            ("ingest_response;header_validate", 260_000, 4),
+            ("ingest_response;ingest_block", 0, 3),
+            ("ingest_response;ingest_block;hashing", 210_000, 3),
+            ("ingest_response;ingest_block;output_insertion", 0, 3),
+            ("ingest_response;ingest_block;output_insertion;by_address_index", 1_800_000, 3),
+            ("ingest_response;ingest_block;output_insertion;script_parse", 1_365_000, 3),
+            ("ingest_response;ingest_block;output_insertion;utxo_apply", 2_700_000, 3),
+            ("ingest_response;ingest_block;tx_decode", 150_000, 3),
+            ("ingest_response;tx_decode", 200_000, 4),
+        ];
+        let expected: Vec<(String, u64, u64)> =
+            expected.iter().map(|&(path, units, calls)| (path.to_string(), units, calls)).collect();
+        assert_eq!(frames, expected);
+        assert_eq!(c.obs().prof.max_depth(), 4);
+        let m = &c.obs().metrics;
+        assert_eq!(m.counter("canister_qcache_hits_total"), 3);
+        assert_eq!(m.counter("canister_qcache_misses_total"), 9);
+        assert_eq!(m.counter("canister_qcache_evictions_total"), 4);
+        assert_eq!(m.counter("canister_qcache_hit_instructions_total"), 154_320);
+        assert_eq!(m.counter("canister_qcache_invalidations_total"), 2);
+        assert_eq!(m.counter("canister_qcache_invalidated_entries_total"), 2);
+        assert_eq!(m.gauge("canister_qcache_entries"), 2);
     }
 
     /// The memoized UTXO-set hash and the stored txids never go stale:

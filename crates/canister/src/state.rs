@@ -8,13 +8,16 @@
 //! advance the anchor whenever a child becomes δ-stable, and track
 //! syncedness against the τ lag bound.
 
-use std::cell::Cell;
+use std::cell::{Cell, OnceCell};
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 
 use icbtc_bitcoin::encode::{Decodable, DecodeError, Encodable, Reader, Sink};
 use icbtc_bitcoin::hash::Sha256;
 use icbtc_bitcoin::pow::{self, HeaderError};
-use icbtc_bitcoin::{txids, Block, BlockHash, BlockHeader, HeaderTree, Transaction, Txid};
+use icbtc_bitcoin::{
+    txids, Block, BlockHash, BlockHeader, HeaderTree, OutPoint, Script, Transaction, TxOut, Txid,
+};
 use icbtc_core::stability;
 use icbtc_core::{GetSuccessorsRequest, GetSuccessorsResponse, IntegrationParams};
 use icbtc_ic::Meter;
@@ -100,6 +103,33 @@ pub struct BitcoinCanisterState {
 pub struct UnstableBlock {
     block: Block,
     txids: Vec<Txid>,
+    /// Built by the first query that reads the block, so ingest and
+    /// restore pay nothing for it; never part of a snapshot.
+    index: OnceCell<BlockIndex>,
+}
+
+/// An unstable block's outputs and spends as `(transaction, output or
+/// input)` positions into its `txdata`, sorted so that a query
+/// binary-searches them instead of scanning every transaction. No script
+/// or outpoint bytes are copied.
+#[derive(Debug, Clone)]
+struct BlockIndex {
+    /// Every output, by script bytes, equal scripts in block order.
+    outputs: Vec<(u32, u32)>,
+    /// Every non-coinbase input, by the outpoint it spends.
+    spends: Vec<(u32, u32)>,
+    /// A bit set at [`txid_bit`] of each spent txid, about 16 bits per
+    /// spend. A clear bit proves the block spends no output of that
+    /// transaction, so masking an address's stable entries costs most
+    /// blocks one probe per entry instead of a binary search.
+    spent_txids: Vec<u64>,
+}
+
+/// Where `txid` falls in a bit set of `words` 64-bit words (a power of
+/// two). A txid is a hash, so its low bytes are spread evenly.
+fn txid_bit(txid: &Txid, words: usize) -> usize {
+    let low = u64::from_le_bytes([0, 1, 2, 3, 4, 5, 6, 7].map(|i| txid.0[i]));
+    (low % (words as u64 * 64)) as usize
 }
 
 impl UnstableBlock {
@@ -107,7 +137,7 @@ impl UnstableBlock {
     /// txids it computed; `None` if the block is malformed.
     fn check(block: Block) -> Option<UnstableBlock> {
         let txids = block.checked_txids()?;
-        Some(UnstableBlock { block, txids })
+        Some(UnstableBlock { block, txids, index: OnceCell::new() })
     }
 
     /// The block itself.
@@ -123,6 +153,124 @@ impl UnstableBlock {
     /// Each transaction with its txid, in block order.
     pub fn transactions(&self) -> impl Iterator<Item = (&Transaction, Txid)> {
         self.block.txdata.iter().zip(self.txids.iter().copied())
+    }
+
+    fn output(&self, (tx, vout): (u32, u32)) -> &TxOut {
+        &self.block.txdata[tx as usize].outputs[vout as usize]
+    }
+
+    fn spent(&self, (tx, input): (u32, u32)) -> &OutPoint {
+        &self.block.txdata[tx as usize].inputs[input as usize].previous_output
+    }
+
+    fn index(&self) -> &BlockIndex {
+        self.index.get_or_init(|| {
+            let (mut outputs, mut spends) = (Vec::new(), Vec::new());
+            // icbtc-lint: allow(unmetered-loop) -- a host-side index built once per block; the overlay charges each read of the block UNSTABLE_BLOCK_SCAN, as the model prices it
+            for (t, tx) in self.block.txdata.iter().enumerate() {
+                let t = t as u32;
+                outputs.extend((0..tx.outputs.len() as u32).map(|vout| (t, vout)));
+                if !tx.is_coinbase() {
+                    spends.extend((0..tx.inputs.len() as u32).map(|input| (t, input)));
+                }
+            }
+            // Both lists start in block order, which a stable sort keeps
+            // among equal keys.
+            let script = |position| &self.output(position).script_pubkey;
+            outputs.sort_by(|&a, &b| script(a).cmp(script(b)));
+            spends.sort_by(|&a, &b| self.spent(a).cmp(self.spent(b)));
+            let mut spent_txids = vec![0u64; (spends.len() / 4).next_power_of_two()];
+            // icbtc-lint: allow(unmetered-loop) -- part of the host-side index, built once per block
+            for &position in &spends {
+                let bit = txid_bit(&self.spent(position).txid, spent_txids.len());
+                spent_txids[bit / 64] |= 1 << (bit % 64);
+            }
+            BlockIndex { outputs, spends, spent_txids }
+        })
+    }
+
+    /// The outputs of this block locked by `script`, in block order, each
+    /// with its outpoint.
+    pub(crate) fn outputs_paying<'a>(
+        &'a self,
+        script: &'a Script,
+    ) -> impl Iterator<Item = (OutPoint, &'a TxOut)> + 'a {
+        let run = equal_run(&self.index().outputs, |position| {
+            #[cfg(test)]
+            comparisons::count_script();
+            self.output(position).script_pubkey.cmp(script)
+        });
+        run.iter().map(move |&(tx, vout)| {
+            (OutPoint::new(self.txids[tx as usize], vout), self.output((tx, vout)))
+        })
+    }
+
+    /// Whether a transaction of this block spends `outpoint`.
+    pub(crate) fn spends(&self, outpoint: &OutPoint) -> bool {
+        let index = self.index();
+        let bit = txid_bit(&outpoint.txid, index.spent_txids.len());
+        if index.spent_txids[bit / 64] & (1 << (bit % 64)) == 0 {
+            return false;
+        }
+        let found = index.spends.binary_search_by(|&position| {
+            #[cfg(test)]
+            comparisons::count_outpoint();
+            self.spent(position).cmp(outpoint)
+        });
+        found.is_ok()
+    }
+}
+
+/// The run of `sorted` on which `cmp` is `Equal`, for `cmp` ordered along
+/// `sorted`. Takes at most ⌈log₂(n + 1)⌉ calls to find the run's start,
+/// then one more per further element of the run and one to end it.
+fn equal_run<T: Copy>(sorted: &[T], mut cmp: impl FnMut(T) -> Ordering) -> &[T] {
+    let (mut start, mut end, mut found) = (0, sorted.len(), false);
+    // icbtc-lint: allow(unmetered-loop) -- a binary search inside one block, priced by the caller's UNSTABLE_BLOCK_SCAN
+    while start < end {
+        let mid = start + (end - start) / 2;
+        match cmp(sorted[mid]) {
+            Ordering::Less => start = mid + 1,
+            order => {
+                end = mid;
+                found = order == Ordering::Equal;
+            }
+        }
+    }
+    // `end` last moved to `start`, so `found` is what `cmp` said there.
+    if !found {
+        return &[];
+    }
+    end = start + 1;
+    // icbtc-lint: allow(unmetered-loop) -- one step per match, each priced by the caller's UNSTABLE_UTXO_FETCH
+    while end < sorted.len() && cmp(sorted[end]) == Ordering::Equal {
+        end += 1;
+    }
+    &sorted[start..end]
+}
+
+/// Script and outpoint comparisons made by [`UnstableBlock`] lookups on
+/// this thread, so a test can check that a query's host work grows with
+/// the logarithm of block size, not with the size itself.
+#[cfg(test)]
+pub(crate) mod comparisons {
+    use std::cell::Cell;
+
+    thread_local! {
+        static COUNTS: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+    }
+
+    pub(crate) fn count_script() {
+        COUNTS.with(|c| c.set((c.get().0 + 1, c.get().1)));
+    }
+
+    pub(crate) fn count_outpoint() {
+        COUNTS.with(|c| c.set((c.get().0, c.get().1 + 1)));
+    }
+
+    /// The `(script, outpoint)` comparisons since the last call.
+    pub(crate) fn take() -> (u64, u64) {
+        COUNTS.with(|c| c.replace((0, 0)))
     }
 }
 

@@ -96,6 +96,14 @@ impl Meter {
     pub fn take_profile(&mut self) -> Profiler {
         std::mem::take(&mut self.prof)
     }
+
+    /// Exchanges the profile this meter records into with `prof`. A
+    /// component swaps its long-lived profiler in for one message and
+    /// back out after it, so the message's frames land there directly,
+    /// without a per-message profile to build and merge.
+    pub fn swap_profile(&mut self, prof: &mut Profiler) {
+        std::mem::swap(&mut self.prof, prof);
+    }
 }
 
 #[cfg(test)]
@@ -139,6 +147,25 @@ mod tests {
         let harvested = framed.take_profile();
         assert_eq!(harvested.root_total(), 140);
         assert!(framed.profile().is_empty());
+
+        // Frames recorded into a swapped-in profile land where a merge
+        // of a separately recorded one would put them.
+        let mut merged = harvested.clone();
+        let mut swapped = harvested;
+        let mut meter = Meter::new();
+        let inner = meter.frame("inner");
+        meter.charge(7);
+        meter.frame_end(inner);
+        merged.merge_from(meter.profile());
+        let mut meter = Meter::new();
+        meter.swap_profile(&mut swapped);
+        let inner = meter.frame("inner");
+        meter.charge(7);
+        meter.frame_end(inner);
+        meter.swap_profile(&mut swapped);
+        assert_eq!(swapped.frames(), merged.frames());
+        assert_eq!(swapped.root_total(), 147);
+        assert!(meter.profile().is_empty());
     }
 
     #[test]

@@ -110,11 +110,27 @@ impl AffinePoint {
     }
 
     /// Computes `a·G + b·Q`, the double multiplication at the heart of
-    /// ECDSA and Schnorr verification.
+    /// ECDSA and Schnorr verification, by Shamir's trick: one
+    /// left-to-right ladder over the bits of `a` and `b` together shares
+    /// its doublings between both, adding `G`, `Q` or the precomputed
+    /// `G + Q` as the two bits at each position ask.
     pub fn double_mul(a: Scalar, b: Scalar, q: &AffinePoint) -> AffinePoint {
-        let ag = JacobianPoint::from_affine(AffinePoint::generator()).mul(a);
-        let bq = JacobianPoint::from_affine(*q).mul(b);
-        ag.add(&bq).to_affine()
+        let g = JacobianPoint::from_affine(AffinePoint::generator());
+        let q = JacobianPoint::from_affine(*q);
+        let g_plus_q = g.add(&q);
+        let (a, b) = (a.to_u256(), b.to_u256());
+        let mut acc = JacobianPoint::infinity();
+        for i in (0..a.bits().max(b.bits()) as usize).rev() {
+            acc = acc.double();
+            let addend = match (a.bit(i), b.bit(i)) {
+                (true, true) => &g_plus_q,
+                (true, false) => &g,
+                (false, true) => &q,
+                (false, false) => continue,
+            };
+            acc = acc.add(addend);
+        }
+        acc.to_affine()
     }
 
     /// Serializes as a 33-byte compressed point (`02`/`03` prefix by y
@@ -415,6 +431,32 @@ mod tests {
                 let left = g.mul(Scalar::from_u64(a) + Scalar::from_u64(b));
                 let right = g.mul(Scalar::from_u64(a)).add(&g.mul(Scalar::from_u64(b)));
                 assert_eq!(left, right);
+            });
+        }
+
+        /// Shamir's trick agrees with two separate ladders summed, for
+        /// full-width scalars, a = 0, b = 0, Q = G, and Q = −G with a = b,
+        /// where the sum is the point at infinity.
+        #[test]
+        fn double_mul_matches_two_ladders() {
+            let g = AffinePoint::generator();
+            let two_ladders = |a: Scalar, b: Scalar, q: &AffinePoint| {
+                let ag = JacobianPoint::from_affine(g).mul(a);
+                ag.add(&JacobianPoint::from_affine(*q).mul(b)).to_affine()
+            };
+            testkit::check(0xC7_0003, 24, |rng| {
+                let (a, b) = (Scalar::random(rng), Scalar::random(rng));
+                let q = g.mul(Scalar::random(rng));
+                for (a, b, q) in [
+                    (a, b, q),
+                    (Scalar::ZERO, b, q),
+                    (a, Scalar::ZERO, q),
+                    (a, b, g),
+                    (a, a, g.negate()),
+                ] {
+                    assert_eq!(AffinePoint::double_mul(a, b, &q), two_ladders(a, b, &q));
+                }
+                assert!(AffinePoint::double_mul(a, a, &g.negate()).is_infinity());
             });
         }
 
