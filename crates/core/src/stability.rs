@@ -94,9 +94,10 @@ pub fn is_difficulty_stable(
     };
     let margin = reference_work * delta;
     own >= margin
-        && tree.at_height(height).filter(|other| *other != hash).all(|other| {
-            tree.depth_work(other).is_some_and(|depth| own >= depth + margin)
-        })
+        && tree
+            .at_height(height)
+            .filter(|other| *other != hash)
+            .all(|other| tree.depth_work(other).is_some_and(|depth| own >= depth + margin))
 }
 
 #[cfg(test)]
