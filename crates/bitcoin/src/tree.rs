@@ -38,9 +38,9 @@ pub struct StoredHeader {
 ///
 /// let genesis = Network::Regtest.genesis_block().header;
 /// let tree = HeaderTree::new(genesis);
-/// // A lone root is its own tip, with depth 1.
+/// // A lone root is its own tip and the whole current chain.
 /// assert_eq!(tree.tip_hash(), genesis.block_hash());
-/// assert_eq!(tree.depth_count(&tree.root()), Some(1));
+/// assert_eq!(tree.best_chain(), [genesis.block_hash()]);
 /// ```
 #[derive(Clone, Debug)]
 pub struct HeaderTree {
@@ -123,11 +123,6 @@ impl HeaderTree {
     /// Children of `hash`, in arrival order.
     pub fn children(&self, hash: &BlockHash) -> &[BlockHash] {
         self.children.get(hash).map(Vec::as_slice).unwrap_or(&[])
-    }
-
-    /// All headers at an absolute height, in hash order.
-    pub fn at_height(&self, height: u64) -> impl Iterator<Item = &BlockHash> {
-        self.nodes.iter().filter(move |(_, node)| node.height == height).map(|(hash, _)| hash)
     }
 
     /// The greatest height present.
@@ -216,36 +211,6 @@ impl HeaderTree {
         self.chain.get(usize::try_from(index).ok()?).copied()
     }
 
-    /// The greatest height and the greatest cumulative work in the subtree
-    /// under `hash`, found with an explicit stack so depth never recurses.
-    fn subtree_max(&self, hash: &BlockHash) -> Option<(&StoredHeader, u64, Work)> {
-        let node = self.nodes.get(hash)?;
-        let (mut height, mut work) = (node.height, node.chain_work);
-        let mut stack = vec![*hash];
-        while let Some(cursor) = stack.pop() {
-            for child in self.children(&cursor) {
-                let below = &self.nodes[child];
-                height = height.max(below.height);
-                work = work.max(below.chain_work);
-                stack.push(*child);
-            }
-        }
-        Some((node, height, work))
-    }
-
-    /// `d_c(b)`: blocks on the longest path from `hash` to a tip, `hash`
-    /// included — the basis of confirmation-based stability. A tip has
-    /// `d_c = 1`.
-    pub fn depth_count(&self, hash: &BlockHash) -> Option<u64> {
-        self.subtree_max(hash).map(|(node, height, _)| height - node.height + 1)
-    }
-
-    /// `d_w(b)`: the most work on any path from `hash` to a tip, `hash`'s
-    /// own work included — the basis of difficulty-based stability.
-    pub fn depth_work(&self, hash: &BlockHash) -> Option<Work> {
-        self.subtree_max(hash).map(|(node, _, work)| work - node.chain_work + node.header.work())
-    }
-
     /// Moves the root one header along the current chain — the
     /// canister's anchor advance — and prunes the old root with every
     /// branch that does not pass through the new one. The tip is under
@@ -327,7 +292,7 @@ mod tests {
         assert_eq!(tree.root(), a1.block_hash());
         assert_eq!(tree.root_height(), 1);
         assert_eq!(tree.max_height(), 2);
-        assert_eq!(tree.at_height(0).count(), 0);
+        assert!(!tree.contains(&g.block_hash()) && !tree.contains(&b1.block_hash()));
         // The first seen of the equal-work pair stays the tip.
         assert_eq!(tree.best_chain(), [a1.block_hash(), a2.block_hash()]);
         assert_eq!(tree.best_at(0), None);
@@ -366,7 +331,6 @@ mod tests {
         let tree = HeaderTree::with_root_height(g, 1000);
         assert_eq!(tree.root_height(), 1000);
         assert_eq!(tree.height(&g.block_hash()), Some(1000));
-        assert_eq!(tree.at_height(1000).count(), 1);
         assert_eq!(tree.max_height(), 1000);
     }
 }

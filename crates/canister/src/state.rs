@@ -564,22 +564,15 @@ impl BitcoinCanisterState {
 
     /// Advances the anchor while its child on the best chain has an
     /// available body and is difficulty-based δ-stable with respect to
-    /// the current anchor's work. No other child can be: a δ-stable child
-    /// outweighs every sibling by `δ·w(b*) > 0`, so the tip is under it.
+    /// the current anchor's work, re-read after every step. No other
+    /// child can be: a δ-stable child outweighs every sibling by
+    /// `δ·w(b*) > 0`, so the tip is under it.
     fn advance_anchor(&mut self, report: &mut IngestReport, meter: &mut Meter) {
-        loop {
-            let anchor_work = self.anchor().work();
+        let delta = self.params.stability_delta;
+        while stability::difficulty_stable_prefix(&self.tree, delta, self.anchor().work()) > 0 {
             let Some(next_hash) = self.tree.best_at(self.tree.root_height() + 1) else {
                 return;
             };
-            if !stability::is_difficulty_stable(
-                &self.tree,
-                &next_hash,
-                self.params.stability_delta,
-                anchor_work,
-            ) {
-                return;
-            }
             // Fold the stabilized block into the UTXO set and discard its
             // body; keep exactly its header at this height.
             let Some(body) = self.blocks.remove(&next_hash) else { return };
@@ -754,11 +747,12 @@ impl BitcoinCanisterState {
     /// # Errors
     ///
     /// [`StorageError::Corrupt`] on a bad magic/version/network tag, a
-    /// stable chain that is empty, does not link, or disagrees with the
-    /// UTXO set's height, an unstable header without its parent or seen
-    /// twice, a block body without its header or failing the coinbase
-    /// and Merkle rules ingest applies, or trailing bytes. The bodies'
-    /// txids are recomputed here, never read from `bytes`.
+    /// zero stability δ, a stable chain that is empty, does not link, or
+    /// disagrees with the UTXO set's height, an unstable header without
+    /// its parent or seen twice, a block body without its header or
+    /// failing the coinbase and Merkle rules ingest applies, or trailing
+    /// bytes. The bodies' txids are recomputed here, never read from
+    /// `bytes`.
     pub fn deserialize(bytes: &[u8]) -> Result<BitcoinCanisterState, StorageError> {
         let mut r = Reader::new(bytes);
         if r.take(8)? != STATE_MAGIC {
@@ -770,6 +764,9 @@ impl BitcoinCanisterState {
         let network = codec::network_from_tag(u8::from_be_bytes(r.take_array()?))?;
         let mut params = IntegrationParams::for_network(network);
         params.stability_delta = u64::from_be_bytes(r.take_array()?);
+        if params.stability_delta == 0 {
+            return Err(StorageError::Corrupt("zero stability delta"));
+        }
         params.tau = u64::from_be_bytes(r.take_array()?);
         params.connections = u64::from_be_bytes(r.take_array()?) as usize;
         params.addr_low_watermark = u64::from_be_bytes(r.take_array()?) as usize;
@@ -1453,6 +1450,21 @@ mod tests {
         assert_eq!(
             BitcoinCanisterState::deserialize(&bad).err(),
             Some(StorageError::Corrupt("malformed unstable block"))
+        );
+    }
+
+    #[test]
+    fn restore_rejects_a_zero_stability_delta() {
+        // δ follows the 8-byte magic, the 2-byte version and the network
+        // tag. Restored as zero, the next accepted block would panic.
+        let state = populated_state();
+        let mut bytes = state.serialize();
+        let delta = 8 + 2 + 1..8 + 2 + 1 + 8;
+        assert_eq!(bytes[delta.clone()], state.params().stability_delta.to_be_bytes());
+        bytes[delta].fill(0);
+        assert_eq!(
+            BitcoinCanisterState::deserialize(&bytes).err(),
+            Some(StorageError::Corrupt("zero stability delta"))
         );
     }
 

@@ -21,12 +21,17 @@
 //! # Examples
 //!
 //! ```
-//! use icbtc_bitcoin::{HeaderTree, Network};
+//! use icbtc_bitcoin::{BlockHeader, HeaderTree, Network};
 //! use icbtc_core::stability;
 //!
 //! let genesis = Network::Regtest.genesis_block().header;
-//! let tree = HeaderTree::new(genesis);
-//! assert_eq!(stability::confirmation_stability(&tree, &tree.root()), Some(1));
+//! let mut tree = HeaderTree::new(genesis);
+//! let child = BlockHeader { prev_blockhash: genesis.block_hash(), nonce: 1, ..genesis };
+//! tree.insert(child).unwrap();
+//! // The root's child is 1-stable (one block deep, unopposed), not 2-stable.
+//! assert_eq!(stability::confirmation_stable_prefix(&tree, 1), 1);
+//! assert_eq!(stability::confirmation_stable_prefix(&tree, 2), 0);
+//! assert_eq!(stability::difficulty_stable_prefix(&tree, 1, genesis.work()), 1);
 //! ```
 
 #![forbid(unsafe_code)]

@@ -15,96 +15,91 @@
 //! which the Bitcoin canister uses to advance its anchor, normalized by
 //! the work `w(b*)` of a reference block).
 //!
-//! Both depths are read off the one [`HeaderTree`] that btcnet's chain
-//! store and the canister share; this module adds only the stability
-//! conditions.
+//! Both are decided by one pass over the [`HeaderTree`] that btcnet's
+//! chain store and the canister share, and both ask the same question:
+//! how far up the current chain, from the root's child, the blocks are
+//! δ-stable.
 
-use std::collections::BTreeMap;
+use std::ops::{Add, Sub};
 
-use icbtc_bitcoin::{BlockHash, HeaderTree, Work};
+use icbtc_bitcoin::{HeaderTree, StoredHeader, Work};
 
-/// Confirmation-based stability of a block: the largest δ for which
-/// Definition II.1 holds under `d_c`, which may be negative for blocks
-/// on losing forks (as in the paper's Figure 3).
-pub fn confirmation_stability(tree: &HeaderTree, hash: &BlockHash) -> Option<i64> {
-    let height = tree.height(hash)?;
-    let own_depth = tree.depth_count(hash)? as i64;
-    let mut stability = own_depth; // condition (1): d(b) ≥ δ
-    for other in tree.at_height(height) {
-        if other == hash {
-            continue;
-        }
-        let other_depth = tree.depth_count(other)? as i64;
-        stability = stability.min(own_depth - other_depth); // condition (2)
-    }
-    Some(stability)
-}
-
-/// Whether `hash` is confirmation-based δ-stable.
-pub fn is_confirmation_stable(tree: &HeaderTree, hash: &BlockHash, delta: u64) -> bool {
+/// How many blocks of the current chain, counted up from the root's
+/// child, are confirmation-based δ-stable (`d_c`: one per block) before
+/// the first one that is not.
+///
+/// # Panics
+///
+/// Panics if `delta` is 0.
+pub fn confirmation_stable_prefix(tree: &HeaderTree, delta: u64) -> usize {
     assert!(delta > 0, "delta-stability requires delta > 0");
-    confirmation_stability(tree, hash).is_some_and(|s| s >= delta as i64)
+    stable_prefix(tree, delta, |node| node.height)
 }
 
 /// How many blocks of the current chain, counted up from the root's
-/// child, are confirmation-based δ-stable before the first one that is
-/// not: the prefix a block-by-block [`is_confirmation_stable`] loop
-/// would accept, found in one pass over the tree instead of one subtree
-/// walk per block. `d_c` of every header is computed children first
-/// (reverse arrival order), and each height keeps the deepest header off
-/// the current chain; a chain block is δ-stable when its own `d_c` is at
-/// least δ above that rival (or at least δ without one).
-pub fn confirmation_stable_prefix(tree: &HeaderTree, delta: u64) -> usize {
+/// child, are difficulty-based δ-stable with respect to a reference
+/// block of work `reference_work` (§II-C, `d_w`: each block's work, and
+/// the margin `δ·w(b*)`) before the first one that is not. Decided in
+/// exact integer work.
+///
+/// # Panics
+///
+/// Panics if `delta` is 0.
+pub fn difficulty_stable_prefix(tree: &HeaderTree, delta: u64, reference_work: Work) -> usize {
     assert!(delta > 0, "delta-stability requires delta > 0");
-    let chain = tree.best_chain();
-    let base = tree.root_height();
-    let mut depth: BTreeMap<BlockHash, u64> = BTreeMap::new();
-    // rival[i]: the greatest d_c at height base + i off the chain, or 0.
-    let mut rival = vec![0u64; chain.len()];
-    for hash in tree.insertion_order().iter().rev() {
-        let below = tree.children(hash).iter().filter_map(|child| depth.get(child)).max();
-        let own = 1 + below.copied().unwrap_or(0);
-        depth.insert(*hash, own);
-        let index = (tree.height(hash).unwrap_or(base) - base) as usize;
-        if chain.get(index).is_some_and(|on_chain| on_chain != hash) {
-            rival[index] = rival[index].max(own);
-        }
-    }
-    chain
-        .iter()
-        .zip(&rival)
-        .skip(1)
-        .take_while(|(hash, rival)| depth.get(hash).is_some_and(|own| *own >= **rival + delta))
-        .count()
+    stable_prefix(tree, reference_work * delta, |node| node.chain_work)
 }
 
-/// Whether `hash` is difficulty-based δ-stable with respect to a
-/// reference block of work `reference_work` (§II-C): with
-/// `m = δ·w(b*)`, `d_w(b) ≥ m` and `d_w(b) ≥ d_w(b′) + m` for every
-/// other `b′` at the same height. Decided in exact integer work.
-pub fn is_difficulty_stable(
-    tree: &HeaderTree,
-    hash: &BlockHash,
-    delta: u64,
-    reference_work: Work,
-) -> bool {
-    assert!(delta > 0, "delta-stability requires delta > 0");
-    let (Some(height), Some(own)) = (tree.height(hash), tree.depth_work(hash)) else {
-        return false;
-    };
-    let margin = reference_work * delta;
-    own >= margin
-        && tree
-            .at_height(height)
-            .filter(|other| *other != hash)
-            .all(|other| tree.depth_work(other).is_some_and(|depth| own >= depth + margin))
+/// Definition II.1 under a depth `d(b)` that sums a per-header weight
+/// along the heaviest path from `b` to a tip. `total` reads that weight
+/// already summed from the root (`height` for one per block, `chain_work`
+/// for each block's work), so `d(b)` is the greatest `total` under `b`
+/// less that of `b`'s parent. Returns the length of the current chain's
+/// prefix above the root whose blocks each have `d(b) ≥ margin` and
+/// `d(b) ≥ d(b′) + margin` for every other `b′` at their height. One
+/// pass, without recursion: the tree is listed breadth first, so walking
+/// that list backwards reaches every header after its children, and
+/// each height keeps the deepest header off the current chain.
+fn stable_prefix<D>(tree: &HeaderTree, margin: D, total: impl Fn(&StoredHeader) -> D) -> usize
+where
+    D: Copy + Default + Ord + Add<Output = D> + Sub<Output = D>,
+{
+    let chain = tree.best_chain();
+    let base = tree.root_height();
+    let Some(root) = tree.get(&tree.root()) else { return 0 };
+    // Each header with the position of its parent in `order`.
+    let mut order = vec![(tree.root(), root, 0)];
+    let mut next = 0;
+    while let Some(&(hash, _, _)) = order.get(next) {
+        let children = tree.children(&hash).iter();
+        order.extend(children.filter_map(|child| Some((*child, tree.get(child)?, next))));
+        next += 1;
+    }
+    // reach[i]: the greatest total under order[i], itself included.
+    let mut reach: Vec<D> = order.iter().map(|(_, node, _)| total(node)).collect();
+    // own[i]: d of chain[i]; rival[i]: the greatest d at height base + i
+    // off the chain, or zero.
+    let mut own = vec![D::default(); chain.len()];
+    let mut rival = vec![D::default(); chain.len()];
+    for (i, (hash, node, parent)) in order.iter().enumerate().skip(1).rev() {
+        reach[*parent] = reach[*parent].max(reach[i]);
+        let d = reach[i] - total(order[*parent].1);
+        let index = (node.height - base) as usize;
+        match chain.get(index) {
+            Some(on_chain) if on_chain == hash => own[index] = d,
+            Some(_) => rival[index] = rival[index].max(d),
+            None => {}
+        }
+    }
+    own.iter().zip(&rival).skip(1).take_while(|(own, rival)| **own >= **rival + margin).count()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use icbtc_bitcoin::pow::CompactTarget;
-    use icbtc_bitcoin::{BlockHeader, MerkleRoot, Network};
+    use icbtc_bitcoin::{BlockHash, BlockHeader, MerkleRoot, Network};
+    use std::collections::BTreeMap;
 
     /// Builds a synthetic child header (unchecked PoW — the tree itself
     /// does not validate, as validation lives in the adapter/canister).
@@ -123,12 +118,94 @@ mod tests {
         Network::Regtest.genesis_block().header
     }
 
-    /// Builds the paper's Figure 3 shape: a main chain with two forks.
+    /// Each header's `d_c` and `d_w`.
+    type Depths = BTreeMap<BlockHash, (u64, Work)>;
+
+    /// Reference depths by brute force: for every root-to-tip path, the
+    /// count and the work from each block on it to the tip; each block
+    /// keeps its maximum over the paths through it.
+    fn brute_force_depths(tree: &HeaderTree) -> Depths {
+        let mut depths = Depths::new();
+        for tip in tree.insertion_order().iter().filter(|h| tree.children(h).is_empty()) {
+            let (mut count, mut work) = (0, Work::ZERO);
+            let mut cursor = Some(*tip);
+            while let Some(hash) = cursor {
+                let header = tree.header(&hash).unwrap();
+                count += 1;
+                work += header.work();
+                let best = depths.entry(hash).or_insert((0, Work::ZERO));
+                *best = (best.0.max(count), best.1.max(work));
+                cursor = (hash != tree.root()).then_some(header.prev_blockhash);
+            }
+        }
+        depths
+    }
+
+    fn d_c(depths: (u64, Work)) -> u64 {
+        depths.0
+    }
+
+    fn d_w(depths: (u64, Work)) -> Work {
+        depths.1
+    }
+
+    /// The brute-force depths of the blocks other than `hash` at its
+    /// height.
+    fn rivals<'a>(
+        tree: &'a HeaderTree,
+        depths: &'a Depths,
+        hash: &'a BlockHash,
+    ) -> impl Iterator<Item = (u64, Work)> + 'a {
+        let height = tree.height(hash);
+        depths
+            .iter()
+            .filter(move |(other, _)| *other != hash && tree.height(other) == height)
+            .map(|(_, depth)| *depth)
+    }
+
+    /// Definition II.1 read literally for one block: `d(b) ≥ margin` and
+    /// `d(b) ≥ d(b′) + margin` for every other `b′` at its height, with
+    /// `d` picked by `depth` from the brute-force pair.
+    fn stable_by_definition<D: Copy + Ord + Add<Output = D>>(
+        tree: &HeaderTree,
+        depths: &Depths,
+        hash: &BlockHash,
+        margin: D,
+        depth: fn((u64, Work)) -> D,
+    ) -> bool {
+        let own = depth(depths[hash]);
+        own >= margin && rivals(tree, depths, hash).all(|other| own >= depth(other) + margin)
+    }
+
+    /// The prefix of the current chain above the root that a
+    /// block-by-block loop of [`stable_by_definition`] accepts.
+    fn prefix_by_definition<D: Copy + Ord + Add<Output = D>>(
+        tree: &HeaderTree,
+        margin: D,
+        depth: fn((u64, Work)) -> D,
+    ) -> usize {
+        let depths = brute_force_depths(tree);
+        tree.best_chain()[1..]
+            .iter()
+            .take_while(|hash| stable_by_definition(tree, &depths, hash, margin, depth))
+            .count()
+    }
+
+    /// Confirmation-based stability of a block by brute force: the
+    /// largest δ for which Definition II.1 holds under `d_c`, negative
+    /// for blocks on losing forks (as in the paper's Figure 3).
+    fn confirmation_stability(tree: &HeaderTree, hash: &BlockHash) -> i64 {
+        let depths = brute_force_depths(tree);
+        let own = depths[hash].0 as i64;
+        rivals(tree, &depths, hash).map(|other| own - other.0 as i64).fold(own, i64::min)
+    }
+
+    /// Builds the paper's Figure 3 shape: a main chain with a losing
+    /// fork from its first block.
     ///
     /// ```text
     /// g - a1 - a2 - a3 - a4 - a5
     ///       \- b2 - b3
-    ///             \- c4        (c4 branches from b3's parent? no: from b3)
     /// ```
     fn figure3() -> (HeaderTree, Vec<BlockHash>, Vec<BlockHash>) {
         let g = root();
@@ -141,7 +218,6 @@ mod tests {
             main.push(h.block_hash());
             parent = h;
         }
-        // Fork from a1: two blocks.
         let a1 = tree.header(&main[0]).unwrap();
         let b2 = child_of(&a1, 200);
         let b3 = child_of(&b2, 201);
@@ -151,7 +227,7 @@ mod tests {
     }
 
     #[test]
-    fn depth_count_of_linear_chain() {
+    fn linear_chain_is_as_stable_as_it_is_deep() {
         let g = root();
         let mut tree = HeaderTree::new(g);
         let mut parent = g;
@@ -162,32 +238,43 @@ mod tests {
             hashes.push(h.block_hash());
             parent = h;
         }
-        // Depths: 5, 4, 3, 2, 1 from root to tip.
+        // Depths 5, 4, 3, 2, 1 from root to tip, and without competitors
+        // stability equals depth.
+        let depths = brute_force_depths(&tree);
         for (i, hash) in hashes.iter().enumerate() {
-            assert_eq!(tree.depth_count(hash), Some(5 - i as u64));
+            assert_eq!(d_c(depths[hash]), 5 - i as u64);
+            assert_eq!(confirmation_stability(&tree, hash), 5 - i as i64);
         }
-        // Stability equals depth without competitors.
-        for (i, hash) in hashes.iter().enumerate() {
-            assert_eq!(confirmation_stability(&tree, hash), Some(5 - i as i64));
+        // So the blocks above the root are δ-stable up to the one of
+        // depth δ, under either depth.
+        for delta in 1..=6u64 {
+            let expected = 5usize.saturating_sub(delta as usize);
+            assert_eq!(confirmation_stable_prefix(&tree, delta), expected, "delta {delta}");
+            assert_eq!(difficulty_stable_prefix(&tree, delta, g.work()), expected);
         }
     }
 
     #[test]
     fn figure3_stability_values() {
         let (tree, main, fork) = figure3();
+        let stability = |hash| confirmation_stability(&tree, hash);
         // Main chain blocks compete with the fork at heights 2 and 3.
         // a1 has no competitor: stability = depth = 5.
-        assert_eq!(confirmation_stability(&tree, &main[0]), Some(5));
+        assert_eq!(stability(&main[0]), 5);
         // a2: depth 4, fork b2 depth 2 ⇒ min(4, 4-2) = 2.
-        assert_eq!(confirmation_stability(&tree, &main[1]), Some(2));
+        assert_eq!(stability(&main[1]), 2);
         // a3: depth 3, fork b3 depth 1 ⇒ min(3, 3-1) = 2.
-        assert_eq!(confirmation_stability(&tree, &main[2]), Some(2));
+        assert_eq!(stability(&main[2]), 2);
         // a4, a5 unopposed: stability = depth.
-        assert_eq!(confirmation_stability(&tree, &main[3]), Some(2));
-        assert_eq!(confirmation_stability(&tree, &main[4]), Some(1));
+        assert_eq!(stability(&main[3]), 2);
+        assert_eq!(stability(&main[4]), 1);
         // Fork blocks have negative stability (they lose).
-        assert_eq!(confirmation_stability(&tree, &fork[0]), Some(2 - 4));
-        assert_eq!(confirmation_stability(&tree, &fork[1]), Some(1 - 3));
+        assert_eq!(stability(&fork[0]), 2 - 4);
+        assert_eq!(stability(&fork[1]), 1 - 3);
+        // The prefix stops at the first main block below δ: a1 alone
+        // for δ = 3..=5 (a2 is only 2-stable), none from δ = 6.
+        let prefixes: Vec<usize> = (1..=6).map(|c| confirmation_stable_prefix(&tree, c)).collect();
+        assert_eq!(prefixes, [5, 4, 1, 1, 1, 0]);
     }
 
     #[test]
@@ -202,7 +289,6 @@ mod tests {
         tree.insert(b1).unwrap();
         let mut a_parent = a1;
         let mut b_parent = b1;
-        let mut last_stability = confirmation_stability(&tree, &a1.block_hash()).unwrap();
         for i in 0..5 {
             let a_next = child_of(&a_parent, 10 + i);
             let b_next = child_of(&b_parent, 20 + i);
@@ -210,38 +296,52 @@ mod tests {
             tree.insert(b_next).unwrap();
             a_parent = a_next;
             b_parent = b_next;
-            let stability = confirmation_stability(&tree, &a1.block_hash()).unwrap();
-            assert_eq!(stability, last_stability, "equal-rate forks freeze stability");
-            last_stability = stability;
+            assert_eq!(
+                confirmation_stability(&tree, &a1.block_hash()),
+                0,
+                "competing equal forks pin stability at 0"
+            );
+            assert_eq!(confirmation_stable_prefix(&tree, 1), 0);
+            assert_eq!(difficulty_stable_prefix(&tree, 1, g.work()), 0);
             // Depth keeps growing though.
-            assert_eq!(tree.depth_count(&a1.block_hash()), Some(i as u64 + 2));
+            assert_eq!(d_c(brute_force_depths(&tree)[&a1.block_hash()]), i as u64 + 2);
         }
-        assert_eq!(last_stability, 0, "competing equal forks pin stability at 0");
     }
 
     #[test]
     fn only_one_delta_stable_block_per_height() {
         let (tree, main, fork) = figure3();
+        let depths = brute_force_depths(&tree);
+        let stable = |hash, delta| stable_by_definition(&tree, &depths, hash, delta, d_c);
         // At height 2 (a2 vs b2) only a2 can be δ-stable for δ=1..3.
         for delta in 1..=3u64 {
-            let stable_a = is_confirmation_stable(&tree, &main[1], delta);
-            let stable_b = is_confirmation_stable(&tree, &fork[0], delta);
-            assert!(!(stable_a && stable_b), "two stable blocks at one height");
+            assert!(!(stable(&main[1], delta) && stable(&fork[0], delta)), "two at one height");
         }
-        assert!(is_confirmation_stable(&tree, &main[1], 2));
-        assert!(!is_confirmation_stable(&tree, &main[1], 3));
+        assert!(stable(&main[1], 2));
+        assert!(!stable(&main[1], 3));
+        assert!(confirmation_stable_prefix(&tree, 2) >= 2);
+        assert_eq!(confirmation_stable_prefix(&tree, 3), 1);
     }
 
     #[test]
     fn delta_monotonicity() {
-        // δ-stable implies δ′-stable for δ′ ≤ δ.
+        // δ-stable implies δ′-stable for δ′ ≤ δ, so a prefix never grows
+        // with δ, under either depth.
         let (tree, main, _) = figure3();
-        for hash in &main {
-            for delta in 1..=6u64 {
-                if is_confirmation_stable(&tree, hash, delta) {
-                    for smaller in 1..delta {
-                        assert!(is_confirmation_stable(&tree, hash, smaller));
-                    }
+        let depths = brute_force_depths(&tree);
+        let w = root().work();
+        for delta in 2..=7u64 {
+            assert!(
+                confirmation_stable_prefix(&tree, delta)
+                    <= confirmation_stable_prefix(&tree, delta - 1)
+            );
+            assert!(
+                difficulty_stable_prefix(&tree, delta, w)
+                    <= difficulty_stable_prefix(&tree, delta - 1, w)
+            );
+            for hash in &main {
+                if stable_by_definition(&tree, &depths, hash, delta, d_c) {
+                    assert!(stable_by_definition(&tree, &depths, hash, delta - 1, d_c));
                 }
             }
         }
@@ -251,12 +351,18 @@ mod tests {
     fn difficulty_stability_equal_bits_matches_confirmations() {
         // With uniform difficulty, d_w/w(b*) numerically equals d_c.
         let (tree, main, fork) = figure3();
+        let depths = brute_force_depths(&tree);
         let reference = tree.header(&main[0]).unwrap().work();
-        for hash in main.iter().chain(&fork) {
-            for delta in 1..=6u64 {
+        for delta in 1..=6u64 {
+            assert_eq!(
+                difficulty_stable_prefix(&tree, delta, reference),
+                confirmation_stable_prefix(&tree, delta),
+                "delta {delta}"
+            );
+            for hash in main.iter().chain(&fork) {
                 assert_eq!(
-                    is_difficulty_stable(&tree, hash, delta, reference),
-                    is_confirmation_stable(&tree, hash, delta),
+                    stable_by_definition(&tree, &depths, hash, reference * delta, d_w),
+                    stable_by_definition(&tree, &depths, hash, delta, d_c),
                     "delta {delta}"
                 );
             }
@@ -286,13 +392,12 @@ mod tests {
         }
         let delta = 6;
         let reference = anchor.work();
-        let sibling = tree.at_height(1).find(|h| **h != candidate.block_hash()).unwrap();
-        assert_eq!(
-            tree.depth_work(&candidate.block_hash()).unwrap(),
-            tree.depth_work(sibling).unwrap() + reference * delta
-        );
-        assert!(is_difficulty_stable(&tree, &candidate.block_hash(), delta, reference));
-        assert!(!is_difficulty_stable(&tree, &candidate.block_hash(), delta + 1, reference));
+        let sibling = tree.children(&tree.root())[1];
+        let depths = brute_force_depths(&tree);
+        assert_eq!(d_w(depths[&candidate.block_hash()]), d_w(depths[&sibling]) + reference * delta);
+        assert_eq!(tree.best_chain()[1], candidate.block_hash());
+        assert_eq!(difficulty_stable_prefix(&tree, delta, reference), 1);
+        assert_eq!(difficulty_stable_prefix(&tree, delta + 1, reference), 0);
     }
 
     #[test]
@@ -314,18 +419,17 @@ mod tests {
             tree.insert(next).unwrap();
             parent = next;
         }
+        let depths = brute_force_depths(&tree);
+        let (weak_depth, strong_depth) = (depths[&weak.block_hash()], depths[&strong.block_hash()]);
         // Confirmation count prefers the longer weak branch...
-        assert!(
-            tree.depth_count(&weak.block_hash()).unwrap()
-                > tree.depth_count(&strong.block_hash()).unwrap()
-        );
+        assert!(d_c(weak_depth) > d_c(strong_depth));
         // ...but work-weighted depth prefers the strong block.
-        assert!(
-            tree.depth_work(&strong.block_hash()).unwrap()
-                > tree.depth_work(&weak.block_hash()).unwrap()
-        );
-        let best = tree.best_chain();
-        assert_eq!(best[1], strong.block_hash());
+        assert!(d_w(strong_depth) > d_w(weak_depth));
+        assert_eq!(tree.best_chain()[1], strong.block_hash());
+        // So the strong block is difficulty-stable and not
+        // confirmation-stable.
+        assert_eq!(confirmation_stable_prefix(&tree, 1), 0);
+        assert_eq!(difficulty_stable_prefix(&tree, 1, g.work()), 1);
     }
 
     #[test]
@@ -350,8 +454,11 @@ mod tests {
         assert!(!tree.contains(&fork[1]));
         assert!(tree.contains(&main[4]));
         assert_eq!(tree.len(), 4);
-        // Stability queries still work on the re-rooted tree.
-        assert_eq!(confirmation_stability(&tree, &main[1]), Some(4));
+        // Stability still holds on the re-rooted tree: a2 is unopposed,
+        // and so are the three blocks above it.
+        assert_eq!(confirmation_stability(&tree, &main[1]), 4);
+        assert_eq!(confirmation_stable_prefix(&tree, 1), 3);
+        assert_eq!(confirmation_stable_prefix(&tree, 2), 2);
     }
 
     #[test]
@@ -368,26 +475,31 @@ mod tests {
             parent = h;
         }
         let w = g.work();
-        assert_eq!(tree.depth_count(&tree.root()), Some(DEPTH + 1));
-        assert_eq!(tree.depth_work(&tree.root()), Some(w * (DEPTH + 1)));
         let best = tree.best_chain();
         assert_eq!(best.len() as u64, DEPTH + 1);
         assert_eq!(*best.last().unwrap(), parent.block_hash());
-        assert!(is_difficulty_stable(&tree, &best[1], DEPTH, w));
-        assert!(!is_difficulty_stable(&tree, &best[1], DEPTH + 1, w));
+        assert_eq!(difficulty_stable_prefix(&tree, DEPTH, w), 1);
+        assert_eq!(difficulty_stable_prefix(&tree, DEPTH + 1, w), 0);
+        assert_eq!(confirmation_stable_prefix(&tree, 1) as u64, DEPTH);
     }
 
     #[test]
     #[should_panic]
     fn zero_delta_panics() {
         let tree = HeaderTree::new(root());
-        let _ = is_confirmation_stable(&tree, &tree.root(), 0);
+        let _ = confirmation_stable_prefix(&tree, 0);
+    }
+
+    #[test]
+    #[should_panic]
+    fn zero_delta_panics_under_work() {
+        let tree = HeaderTree::new(root());
+        let _ = difficulty_stable_prefix(&tree, 0, root().work());
     }
 
     mod properties {
         use super::*;
         use icbtc_sim::testkit;
-        use std::collections::BTreeMap;
 
         /// Per-block works 1, 2 and 4 (in units of the weakest).
         const BITS: [u32; 3] = [0x207f_ffff, 0x203f_ffff, 0x201f_ffff];
@@ -442,29 +554,6 @@ mod tests {
             assert_eq!(order.iter().find(|h| path_work(h) == most), Some(&tree.tip_hash()));
         }
 
-        /// Reference depths by brute force: for every root-to-tip path,
-        /// the count and the work from each block on it to the tip; each
-        /// block keeps its maximum over the paths through it.
-        fn brute_force_depths(
-            tree: &HeaderTree,
-            hashes: &[BlockHash],
-        ) -> BTreeMap<BlockHash, (u64, Work)> {
-            let mut depths: BTreeMap<BlockHash, (u64, Work)> = BTreeMap::new();
-            for tip in hashes.iter().filter(|h| tree.children(h).is_empty()) {
-                let (mut count, mut work) = (0, Work::ZERO);
-                let mut cursor = Some(*tip);
-                while let Some(hash) = cursor {
-                    let header = tree.header(&hash).unwrap();
-                    count += 1;
-                    work += header.work();
-                    let best = depths.entry(hash).or_insert((0, Work::ZERO));
-                    *best = (best.0.max(count), best.1.max(work));
-                    cursor = (hash != tree.root()).then_some(header.prev_blockhash);
-                }
-            }
-            depths
-        }
-
         /// The stored chain matches a parent walk after every insert and
         /// every root advance: random attachments with mixed works (so
         /// equal-work ties and reorgs occur), then a heavier branch grown
@@ -503,10 +592,10 @@ mod tests {
             });
         }
 
-        /// The one-pass prefix equals the block-by-block loop it replaced
-        /// in the canister's overlay, for every c in 1..=δ, on random
-        /// trees with forks and equal-work ties, before and after root
-        /// advances.
+        /// The confirmation-based prefix equals a block-by-block loop of
+        /// Definition II.1 over brute-force `d_c`, for every c in 1..=δ,
+        /// on random trees with forks and equal-work ties, before and
+        /// after root advances.
         #[test]
         fn stable_prefix_matches_the_per_block_loop() {
             testkit::check(0x57_0005, testkit::DEFAULT_CASES, |rng| {
@@ -515,10 +604,7 @@ mod tests {
                 let delta = testkit::u64_in(rng, 1..8);
                 loop {
                     for c in 1..=delta {
-                        let looped = tree.best_chain()[1..]
-                            .iter()
-                            .take_while(|hash| is_confirmation_stable(&tree, hash, c))
-                            .count();
+                        let looped = prefix_by_definition(&tree, c, d_c);
                         assert_eq!(confirmation_stable_prefix(&tree, c), looped, "c {c}");
                     }
                     if tree.best_chain().len() == 1 || testkit::u64_in(rng, 0..3) == 0 {
@@ -529,19 +615,52 @@ mod tests {
             });
         }
 
-        /// At most one block per height is δ-stable, for every δ ≥ 1.
+        /// The difficulty-based prefix equals a block-by-block loop of
+        /// Definition II.1 over brute-force `d_w`, for reference works of
+        /// 1, 2 and 4 units and every δ in 1..8, on random trees mixing
+        /// those per-block works, before and after root advances.
+        #[test]
+        fn difficulty_stable_prefix_matches_the_per_block_loop() {
+            let references = BITS.map(|bits| CompactTarget::from_consensus(bits).work());
+            testkit::check(0x57_0006, testkit::DEFAULT_CASES, |rng| {
+                let choices = testkit::bytes(rng, 1..60);
+                let (mut tree, _) = random_tree(&choices);
+                loop {
+                    for delta in 1..8u64 {
+                        for reference in references {
+                            let looped = prefix_by_definition(&tree, reference * delta, d_w);
+                            let prefix = difficulty_stable_prefix(&tree, delta, reference);
+                            assert_eq!(prefix, looped, "delta {delta}, reference {reference}");
+                        }
+                    }
+                    if tree.best_chain().len() == 1 || testkit::u64_in(rng, 0..3) == 0 {
+                        break;
+                    }
+                    tree.advance_root();
+                }
+            });
+        }
+
+        /// At most one block per height is δ-stable, for every δ ≥ 1, and
+        /// where the prefix reaches a height, that block is the current
+        /// chain's.
         #[test]
         fn unique_stable_block_per_height() {
             testkit::check(0x57_0001, testkit::DEFAULT_CASES, |rng| {
                 let choices = testkit::bytes(rng, 1..40);
-                let (tree, _) = random_tree(&choices);
-                for height in 0..=tree.max_height() {
-                    for delta in 1..4u64 {
-                        let stable: Vec<_> = tree
-                            .at_height(height)
-                            .filter(|h| is_confirmation_stable(&tree, h, delta))
-                            .collect();
-                        assert!(stable.len() <= 1);
+                let (tree, hashes) = random_tree(&choices);
+                let depths = brute_force_depths(&tree);
+                for delta in 1..4u64 {
+                    let mut stable_heights = BTreeMap::new();
+                    for hash in &hashes {
+                        if stable_by_definition(&tree, &depths, hash, delta, d_c) {
+                            let height = tree.height(hash).unwrap();
+                            assert_eq!(stable_heights.insert(height, *hash), None);
+                        }
+                    }
+                    let prefix = confirmation_stable_prefix(&tree, delta);
+                    for (i, hash) in tree.best_chain().iter().enumerate().skip(1).take(prefix) {
+                        assert_eq!(stable_heights.get(&(i as u64)), Some(hash));
                     }
                 }
             });
@@ -554,29 +673,14 @@ mod tests {
             testkit::check(0x57_0002, testkit::DEFAULT_CASES, |rng| {
                 let choices = testkit::bytes(rng, 1..40);
                 let (tree, hashes) = random_tree(&choices);
+                let depths = brute_force_depths(&tree);
                 for hash in &hashes {
-                    let depth = tree.depth_count(hash).unwrap() as i64;
-                    let stability = confirmation_stability(&tree, hash).unwrap();
+                    let depth = d_c(depths[hash]) as i64;
+                    let stability = confirmation_stability(&tree, hash);
                     assert!(stability <= depth);
-                    let height = tree.height(hash).unwrap();
-                    if tree.at_height(height).count() == 1 {
+                    if rivals(&tree, &depths, hash).next().is_none() {
                         assert_eq!(stability, depth);
                     }
-                }
-            });
-        }
-
-        /// Both depths equal the brute-force maximum over root-to-tip
-        /// paths.
-        #[test]
-        fn depths_match_brute_force() {
-            testkit::check(0x57_0003, testkit::DEFAULT_CASES, |rng| {
-                let choices = testkit::bytes(rng, 1..40);
-                let (tree, hashes) = random_tree(&choices);
-                let depths = brute_force_depths(&tree, &hashes);
-                for hash in &hashes {
-                    assert_eq!(tree.depth_count(hash), Some(depths[hash].0));
-                    assert_eq!(tree.depth_work(hash), Some(depths[hash].1));
                 }
             });
         }

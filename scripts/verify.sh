@@ -94,6 +94,7 @@ if rustfmt --version >/dev/null 2>&1; then
         crates/bitcoin/src/encode.rs \
         crates/bitcoin/src/hash.rs \
         crates/bitcoin/src/script.rs \
+        crates/bitcoin/src/tree.rs \
         crates/bitcoin/src/tx.rs \
         crates/canister/src/api.rs \
         crates/canister/src/canister.rs \
@@ -104,6 +105,7 @@ if rustfmt --version >/dev/null 2>&1; then
         crates/canister/src/storage/mod.rs \
         crates/canister/src/storage/page.rs \
         crates/canister/src/utxoset.rs \
+        crates/core/src/stability.rs \
         crates/ic/src/meter.rs \
         crates/sim/src/obs/prof.rs \
         crates/tecdsa/src/curve.rs
