@@ -103,6 +103,11 @@ impl Sha256 {
         }
     }
 
+    /// The number of bytes absorbed so far.
+    pub fn absorbed(&self) -> u64 {
+        self.length
+    }
+
     /// Finishes the computation and returns the 32-byte digest.
     pub fn finalize(mut self) -> [u8; 32] {
         let bit_len = self.length * 8;

@@ -264,7 +264,8 @@ impl BitcoinCanister {
     /// fingerprint the shadow-replica divergence detector compares.
     /// Covers replicated state only, so two replicas with different
     /// query-cache or profiler contents still hash identically, and
-    /// costs only the unstable state while the anchor is still (see
+    /// while the anchor is still costs only the unstable headers and the
+    /// bodies new since the last call (see
     /// [`BitcoinCanisterState::state_hash`]).
     pub fn state_hash(&self) -> [u8; 32] {
         let mut hasher = Sha256::new();
@@ -713,6 +714,47 @@ mod tests {
         assert_eq!(c.state_hash(), before, "query-cache fills must not move the hash");
     }
 
+    /// Txids do not cover witnesses, so a checkpoint whose unstable segwit
+    /// transaction has one witness byte flipped still passes restore's
+    /// Merkle check. The restored state must hash differently all the
+    /// same: each body's digest covers its whole encoding.
+    #[test]
+    fn a_flipped_witness_byte_changes_the_restored_state_hash() {
+        use icbtc_bitcoin::{Amount, OutPoint, Transaction, TxIn, TxOut, Txid};
+        use icbtc_btcnet::miner::mine_block_on;
+        use icbtc_btcnet::ChainStore;
+
+        let signature = vec![0x5a; 71];
+        let mut input = TxIn::new(OutPoint::new(Txid([0xab; 32]), 0));
+        input.witness = vec![signature.clone(), vec![0x02; 33]];
+        let segwit = Transaction {
+            version: 2,
+            inputs: vec![input],
+            outputs: vec![TxOut::new(Amount::from_sat(1_000), addr(3).script_pubkey())],
+            lock_time: 0,
+        };
+        let chain = ChainStore::new(Network::Regtest);
+        let block =
+            mine_block_on(&chain, chain.tip_hash(), vec![segwit], addr(1).script_pubkey(), 0);
+        let mut c = canister();
+        let mut meter = Meter::new();
+        let mut ctx =
+            ExecutionContext { meter: &mut meter, now: icbtc_sim::SimTime::ZERO, round: 1 };
+        let response = GetSuccessorsResponse { blocks: vec![block], next: Vec::new() };
+        assert_eq!(c.ingest_response(response, 2_000_000_000, &mut ctx).blocks_accepted, 1);
+        assert_eq!(c.state().unstable_block_count(), 1);
+
+        let good = c.checkpoint_bytes();
+        let at = good.windows(signature.len()).position(|w| w == signature).unwrap();
+        let mut flipped = good;
+        flipped[at] ^= 1;
+        let restored = BitcoinCanister::restore(&flipped).expect("txids do not cover witnesses");
+        assert_eq!(restored.checkpoint_bytes(), flipped);
+        assert_eq!(restored.state().best_tip(), c.state().best_tip());
+        assert_ne!(restored.state().state_hash(), c.state().state_hash());
+        assert_ne!(restored.state_hash(), c.state_hash());
+    }
+
     #[test]
     fn duplicate_ingest_is_counted_and_keeps_the_cache() {
         use icbtc_btcnet::miner::mine_block_on;
@@ -1106,7 +1148,7 @@ mod tests {
             );
             assert_eq!(
                 hex(&restored.state_hash()),
-                "5d99364d31e19fee830e2f327280ddf50c0afde38d1534d1f8388c730f23ba24"
+                "77195beb7b04696b6c7ef65b537244d45cd1e4e6fef66e68b9c15a27344e6c76"
             );
         }
 

@@ -28,6 +28,7 @@ pub mod api;
 pub mod canister;
 pub mod metering;
 pub mod qcache;
+mod stable_chain;
 pub mod state;
 pub mod storage;
 pub mod utxoset;

@@ -23,6 +23,7 @@ use icbtc_core::{GetSuccessorsRequest, GetSuccessorsResponse, IntegrationParams}
 use icbtc_ic::Meter;
 
 use crate::metering;
+use crate::stable_chain::StableChain;
 use crate::storage::{codec, StorageError};
 use crate::utxoset::UtxoSet;
 
@@ -77,9 +78,9 @@ pub struct IngestReport {
 pub struct BitcoinCanisterState {
     params: IntegrationParams,
     utxos: UtxoSet,
-    /// The single stable header per height, genesis first (kept forever,
-    /// as the paper specifies).
-    stable_headers: Vec<BlockHeader>,
+    /// The single stable header per height, genesis first, with the
+    /// running digest [`BitcoinCanisterState::state_hash`] reads.
+    stable: StableChain,
     /// Header tree rooted at the anchor (the anchor plus all unstable
     /// headers).
     tree: HeaderTree,
@@ -106,6 +107,10 @@ pub struct UnstableBlock {
     /// Built by the first query that reads the block, so ingest and
     /// restore pay nothing for it; never part of a snapshot.
     index: OnceCell<BlockIndex>,
+    /// SHA-256d of the block's full encoding, witnesses included, filled
+    /// by the first state hash that reads the block. The block never
+    /// changes, so neither does this.
+    digest: OnceCell<[u8; 32]>,
 }
 
 /// An unstable block's outputs and spends as `(transaction, output or
@@ -137,7 +142,7 @@ impl UnstableBlock {
     /// txids it computed; `None` if the block is malformed.
     fn check(block: Block) -> Option<UnstableBlock> {
         let txids = block.checked_txids()?;
-        Some(UnstableBlock { block, txids, index: OnceCell::new() })
+        Some(UnstableBlock { block, txids, index: OnceCell::new(), digest: OnceCell::new() })
     }
 
     /// The block itself.
@@ -153,6 +158,17 @@ impl UnstableBlock {
     /// Each transaction with its txid, in block order.
     pub fn transactions(&self) -> impl Iterator<Item = (&Transaction, Txid)> {
         self.block.txdata.iter().zip(self.txids.iter().copied())
+    }
+
+    /// SHA-256d of [`UnstableBlock::block`]'s encoding, computed once.
+    fn digest(&self) -> &[u8; 32] {
+        self.digest.get_or_init(|| {
+            let mut hasher = Sha256::new();
+            self.block.encode(&mut hasher);
+            #[cfg(test)]
+            hashed_bytes::count(hasher.absorbed());
+            hasher.finalize_double()
+        })
     }
 
     fn output(&self, (tx, vout): (u32, u32)) -> &TxOut {
@@ -274,10 +290,36 @@ pub(crate) mod comparisons {
     }
 }
 
+/// Bytes fed to SHA-256 for state hashes on this thread, so a test can
+/// check that a call's host work does not grow with the chain.
+#[cfg(test)]
+pub(crate) mod hashed_bytes {
+    use std::cell::Cell;
+
+    thread_local! {
+        static BYTES: Cell<u64> = const { Cell::new(0) };
+    }
+
+    pub(crate) fn count(bytes: u64) {
+        BYTES.with(|b| b.set(b.get() + bytes));
+    }
+
+    /// The bytes hashed since the last call.
+    pub(crate) fn take() -> u64 {
+        BYTES.with(|b| b.replace(0))
+    }
+}
+
 impl BitcoinCanisterState {
     /// Creates the state anchored at the network's genesis block, whose
     /// outputs seed the stable UTXO set.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `params.stability_delta` is zero: no block is δ-stable
+    /// at δ = 0, so the first accepted block could not be folded.
     pub fn new(params: IntegrationParams) -> BitcoinCanisterState {
+        assert!(params.stability_delta > 0, "the stability delta must be at least 1");
         let genesis = params.network.genesis_block().clone();
         let mut utxos = UtxoSet::new(params.network);
         if let Err(error) =
@@ -288,7 +330,7 @@ impl BitcoinCanisterState {
         BitcoinCanisterState {
             params,
             utxos,
-            stable_headers: vec![genesis.header],
+            stable: StableChain::new(genesis.header),
             tree: HeaderTree::new(genesis.header),
             blocks: BTreeMap::new(),
             outbound: Vec::new(),
@@ -304,12 +346,12 @@ impl BitcoinCanisterState {
 
     /// The anchor header `β*` — the newest stable header.
     pub fn anchor(&self) -> BlockHeader {
-        *self.stable_headers.last().expect("genesis always present") // icbtc-lint: allow(no-panic) -- invariant: `new` seeds stable_headers with genesis and nothing pops it
+        self.stable.tip()
     }
 
     /// Height of the anchor.
     pub fn anchor_height(&self) -> u64 {
-        self.stable_headers.len() as u64 - 1
+        self.stable.headers().len() as u64 - 1
     }
 
     /// Read access to the stable UTXO set.
@@ -334,7 +376,7 @@ impl BitcoinCanisterState {
 
     /// Total blocks ever folded into the stable set (including genesis).
     pub fn blocks_stabilized(&self) -> u64 {
-        self.stable_headers.len() as u64
+        self.stable.headers().len() as u64
     }
 
     /// Whether the canister considers itself synced (§III-C: the maximum
@@ -372,7 +414,7 @@ impl BitcoinCanisterState {
     /// chain below the anchor, the best unstable chain above it.
     pub fn header_at_height(&self, height: u64) -> Option<BlockHeader> {
         if height <= self.anchor_height() {
-            return self.stable_headers.get(height as usize).copied();
+            return self.stable.headers().get(height as usize).copied();
         }
         let hash = self.tree.best_at(height)?;
         self.tree.header(&hash)
@@ -411,7 +453,7 @@ impl BitcoinCanisterState {
         let Some(parent) = self.tree.get(&prev) else {
             return Err(RejectReason::Orphan(prev));
         };
-        let below_anchor = self.stable_headers[..self.anchor_height() as usize].iter().rev();
+        let below_anchor = self.stable.headers()[..self.anchor_height() as usize].iter().rev();
         let walked = Cell::new(0u64);
         let ancestors = (self.tree.ancestors(&prev).chain(below_anchor.copied()))
             .inspect(|_| walked.set(walked.get() + 1));
@@ -585,7 +627,7 @@ impl BitcoinCanisterState {
                 panic!("stable UTXO storage failed ingesting height {height}: {error}");
             }
             meter.frame_end(ingest);
-            self.stable_headers.push(body.block.header);
+            self.stable.push(body.block.header);
             report.stabilized.push(next_hash);
             // Prune every branch not passing through the new anchor.
             for removed in self.tree.advance_root() {
@@ -627,14 +669,16 @@ impl BitcoinCanisterState {
             utxos.next_height(),
             "one stable header per ingested height"
         );
-        for pair in stable_headers.windows(2) {
-            assert_eq!(pair[1].prev_blockhash, pair[0].block_hash(), "stable headers must chain");
+        let mut stable = StableChain::new(stable_headers[0]);
+        for &header in &stable_headers[1..] {
+            let linked = header.prev_blockhash == stable.tip().block_hash();
+            assert!(linked, "stable headers must chain");
+            stable.push(header);
         }
-        let anchor = *stable_headers.last().expect("non-empty"); // icbtc-lint: allow(no-panic) -- guarded by the is_empty assert above; panics are this API's documented contract
         let anchor_height = stable_headers.len() as u64 - 1;
         self.utxos = utxos;
-        self.stable_headers = stable_headers;
-        self.tree = HeaderTree::with_root_height(anchor, anchor_height);
+        self.tree = HeaderTree::with_root_height(stable.tip(), anchor_height);
+        self.stable = stable;
         self.blocks.clear();
         self.synced = true;
     }
@@ -648,9 +692,10 @@ impl BitcoinCanisterState {
     /// header chain, the unstable header tree, the unstable block bodies,
     /// the outbound queue, and the bookkeeping scalars. The one section
     /// list backs both [`BitcoinCanisterState::serialize`] and
-    /// [`BitcoinCanisterState::state_hash`]; they differ only in how
-    /// `utxos` emits the UTXO section.
-    pub(crate) fn snapshot_into(&self, utxos: Section, sink: &mut dyn Sink) {
+    /// [`BitcoinCanisterState::state_hash`]; `form` says how the UTXO
+    /// set, the stable headers and the bodies are emitted, and every
+    /// other section is the same in both.
+    pub(crate) fn snapshot_into(&self, form: Section, sink: &mut dyn Sink) {
         sink.write(STATE_MAGIC);
         sink.write(&STATE_VERSION.to_be_bytes());
         sink.write(&[codec::network_tag(self.params.network)]);
@@ -661,16 +706,22 @@ impl BitcoinCanisterState {
         sink.write(&(self.params.addr_high_watermark as u64).to_be_bytes());
         sink.write(&self.params.bulk_sync_height.to_be_bytes());
         sink.write(&self.params.tx_cache_expiry_secs.to_be_bytes());
-        match utxos {
+        match form {
             Section::Image => {
                 sink.write(&self.utxos.snapshot_len().to_be_bytes());
                 self.utxos.snapshot_into(sink);
             }
             Section::Digest => sink.write(&self.utxos.state_hash()),
         }
-        sink.write(&(self.stable_headers.len() as u64).to_be_bytes());
-        for header in &self.stable_headers {
-            header.encode(sink);
+        let stable = self.stable.headers();
+        sink.write(&(stable.len() as u64).to_be_bytes());
+        match form {
+            Section::Image => {
+                for header in stable {
+                    header.encode(sink);
+                }
+            }
+            Section::Digest => sink.write(&self.stable.digest()),
         }
         // Unstable headers, excluding the root (the anchor is already the
         // last stable header), in arrival order: parents precede children,
@@ -683,7 +734,10 @@ impl BitcoinCanisterState {
         }
         sink.write(&(self.blocks.len() as u64).to_be_bytes());
         for body in self.blocks.values() {
-            sized_into(&body.block, sink);
+            match form {
+                Section::Image => sized_into(&body.block, sink),
+                Section::Digest => sink.write(body.digest()),
+            }
         }
         sink.write(&(self.outbound.len() as u64).to_be_bytes());
         for tx in &self.outbound {
@@ -719,25 +773,36 @@ impl BitcoinCanisterState {
     pub(crate) fn sized_len(&self) -> usize {
         let params = 8 + 2 + 1 + 7 * 8;
         let utxos = 8 + self.utxos.snapshot_len() as usize;
-        let headers = 8 + 8 + 80 * (self.stable_headers.len() + self.tree.len() - 1);
+        let headers = 8 + 8 + 80 * (self.stable.headers().len() + self.tree.len() - 1);
         let bodies: usize = self.blocks.values().map(|body| 8 + body.block.encoded_len()).sum();
         let outbound: usize = self.outbound.iter().map(|tx| 8 + tx.encoded_len()).sum();
         let fingerprint = if self.last_response_fingerprint.is_some() { 65 } else { 1 };
         params + utxos + headers + 8 + bodies + 8 + outbound + 1 + 8 + fingerprint
     }
 
-    /// SHA-256d over the snapshot's sections with the UTXO section
-    /// (`len ‖ snapshot bytes`) replaced by the set's 32-byte
-    /// [`UtxoSet::state_hash`], which is memoized until the anchor next
-    /// advances. While the anchor is still, a call costs only the
-    /// unstable sections. The unstable headers enter in arrival order,
-    /// which decides the tip of an equal-work fork, so two states with
-    /// equal hashes follow the same best chain and answer every
-    /// replicated API alike: what the shadow-replica divergence
-    /// detector compares every round.
+    /// SHA-256d over the snapshot's sections with three of them replaced
+    /// by digests, each kept up to date or memoized so that a call hashes
+    /// only what changed since the last one:
+    ///
+    /// - the UTXO section (`len ‖ snapshot bytes`) by the set's 32-byte
+    ///   [`UtxoSet::state_hash`], memoized until the anchor next advances;
+    /// - the stable headers by `count ‖ SHA-256d(headers)`, finalized
+    ///   from a running digest that each anchor advance extends by one
+    ///   header;
+    /// - each unstable body by SHA-256d of its full encoding, witnesses
+    ///   included, memoized on the body by the first call that reads it.
+    ///
+    /// A round with a still anchor hashes the unstable headers, the
+    /// outbound queue and the bodies that arrived since the last call.
+    /// The unstable headers enter in arrival order, which decides the
+    /// tip of an equal-work fork, so two states with equal hashes follow
+    /// the same best chain and answer every replicated API alike: what
+    /// the shadow-replica divergence detector compares every round.
     pub fn state_hash(&self) -> [u8; 32] {
         let mut hasher = Sha256::new();
         self.snapshot_into(Section::Digest, &mut hasher);
+        #[cfg(test)]
+        hashed_bytes::count(hasher.absorbed());
         hasher.finalize_double()
     }
 
@@ -784,19 +849,17 @@ impl BitcoinCanisterState {
         if stable_count != utxos.next_height() {
             return Err(StorageError::Corrupt("stable chain length disagrees with utxo height"));
         }
-        let mut stable_headers: Vec<BlockHeader> = Vec::new();
-        for _ in 0..stable_count {
+        // The running digest is rebuilt in the pass that checks linkage.
+        let mut stable = StableChain::new(BlockHeader::decode(&mut r)?);
+        for _ in 1..stable_count {
             let header = BlockHeader::decode(&mut r)?;
-            if let Some(prev) = stable_headers.last() {
-                if header.prev_blockhash != prev.block_hash() {
-                    return Err(StorageError::Corrupt("stable headers do not chain"));
-                }
+            if header.prev_blockhash != stable.tip().block_hash() {
+                return Err(StorageError::Corrupt("stable headers do not chain"));
             }
-            stable_headers.push(header);
+            stable.push(header);
         }
-        let anchor = *stable_headers.last().expect("non-empty"); // icbtc-lint: allow(no-panic) -- guarded by the stable_count == 0 check above
         let anchor_height = stable_count - 1;
-        let mut tree = HeaderTree::with_root_height(anchor, anchor_height);
+        let mut tree = HeaderTree::with_root_height(stable.tip(), anchor_height);
         for _ in 0..u64::from_be_bytes(r.take_array()?) {
             match tree.insert(BlockHeader::decode(&mut r)?) {
                 Ok(true) => {}
@@ -838,7 +901,7 @@ impl BitcoinCanisterState {
         Ok(BitcoinCanisterState {
             params,
             utxos,
-            stable_headers,
+            stable,
             tree,
             blocks,
             outbound,
@@ -848,12 +911,16 @@ impl BitcoinCanisterState {
     }
 }
 
-/// How an envelope emits the layer nested in it: the state envelope's
-/// UTXO set, or the checkpoint envelope's full state.
+/// How an envelope emits its sections: the image a restore reads back,
+/// or the stream a state hash absorbs, where the checkpoint envelope's
+/// full state, the state envelope's UTXO set and stable headers, and
+/// each unstable body are replaced by 32-byte digests.
 pub(crate) enum Section {
-    /// `len ‖ image bytes`, what a restore reads back.
+    /// `len ‖ image bytes` for a nested layer, every header and body
+    /// whole.
     Image,
-    /// The nested layer's 32-byte state hash, for hashing.
+    /// Digests in place of the nested layer, the stable headers and the
+    /// bodies, for hashing.
     Digest,
 }
 
@@ -1333,20 +1400,108 @@ mod tests {
     }
 
     #[test]
-    fn state_hash_is_sha256d_of_sections_with_the_utxo_hash() {
+    fn state_hash_is_sha256d_of_sections_with_their_digests() {
         // The serialized sections with `len ‖ utxo snapshot` replaced by
-        // the UTXO set's own hash.
+        // the UTXO set's own hash, the stable headers by their count and
+        // SHA-256d, and each `len ‖ body` by the body's SHA-256d.
+        use icbtc_bitcoin::hash::sha256d;
         let state = populated_state();
+        assert!(state.anchor_height() > 0 && state.unstable_block_count() > 1);
         let bytes = state.serialize();
-        let utxo_bytes = state.utxos().serialize();
-        let start = 8 + 2 + 1 + 7 * 8;
-        assert_eq!(bytes[start..start + 8], (utxo_bytes.len() as u64).to_be_bytes());
-        assert_eq!(bytes[start + 8..start + 8 + utxo_bytes.len()], utxo_bytes[..]);
-        let mut sections = bytes[..start].to_vec();
-        sections.extend_from_slice(&icbtc_bitcoin::hash::sha256d(&utxo_bytes));
-        sections.extend_from_slice(&bytes[start + 8 + utxo_bytes.len()..]);
-        assert_eq!(state.state_hash(), icbtc_bitcoin::hash::sha256d(&sections));
-        assert_eq!(state.utxos().state_hash(), icbtc_bitcoin::hash::sha256d(&utxo_bytes));
+        let mut r = Reader::new(&bytes);
+        let mut sections = r.take(8 + 2 + 1 + 7 * 8).unwrap().to_vec();
+        let utxo_bytes = take_sized(&mut r).unwrap();
+        assert_eq!(utxo_bytes, state.utxos().serialize());
+        assert_eq!(state.utxos().state_hash(), sha256d(utxo_bytes));
+        sections.extend_from_slice(&sha256d(utxo_bytes));
+        let count = r.take(8).unwrap();
+        sections.extend_from_slice(count);
+        let stable_len = 80 * u64::from_be_bytes(count.try_into().unwrap()) as usize;
+        sections.extend_from_slice(&sha256d(r.take(stable_len).unwrap()));
+        let count = r.take(8).unwrap();
+        sections.extend_from_slice(count);
+        let unstable_len = 80 * u64::from_be_bytes(count.try_into().unwrap()) as usize;
+        sections.extend_from_slice(r.take(unstable_len).unwrap());
+        let count = r.take(8).unwrap();
+        sections.extend_from_slice(count);
+        for _ in 0..u64::from_be_bytes(count.try_into().unwrap()) {
+            sections.extend_from_slice(&sha256d(take_sized(&mut r).unwrap()));
+        }
+        sections.extend_from_slice(r.take(r.remaining()).unwrap());
+        assert_eq!(state.state_hash(), sha256d(&sections));
+    }
+
+    /// A state of `stable` installed stable headers (installed history
+    /// needs no proof of work) with two mined unstable blocks above them,
+    /// whose bodies have the same length at every `stable`.
+    fn long_chain_state(stable: u64) -> BitcoinCanisterState {
+        use icbtc_bitcoin::builder::coinbase_transaction;
+        use icbtc_bitcoin::merkle_root;
+
+        let genesis = Network::Regtest.genesis_block().clone();
+        let mut utxos = UtxoSet::new(Network::Regtest);
+        let mut meter = Meter::new();
+        utxos.try_ingest_block(&genesis.txdata, &txids(&genesis.txdata), 0, &mut meter).unwrap();
+        let mut headers = vec![genesis.header];
+        for height in 1..stable {
+            utxos.try_ingest_block(&[], &[], height, &mut meter).unwrap();
+            let prev = headers[headers.len() - 1];
+            let time = prev.time + 600;
+            headers.push(BlockHeader { prev_blockhash: prev.block_hash(), time, ..prev });
+        }
+        let mut state = BitcoinCanisterState::new(params().with_stability_delta(6));
+        state.install_snapshot(utxos, headers);
+        let (mut prev, mut blocks) = (state.anchor(), Vec::new());
+        for i in 0..2 {
+            let payout = Script::new_p2wpkh(&[i as u8; 20]);
+            let txdata = vec![coinbase_transaction(stable + i, Amount::from_btc_int(1), payout, 0)];
+            let merkle_root = merkle_root(&txids(&txdata));
+            let mut header = BlockHeader {
+                prev_blockhash: prev.block_hash(),
+                merkle_root,
+                time: prev.time + 600,
+                nonce: 0,
+                ..genesis.header
+            };
+            while !header.meets_pow_target() {
+                header.nonce += 1;
+            }
+            blocks.push(Block { header, txdata });
+            prev = header;
+        }
+        let report = state.process_response(respond_with(&blocks), prev.time + 60, &mut meter);
+        assert_eq!(report.blocks_accepted, 2, "{:?}", report.rejected);
+        state
+    }
+
+    #[test]
+    fn state_hash_work_does_not_grow_with_the_chain() {
+        // Bytes fed to SHA-256 by a first and a second state hash call.
+        let per_call = |stable| {
+            let state = long_chain_state(stable);
+            assert_eq!(state.anchor_height(), stable - 1);
+            // Both sizes hold an empty UTXO set; fill its memo here so the
+            // two calls differ only in the bodies.
+            state.utxos().state_hash();
+            hashed_bytes::take();
+            let first = (state.state_hash(), hashed_bytes::take());
+            let second = (state.state_hash(), hashed_bytes::take());
+            assert_eq!(first.0, second.0);
+            let bodies: usize = state.blocks.values().map(|body| body.block.encoded_len()).sum();
+            assert_eq!(first.1 - second.1, bodies as u64, "the second call hashes no body");
+            // The digest `install_snapshot` built is the one a restore
+            // rebuilds.
+            let restored = BitcoinCanisterState::deserialize(&state.serialize()).unwrap();
+            assert_eq!(restored.state_hash(), first.0);
+            (first.1, second.1)
+        };
+        assert_eq!(per_call(10_000), per_call(100_000));
+    }
+
+    #[test]
+    #[should_panic(expected = "the stability delta must be at least 1")]
+    fn new_rejects_a_zero_stability_delta() {
+        BitcoinCanisterState::new(params().with_stability_delta(0));
     }
 
     #[test]

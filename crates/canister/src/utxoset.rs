@@ -414,6 +414,8 @@ impl UtxoSet {
         *self.hash_memo.get_or_init(|| {
             let mut hasher = Sha256::new();
             self.snapshot_into(&mut hasher);
+            #[cfg(test)]
+            crate::state::hashed_bytes::count(hasher.absorbed());
             hasher.finalize_double()
         })
     }

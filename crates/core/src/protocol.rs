@@ -111,7 +111,9 @@ impl IntegrationParams {
         }
     }
 
-    /// A copy with a different stability δ (ablation sweeps).
+    /// A copy with a different stability δ (ablation sweeps). δ must be
+    /// at least 1: `BitcoinCanisterState::new` panics on zero, and a
+    /// restore rejects it as corrupt.
     pub fn with_stability_delta(mut self, delta: u64) -> IntegrationParams {
         self.stability_delta = delta;
         self
