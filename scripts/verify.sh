@@ -99,12 +99,14 @@ if rustfmt --version >/dev/null 2>&1; then
         crates/canister/src/api.rs \
         crates/canister/src/canister.rs \
         crates/canister/src/qcache.rs \
+        crates/canister/src/stable_chain.rs \
         crates/canister/src/state.rs \
         crates/canister/src/storage/btree.rs \
         crates/canister/src/storage/codec.rs \
         crates/canister/src/storage/mod.rs \
         crates/canister/src/storage/page.rs \
         crates/canister/src/utxoset.rs \
+        crates/core/src/protocol.rs \
         crates/core/src/stability.rs \
         crates/ic/src/meter.rs \
         crates/sim/src/obs/prof.rs \
